@@ -1,9 +1,14 @@
 """Problem arithmetic: per-user rates, utility, constraints, Lagrangian, metrics.
 
 Everything works in linear power units (milliwatts, matching the dBm config
-boundary) and double precision.  Interference denominators are accumulated
-with ``math.fsum`` so rates are exactly reproducible under any relabeling of
-the users.
+boundary) and double precision, over any leading (batch, time) axes.
+Interference denominators are reduced by ``sorted_sum``: each receiver's
+terms are sorted ascending and then summed in one fixed pairwise order.  The
+sorted sequence depends only on the set of terms, not on how the users are
+numbered, so rates are bit-exactly equivariant under any relabeling, and a
+batched call equals the per-step calls bit for bit.  For the nonnegative
+terms summed here the result stays within about 5e-16 relative of the
+correctly rounded sum.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, NegativeDual
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -52,27 +55,35 @@ def _check_shapes(abs_h2: np.ndarray, p: np.ndarray, m: int) -> None:
         )
 
 
-def interference_denominators(abs_h2: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
-    """Noise-plus-interference at each receiver, correctly rounded.
+def sorted_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis that does not depend on the order of the terms.
 
-    D_i = noise + sum_{j != i} p_j * abs_h2[j, i].  The sum is evaluated with
-    fsum, so the result does not depend on user ordering.
+    Each row is sorted ascending into a C-contiguous copy, so numpy reduces
+    every row by the same pairwise rule whatever the leading shape.
     """
-    m = p.shape[0]
-    received = p[:, None] * abs_h2  # (j, i): power of tx j at rx i
-    out = np.empty(m)
-    for i in range(m):
-        terms = received[:, i].tolist()
-        del terms[i]
-        terms.append(noise)
-        out[i] = math.fsum(terms)
-    return out
+    rows = x.copy(order="C")
+    rows.sort(axis=-1)
+    return rows.sum(axis=-1)
+
+
+def interference_denominators(abs_h2: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
+    """Noise-plus-interference at each receiver, over any leading axes.
+
+    D[..., i] = noise + sum_{j != i} p[..., j] * abs_h2[..., j, i], reduced
+    by ``sorted_sum`` so the result does not depend on user ordering.
+    """
+    # (..., i, j): power of tx j at rx i; the own signal's slot holds the noise
+    terms = np.multiply(abs_h2.swapaxes(-1, -2), p[..., None, :], order="C")
+    diag = np.arange(p.shape[-1])
+    terms[..., diag, diag] = noise
+    return sorted_sum(terms)
 
 
 def rates_from_gain2(abs_h2: np.ndarray, p: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
-    """Per-user rates from squared channel magnitudes (see ``rates``)."""
+    """Per-user rates from squared channel magnitudes (see ``rates``), over
+    any leading axes shared by ``abs_h2`` (..., m, m) and ``p`` (..., m)."""
     _check_shapes(abs_h2, p, cfg.m)
-    signal = p * np.diagonal(abs_h2)
+    signal = p * abs_h2.diagonal(0, -2, -1)
     denom = interference_denominators(abs_h2, p, cfg.noise)
     return np.log2(1.0 + signal / denom)
 
@@ -83,19 +94,6 @@ def rates(h: np.ndarray, p: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
     f_i = log2(1 + p_i |h_ii|^2 / (N + sum_{j != i} p_j |h_ji|^2))
     """
     return rates_from_gain2(np.abs(h) ** 2, p, cfg)
-
-
-def rate_jacobian_p(h: np.ndarray, p: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
-    """J[i, j] = d f_i / d p_j at the given operating point."""
-    abs_h2 = np.abs(h) ** 2
-    _check_shapes(abs_h2, p, cfg.m)
-    a = np.diagonal(abs_h2)
-    s = p * a
-    d = interference_denominators(abs_h2, p, cfg.noise)
-    # Off-diagonal: -a_cross[j, i] * s_i / (d_i (d_i + s_i)), cross gain j->i.
-    jac = -(abs_h2 * (s / (d * (d + s)))[None, :]).T / _LN2
-    np.fill_diagonal(jac, a / (d + s) / _LN2)
-    return jac
 
 
 def constraints_g(avg_f: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:

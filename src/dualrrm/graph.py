@@ -8,17 +8,20 @@ normalized so the weight matrix has unit Frobenius norm:
     w(i, j) = log(P_max |h_ij|^2 / N) / Z,   Z = || log(P_max |H|^2 / N) ||_F
 
 with the natural logarithm.  Weights may be negative for weak links; nothing
-is clipped.
+is clipped.  Z is reduced by ``core.sorted_sum``: the m^2 squared logs are
+sorted ascending and then summed in one fixed pairwise order, so Z does not
+depend on how the users are numbered and a whole episode is normalized in one
+call, bit for bit like step by step.  Z stays within about 5e-16 relative of
+its value from a correctly rounded sum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RrmProblemConfig
+from .core import RrmProblemConfig, sorted_sum
 from .errors import DegenerateNorm, DimensionMismatch, NegativeDual, ZeroChannel
 
 
@@ -31,38 +34,32 @@ class RrmGraph:
 
 
 def _log_strengths(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
-    if np.any(abs_h2 == 0.0):
+    if not abs_h2.all():
         raise ZeroChannel("channel magnitude is zero on at least one link")
     return np.log(cfg.p_max * abs_h2 / cfg.noise)
 
 
 def edge_normalizer(h: np.ndarray, cfg: RrmProblemConfig) -> float:
-    """Frobenius norm of the elementwise log channel strengths.
-
-    Accumulated with fsum, so the value is independent of user ordering.
-    """
-    logs = _log_strengths(np.abs(h) ** 2, cfg)
-    z = math.sqrt(math.fsum((logs**2).ravel().tolist()))
-    if z == 0.0:
-        raise DegenerateNorm("all log channel strengths are zero")
-    return z
+    """Frobenius norm of the elementwise log channel strengths."""
+    return float(edge_weights_from_gain2(np.abs(h) ** 2, cfg)[1])
 
 
 def edge_weights_from_gain2(
     abs_h2: np.ndarray, cfg: RrmProblemConfig
-) -> tuple[np.ndarray, float]:
-    """Normalized edge-weight matrix and its normalizer from |h|^2."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized edge weights and their normalizers from |h|^2 (..., m, m);
+    the normalizers have the leading shape."""
     logs = _log_strengths(abs_h2, cfg)
-    z = math.sqrt(math.fsum((logs**2).ravel().tolist()))
-    if z == 0.0:
+    z = np.sqrt(sorted_sum((logs**2).reshape(logs.shape[:-2] + (-1,))))
+    if not z.all():
         raise DegenerateNorm("all log channel strengths are zero")
-    return logs / z, z
+    return logs / z[..., None, None], z
 
 
 def build_graph(h: np.ndarray, mu: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
     """Graph for one time step: dual node features, normalized log-gain edges."""
     mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0):
+    if (mu < 0).any():
         raise NegativeDual("dual variables must be nonnegative")
     if h.shape != (cfg.m, cfg.m) or mu.shape != (cfg.m,):
         raise DimensionMismatch(
@@ -70,7 +67,7 @@ def build_graph(h: np.ndarray, mu: np.ndarray, cfg: RrmProblemConfig) -> RrmGrap
         )
     weights, z = edge_weights_from_gain2(np.abs(h) ** 2, cfg)
     return RrmGraph(
-        m=cfg.m, node_features=mu.reshape(-1, 1), edge_weights=weights, z_norm=z
+        m=cfg.m, node_features=mu.reshape(-1, 1), edge_weights=weights, z_norm=float(z)
     )
 
 
@@ -81,8 +78,5 @@ def episode_edge_tensors(
 
     Returns (E, s) with E of shape (T, m, m) and s[t, v] = sum_u E[t, u, v].
     """
-    n_steps = abs_h2.shape[0]
-    weights = np.empty_like(abs_h2)
-    for t in range(n_steps):
-        weights[t], _ = edge_weights_from_gain2(abs_h2[t], cfg)
+    weights, _ = edge_weights_from_gain2(abs_h2, cfg)
     return weights, weights.sum(axis=-2)

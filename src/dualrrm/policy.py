@@ -29,6 +29,8 @@ from .core import (
     interference_denominators,
     lagrangian,
     lagrangian_rate_weights,
+    rates_from_gain2,
+    sorted_sum,
 )
 from .errors import (
     CheckpointDimMismatch,
@@ -193,7 +195,7 @@ def _forward_tensors(
         aggs.append(agg)
         y = np.where(mask, z, 0.0)
     pre = (y @ params.w_out)[..., 0] + params.b_out[0]
-    if not np.all(np.isfinite(pre)):
+    if not np.isfinite(pre).all():
         raise NonFiniteActivation("policy produced non-finite pre-activations")
     return pre, _ForwardCache(inputs=inputs, masks=masks, aggregates=aggs, hidden_out=y)
 
@@ -226,11 +228,12 @@ def _backward_tensors(
         grads.w3[l][...] = -_contract(cache.aggregates[l], gz)
         if params.use_bias:
             grads.b[l][...] = gz.sum(axis=batch_axes)
-        gy = (
-            gz @ params.w1[l].T
-            + s * (gz @ params.w2[l].T)
-            - edges @ (gz @ params.w3[l].T)
-        )
+        if l > 0:  # nothing reads the gradient in the network input
+            gy = (
+                gz @ params.w1[l].T
+                + s * (gz @ params.w2[l].T)
+                - edges @ (gz @ params.w3[l].T)
+            )
     return grads
 
 
@@ -250,17 +253,21 @@ def forward(graph: RrmGraph, params: GnnParams, p_max: float) -> PolicyOutput:
 def _d_lagrangian_d_powers(
     abs_h2: np.ndarray, p: np.ndarray, weights: np.ndarray, cfg: RrmProblemConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step rates and d(sum_i weights_i f_i)/dp for one time step."""
-    a = np.diagonal(abs_h2)
+    """Rates and d(sum_i weights_i f_i)/dp, over any leading axes of
+    ``abs_h2`` (..., m, m) and ``p`` (..., m); ``weights`` broadcasts."""
+    a = abs_h2.diagonal(0, -2, -1)
     signal = p * a
     denom = interference_denominators(abs_h2, p, cfg.noise)
     f = np.log2(1.0 + signal / denom)
     total = denom + signal
     beta = weights / (_LN2 * total)
     gamma = weights * signal / (_LN2 * denom * total)
-    # dL/dp_j = beta_j a_j - sum_{i != j} abs_h2[j, i] gamma_i
-    dldp = beta * a - (abs_h2 @ gamma - a * gamma)
-    return f, dldp
+    # dL/dp_j = beta_j a_j - sum_{i != j} abs_h2[j, i] gamma_i, reduced by the
+    # same order-invariant sum as the denominators
+    cross = abs_h2 * gamma[..., None, :]
+    diag = np.arange(p.shape[-1])
+    cross[..., diag, diag] = 0.0
+    return f, beta * a - sorted_sum(cross)
 
 
 @dataclass
@@ -309,13 +316,7 @@ def episode_eval(
     y0 = np.broadcast_to(feats[None, :, None], (n_steps, cfg.m, 1))
     pre, cache = _forward_tensors(y0, tensors.edges, tensors.in_sums, params)
     sig = _sigmoid(pre)
-    powers = cfg.p_max * sig
-    f = np.empty((n_steps, cfg.m))
-    dldp = np.empty((n_steps, cfg.m))
-    for t in range(n_steps):
-        f[t], dldp[t] = _d_lagrangian_d_powers(
-            tensors.abs_h2[t], powers[t], step_weights, cfg
-        )
+    f, dldp = _d_lagrangian_d_powers(tensors.abs_h2, cfg.p_max * sig, step_weights, cfg)
     avg_f = f.mean(axis=0)
     value = lagrangian(avg_f, mu, cfg, utility_scale)
     d_pre = dldp * cfg.p_max * sig * (1.0 - sig)
@@ -354,19 +355,12 @@ def episode_average_rates(
     h_episode: np.ndarray, mu: np.ndarray, params: GnnParams, cfg: RrmProblemConfig
 ) -> np.ndarray:
     """Episode-average per-user rates under the policy with fixed duals."""
-    from .core import rates_from_gain2
-
     tensors = episode_tensors(h_episode, cfg)
-    n_steps = tensors.n_steps
     y0 = np.broadcast_to(
-        np.asarray(mu, dtype=float)[None, :, None], (n_steps, cfg.m, 1)
+        np.asarray(mu, dtype=float)[None, :, None], (tensors.n_steps, cfg.m, 1)
     )
     pre, _ = _forward_tensors(y0, tensors.edges, tensors.in_sums, params)
-    powers = cfg.p_max * _sigmoid(pre)
-    f = np.empty((n_steps, cfg.m))
-    for t in range(n_steps):
-        f[t] = rates_from_gain2(tensors.abs_h2[t], powers[t], cfg)
-    return f.mean(axis=0)
+    return rates_from_gain2(tensors.abs_h2, cfg.p_max * _sigmoid(pre), cfg).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ def params_equal(a, b):
     )
 
 
+def random_gains(rng, n_steps, m):
+    """(T, m, m) |h|^2 spread over about eight decades, as path loss and
+    shadowing spread real link strengths."""
+    return 1e-10 * rng.lognormal(0.0, 3.0, (n_steps, m, m))
+
+
 def relabel_matrix(h, perm):
     return h[np.ix_(perm, perm)]
 

@@ -7,16 +7,17 @@ from dualrrm.core import (
     MetricsSummary,
     RrmProblemConfig,
     constraints_g,
+    interference_denominators,
     lagrangian,
     lagrangian_rate_weights,
     metrics,
-    rate_jacobian_p,
     rates,
+    rates_from_gain2,
     utility_sum,
 )
 from dualrrm.errors import DimensionMismatch, EmptyInput, NegativeDual
 
-from conftest import relabel_matrix
+from conftest import random_gains, relabel_matrix
 
 
 def random_channel(rng, m, scale=1e-5):
@@ -93,26 +94,42 @@ class TestRates:
         with pytest.raises(DimensionMismatch):
             rates(random_channel(rng, 4), np.zeros(4), cfg)
 
-    def test_jacobian_vs_central_differences(self, rng):
-        cfg = RrmProblemConfig(m=4)
-        h = random_channel(rng, 4)
-        p = rng.uniform(0.1, cfg.p_max, 4)
-        jac = rate_jacobian_p(h, p, cfg)
-        step = 1e-6
-        # central differences carry ~ulp(f)/step of rounding noise, so the
-        # relative bound only applies to entries that rise above that floor
-        noise_floor = 1e-3
-        for j in range(4):
-            up, down = p.copy(), p.copy()
-            up[j] += step
-            down[j] -= step
-            fd = (rates(h, up, cfg) - rates(h, down, cfg)) / (2 * step)
-            for i in range(4):
-                if max(abs(jac[i, j]), abs(fd[i])) >= noise_floor:
-                    denom = max(abs(jac[i, j]), abs(fd[i]))
-                    assert abs(jac[i, j] - fd[i]) / denom < 1e-6
-                else:
-                    assert abs(jac[i, j] - fd[i]) < 5e-9
+
+class TestBatchedDenominators:
+    @pytest.mark.parametrize("m", [1, 2, 6, 50, 200])
+    def test_within_1e15_of_fsum_oracle(self, rng, m):
+        cfg = RrmProblemConfig(m=m)
+        g2 = random_gains(rng, 3, m)
+        p = rng.uniform(0, cfg.p_max, (3, m))
+        d = interference_denominators(g2, p, cfg.noise)
+        for t in range(3):
+            for i in range(m):
+                oracle = math.fsum(
+                    [cfg.noise] + [p[t, j] * g2[t, j, i] for j in range(m) if j != i]
+                )
+                assert abs(d[t, i] - oracle) <= 1e-15 * oracle
+
+    def test_single_user_is_noise_exactly(self, rng):
+        cfg = RrmProblemConfig(m=1)
+        g2 = random_gains(rng, 4, 1)
+        p = rng.uniform(0, cfg.p_max, (4, 1))
+        d = interference_denominators(g2, p, cfg.noise)
+        assert np.array_equal(d, np.full((4, 1), cfg.noise))
+        assert interference_denominators(g2[0], p[0], cfg.noise)[0] == cfg.noise
+
+    @pytest.mark.parametrize("m", [1, 6, 50, 200])
+    def test_batched_equals_per_step_bit_exact(self, rng, m):
+        cfg = RrmProblemConfig(m=m)
+        g2 = random_gains(rng, 5, m)
+        p = rng.uniform(0, cfg.p_max, (5, m))
+        d = interference_denominators(g2, p, cfg.noise)
+        f = rates_from_gain2(g2, p, cfg)
+        for t in range(5):
+            assert np.array_equal(d[t], interference_denominators(g2[t], p[t], cfg.noise))
+            assert np.array_equal(f[t], rates_from_gain2(g2[t], p[t], cfg))
+        # extra leading axes reduce the same way
+        f2 = rates_from_gain2(np.stack([g2, g2[::-1]]), np.stack([p, p[::-1]]), cfg)
+        assert np.array_equal(f2[0], f) and np.array_equal(f2[1], f[::-1])
 
 
 class TestConstraintsUtility:

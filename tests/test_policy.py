@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dualrrm.core import RrmProblemConfig, rates
+from dualrrm.core import RrmProblemConfig, rates, rates_from_gain2
 from dualrrm.errors import (
     CheckpointDimMismatch,
     DimensionMismatch,
@@ -15,6 +15,7 @@ from dualrrm.policy import (
     Checkpoint,
     GnnConfig,
     GnnParams,
+    _d_lagrangian_d_powers,
     apply_update,
     checkpoint_bytes,
     episode_average_rates,
@@ -29,7 +30,7 @@ from dualrrm.policy import (
 )
 from dualrrm.verify import finite_difference_check
 
-from conftest import make_realizations, params_equal, relabel_matrix
+from conftest import make_realizations, params_equal, random_gains, relabel_matrix
 
 
 def small_problem(m):
@@ -227,6 +228,60 @@ class TestEpisodeObjective:
             g2.named_arrays(), ga.named_arrays(), gb.named_arrays()
         ):
             assert np.max(np.abs(x2 - (xa + xb))) < 1e-10
+
+
+def random_kernel_inputs(rng, cfg, n_steps):
+    """Spread gains, interior powers and Lagrangian rate weights 1 + mu."""
+    p = rng.uniform(0.1, cfg.p_max, (n_steps, cfg.m))
+    return random_gains(rng, n_steps, cfg.m), p, 1.0 + rng.uniform(0, 2, cfg.m)
+
+
+class TestRatesAndGradientKernel:
+    @pytest.mark.parametrize("m", [1, 6, 50])
+    def test_batched_equals_per_step_bit_exact(self, rng, m):
+        cfg = small_problem(m)
+        g2, p, w = random_kernel_inputs(rng, cfg, 5)
+        f, dldp = _d_lagrangian_d_powers(g2, p, w, cfg)
+        assert np.array_equal(f, rates_from_gain2(g2, p, cfg))
+        for t in range(5):
+            f_t, dldp_t = _d_lagrangian_d_powers(g2[t], p[t], w, cfg)
+            assert np.array_equal(f_t, f[t]) and np.array_equal(dldp_t, dldp[t])
+
+    @pytest.mark.parametrize("m", [6, 50])
+    def test_permutation_equivariance_bit_exact(self, rng, m):
+        cfg = small_problem(m)
+        g2, p, w = random_kernel_inputs(rng, cfg, 5)
+        f, dldp = _d_lagrangian_d_powers(g2, p, w, cfg)
+        for _ in range(5):
+            perm = rng.permutation(m)
+            f_perm, dldp_perm = _d_lagrangian_d_powers(
+                g2[:, perm][:, :, perm], p[:, perm], w[perm], cfg
+            )
+            assert np.array_equal(f_perm, f[:, perm])
+            assert np.array_equal(dldp_perm, dldp[:, perm])
+
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_gradient_vs_central_differences(self, rng, m):
+        # dL/dp is linear in the weights, and one-hot weights e_i make it row
+        # i of the rate Jacobian, so every entry d f_i / d p_j is checked
+        cfg = small_problem(m)
+        g2, p, _ = random_kernel_inputs(rng, cfg, 5)
+        jac = np.stack([_d_lagrangian_d_powers(g2, p, w, cfg)[1] for w in np.eye(m)], axis=-2)
+        step = 1e-6
+        fd = np.empty_like(jac)  # (T, i, j)
+        for j in range(m):
+            up, down = p.copy(), p.copy()
+            up[:, j] += step  # steps are independent, so all move at once
+            down[:, j] -= step
+            diff = rates_from_gain2(g2, up, cfg) - rates_from_gain2(g2, down, cfg)
+            fd[..., j] = diff / (2 * step)
+        # central differences carry ~ulp(f)/step of rounding noise, so the
+        # relative bound only applies to entries that rise above that floor
+        scale = np.maximum(np.abs(jac), np.abs(fd))
+        above = scale >= 1e-3
+        assert np.all(np.abs(jac - fd)[above] / scale[above] < 1e-6)
+        assert np.all(np.abs(jac - fd)[~above] < 5e-9)
+        assert above.any() and (~above).any()
 
 
 class TestApplyUpdate:
