@@ -33,8 +33,9 @@ class ItlinqConfig:
 
 
 def full_reuse(h: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
-    """Every transmitter at maximum power, whatever the channel."""
-    return np.full(cfg.m, cfg.p_max)
+    """Every transmitter at maximum power, whatever the channel; the powers
+    take the leading shape of ``h`` (..., m, m)."""
+    return np.full(h.shape[:-1], cfg.p_max)
 
 
 def itlinq_schedule(
@@ -54,12 +55,15 @@ def itlinq_schedule(
     margin = 10.0 ** (cfg.m_margin_db / 10.0)
     cap = margin * snr**cfg.eta_exponent
     if cfg.ordering == "by-SNR-desc":
-        order = sorted(range(problem.m), key=lambda i: (-snr[i], i))
+        order = np.argsort(-snr, kind="stable").tolist()
     else:
-        order = list(range(problem.m))
+        order = range(problem.m)
+    ok = inr <= cap[:, None]  # (i, j): INR(i -> j) within i's cap
+    compat = (ok & ok.T).tolist()  # [j][i]: links i and j may coexist
     scheduled: list[int] = []
     for j in order:
-        if all(inr[i, j] <= cap[i] and inr[j, i] <= cap[j] for i in scheduled):
+        row = compat[j]
+        if all(row[i] for i in scheduled):
             scheduled.append(j)
     powers = np.zeros(problem.m)
     powers[scheduled] = problem.p_max
@@ -77,7 +81,9 @@ class ItlinqPolicy:
     cfg: ItlinqConfig
 
     def powers(self, h: np.ndarray, mu: np.ndarray, problem: RrmProblemConfig) -> np.ndarray:
-        return itlinq_schedule(h, problem, self.cfg)
+        """One schedule per step of ``h`` (..., m, m)."""
+        steps = h.reshape(-1, problem.m, problem.m)
+        return np.reshape([itlinq_schedule(h_t, problem, self.cfg) for h_t in steps], h.shape[:-1])
 
 
 def early_stopped_baseline(

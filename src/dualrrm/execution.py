@@ -1,15 +1,19 @@
 """Online execution: frozen policy plus projected dual descent.
 
-At every time step the policy maps (H_t, current duals) to powers.  After
-each block of T0 steps the duals move against the constraint slack of that
-block's average rates and are projected back onto the nonnegative orthant:
+The duals move only at window boundaries, every T0 steps.  Within window k
+the policy maps the window's channels and the dual vector in force,
+mu_k, to powers; the window's rates then move the duals against their
+constraint slack and project them back onto the nonnegative orthant:
 
-    mu <- max(0, mu - eta_mu * (mean_rates_block - f_min)).
+    mu_{k+1} = max(0, mu_k - eta_mu * (mean_rates_window_k - f_min)).
 
-A violated constraint therefore raises its user's dual, which the trained
-policy answers with more transmit power; satisfied constraints bleed the
-dual back toward zero.  An optional freeze step stops the dual updates early
-and is how the plain primal-dual baseline is realized.
+Because mu is fixed for a whole window, each window is one policy call and
+one rate call over its (n, m, m) channels, and equals the step-by-step
+computation bit for bit.  A violated constraint raises its user's dual,
+which the trained policy answers with more transmit power; satisfied
+constraints bleed the dual back toward zero.  An optional freeze step stops
+the dual updates early and is how the plain primal-dual baseline is
+realized.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ class ExecConfig:
             raise ConfigError("eta_mu must be positive")
         if self.t_stop is not None and self.t_stop < 0:
             raise ConfigError("t_stop must be >= 0")
+
+    def updates_after(self, k: int) -> bool:
+        """Whether the duals move at the end of window k, i.e. whether its
+        last step (k+1)*T0 - 1 comes before ``t_stop``."""
+        return self.t_stop is None or (k + 1) * self.T0 - 1 < self.t_stop
 
 
 @dataclass
@@ -109,9 +118,11 @@ def execute(
     """Run the policy over one channel episode with dual descent.
 
     ``policy`` is either trained GnnParams or any object with a
-    ``powers(h, mu, problem)`` method.  The dual update fires after step
-    t = (k+1)*T0 - 1 unless that step has reached ``t_stop``; a trailing
-    partial window never triggers an update.
+    ``powers(h, mu, problem)`` method that maps the channels of one dual
+    window, ``h`` of shape (n, m, m) with n <= T0, and the duals ``mu`` (m,)
+    in force to powers of shape (n, m).  The dual update fires after each
+    complete window k for which ``exec_cfg.updates_after(k)`` holds; a
+    trailing partial window never triggers an update.
     """
     exec_cfg.validate()
     from .core import rates as rates_fn
@@ -140,18 +151,14 @@ def execute(
     powers = np.empty((n_steps, problem.m))
     rates_t = np.empty((n_steps, problem.m))
     duals = np.empty((n_windows, problem.m))
-    k = 0
-    for t in range(n_steps):
-        if k < n_windows and t == k * exec_cfg.T0:
+    for k, t0 in enumerate(range(0, n_steps, exec_cfg.T0)):
+        win = slice(t0, min(t0 + exec_cfg.T0, n_steps))
+        powers[win] = policy.powers(episode[win], mu, problem)
+        rates_t[win] = rates_fn(episode[win], powers[win], problem)
+        if k < n_windows:
             duals[k] = mu
-        powers[t] = policy.powers(episode[t], mu, problem)
-        rates_t[t] = rates_fn(episode[t], powers[t], problem)
-        if (t + 1) % exec_cfg.T0 == 0:
-            frozen = exec_cfg.t_stop is not None and t >= exec_cfg.t_stop
-            if not frozen:
-                window = rates_t[t + 1 - exec_cfg.T0 : t + 1]
-                mu = dual_update(mu, window, exec_cfg, problem)
-            k += 1
+            if exec_cfg.updates_after(k):
+                mu = dual_update(mu, rates_t[win], exec_cfg, problem)
     ergodic = np.cumsum(rates_t, axis=0) / np.arange(1, n_steps + 1)[:, None]
     return EpisodeTrace(
         powers=powers, rates=rates_t, duals=duals, ergodic_rates=ergodic,
@@ -166,9 +173,7 @@ def replay_duals(trace: EpisodeTrace, exec_cfg: ExecConfig, problem: RrmProblemC
     out = np.empty_like(trace.duals)
     for k in range(n_windows):
         out[k] = mu
-        t_last = (k + 1) * exec_cfg.T0 - 1
-        frozen = exec_cfg.t_stop is not None and t_last >= exec_cfg.t_stop
-        if not frozen:
+        if exec_cfg.updates_after(k):
             window = trace.rates[k * exec_cfg.T0 : (k + 1) * exec_cfg.T0]
             mu = dual_update(mu, window, exec_cfg, problem)
     return out

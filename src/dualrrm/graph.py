@@ -1,4 +1,4 @@
-"""Per-time-step graph representation consumed by the policy network.
+"""Graph representation of the channel consumed by the policy network.
 
 Users are nodes, the edge set is the full set of directed pairs including
 self-edges, node features are the current dual variables, and the weight of
@@ -28,9 +28,9 @@ from .errors import DegenerateNorm, DimensionMismatch, NegativeDual, ZeroChannel
 @dataclass
 class RrmGraph:
     m: int
-    node_features: np.ndarray  # (m, 1)
-    edge_weights: np.ndarray  # (m, m), entry (i, j) on directed edge i -> j
-    z_norm: float
+    node_features: np.ndarray  # (m, 1), shared by every step
+    edge_weights: np.ndarray  # (..., m, m), entry (i, j) on directed edge i -> j
+    z_norm: np.ndarray  # (...), one normalizer per step
 
 
 def _log_strengths(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
@@ -57,18 +57,17 @@ def edge_weights_from_gain2(
 
 
 def build_graph(h: np.ndarray, mu: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
-    """Graph for one time step: dual node features, normalized log-gain edges."""
+    """Graph for the steps of ``h`` (..., m, m) under one dual vector: dual
+    node features, normalized log-gain edges per step."""
     mu = np.asarray(mu, dtype=float)
     if (mu < 0).any():
         raise NegativeDual("dual variables must be nonnegative")
-    if h.shape != (cfg.m, cfg.m) or mu.shape != (cfg.m,):
+    if h.shape[-2:] != (cfg.m, cfg.m) or mu.shape != (cfg.m,):
         raise DimensionMismatch(
             f"channel {h.shape} / duals {mu.shape} inconsistent with m={cfg.m}"
         )
     weights, z = edge_weights_from_gain2(np.abs(h) ** 2, cfg)
-    return RrmGraph(
-        m=cfg.m, node_features=mu.reshape(-1, 1), edge_weights=weights, z_norm=float(z)
-    )
+    return RrmGraph(m=cfg.m, node_features=mu.reshape(-1, 1), edge_weights=weights, z_norm=z)
 
 
 def episode_edge_tensors(

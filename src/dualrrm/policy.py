@@ -130,8 +130,8 @@ GradAccumulator = GnnParams
 
 @dataclass
 class PolicyOutput:
-    powers: np.ndarray  # (m,), in [0, p_max]
-    pre_activation: np.ndarray  # (m,), the scalar node outputs before sigmoid
+    powers: np.ndarray  # (..., m), in [0, p_max]
+    pre_activation: np.ndarray  # (..., m), the scalar node outputs before sigmoid
 
 
 def init_params(dims: GnnConfig, seed: int) -> GnnParams:
@@ -177,16 +177,23 @@ def _forward_tensors(
 ) -> tuple[np.ndarray, _ForwardCache]:
     """Batched forward; leading axes of y0/edges/in_sums broadcast together.
 
-    y0: (..., m, f0), edges: (..., m, m), in_sums: (..., m).
+    y0: (..., m, 1), edges: (..., m, m), in_sums: (..., m).
     Returns the pre-sigmoid node scalars with shape (..., m).
     """
+    if params.w1[0].shape[0] != 1 or y0.shape[-1] != 1:
+        raise DimensionMismatch(
+            f"input width {params.w1[0].shape[0]} / node features {y0.shape}: f0 must be 1"
+        )
     y = y0
     inputs, masks, aggs = [], [], []
     s = in_sums[..., None]
     edges_t = np.swapaxes(edges, -1, -2)
     for l in range(len(params.w1)):
         agg = edges_t @ y
-        z = y @ params.w1[l] + s * (y @ params.w2[l]) - agg @ params.w3[l]
+        if l == 0:  # f0 = 1: each product is an outer product, exactly y * W[0]
+            z = y * params.w1[0][0] + s * (y * params.w2[0][0]) - agg * params.w3[0][0]
+        else:
+            z = y @ params.w1[l] + s * (y @ params.w2[l]) - agg @ params.w3[l]
         if params.use_bias:
             z = z + params.b[l]
         mask = z > 0.0
@@ -238,14 +245,14 @@ def _backward_tensors(
 
 
 def forward(graph: RrmGraph, params: GnnParams, p_max: float) -> PolicyOutput:
-    """Transmit powers p_max * sigmoid(pre-activation) for one graph."""
+    """Transmit powers p_max * sigmoid(pre-activation) for every step of a graph."""
     if graph.node_features.shape != (graph.m, params.feature_dims[0]):
         raise DimensionMismatch(
             f"node features {graph.node_features.shape} vs m={graph.m}, "
             f"f0={params.feature_dims[0]}"
         )
     pre, _ = _forward_tensors(
-        graph.node_features, graph.edge_weights, graph.edge_weights.sum(axis=0), params
+        graph.node_features, graph.edge_weights, graph.edge_weights.sum(axis=-2), params
     )
     return PolicyOutput(powers=p_max * _sigmoid(pre), pre_activation=pre)
 
@@ -376,20 +383,24 @@ class Checkpoint:
     config_echo: dict = field(default_factory=dict)
 
 
+def _dims_block(params: GnnParams) -> dict:
+    dims = params.feature_dims
+    return {
+        "f0": dims[0],
+        "f1": dims[1],
+        "f2": dims[2],
+        "f3": dims[3],
+        "use_bias": params.use_bias,
+    }
+
+
 def _checkpoint_dict(ckpt: Checkpoint) -> dict:
-    dims = ckpt.params.feature_dims
     return {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "tool_version": __version__,
         "seed": ckpt.seed,
         "iteration": ckpt.iteration,
-        "dims": {
-            "f0": dims[0],
-            "f1": dims[1],
-            "f2": dims[2],
-            "f3": dims[3],
-            "use_bias": ckpt.params.use_bias,
-        },
+        "dims": _dims_block(ckpt.params),
         "arrays": {
             name: {"shape": list(a.shape), "data": a.ravel().tolist()}
             for name, a in ckpt.params.named_arrays()
@@ -407,30 +418,77 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         f.write(checkpoint_bytes(ckpt))
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path) as f:
-        d = json.load(f)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _checkpoint_array(name: str, rec) -> np.ndarray:
+    if not isinstance(rec, dict) or not isinstance(rec.get("shape"), list):
+        raise ConfigError(f"array {name} needs a shape list and a data list")
+    if not all(_is_int(n) and n >= 0 for n in rec["shape"]):
+        raise ConfigError(f"array {name} has an invalid shape {rec['shape']}")
+    try:
+        a = np.array(rec["data"])
+        if a.ndim != 1 or a.dtype.kind not in "iuf":
+            raise ValueError("data must be a flat list of numbers")
+        a = a.astype(float).reshape(rec["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"array {name}: {exc}") from None
+    if not np.isfinite(a).all():
+        raise ConfigError(f"array {name} holds non-finite values")
+    return a
+
+
+def _checkpoint_from_dict(d) -> Checkpoint:
+    if not isinstance(d, dict):
+        raise ConfigError("not a JSON object")
     if d.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format {d.get('format_version')}")
-    arrays = {}
-    for name, rec in d["arrays"].items():
-        arrays[name] = np.array(rec["data"], dtype=float).reshape(rec["shape"])
-    n_layers = sum(1 for name in arrays if name.endswith(".w1"))
-    params = GnnParams(
-        w1=[arrays[f"layer{l + 1}.w1"] for l in range(n_layers)],
-        w2=[arrays[f"layer{l + 1}.w2"] for l in range(n_layers)],
-        w3=[arrays[f"layer{l + 1}.w3"] for l in range(n_layers)],
-        b=[arrays[f"layer{l + 1}.b"] for l in range(n_layers)],
-        w_out=arrays["out.w"],
-        b_out=arrays["out.b"],
-        use_bias=bool(d["dims"]["use_bias"]),
+    records, dims = d.get("arrays"), d.get("dims")
+    if not isinstance(records, dict) or not isinstance(dims, dict):
+        raise ConfigError("needs an arrays object and a dims object")
+    arrays = {name: _checkpoint_array(name, rec) for name, rec in records.items()}
+    f1, f2 = (
+        arrays[k].shape[1] if k in arrays and arrays[k].ndim == 2 else 0
+        for k in ("layer1.w1", "layer2.w1")
     )
+    if min(f1, f2) < 1 or not isinstance(dims.get("use_bias"), bool):
+        raise ConfigError("needs (1, f) layer weights with f >= 1 and a boolean use_bias")
+    # the same constructor as training fixes the names and the shape chain
+    params = init_params(GnnConfig(f1=f1, f2=f2, use_bias=dims["use_bias"]), 0)
+    expected = dict(params.named_arrays())
+    for name in sorted(expected.keys() | arrays.keys()):
+        want = expected[name].shape if name in expected else "no such array"
+        got = arrays[name].shape if name in arrays else "missing"
+        if got != want:
+            raise ConfigError(
+                f"array {name}: {got}, the chain 1 -> {f1} -> {f2} -> 1 needs {want}"
+            )
+        expected[name][...] = arrays[name]
+    if dims != _dims_block(params):
+        raise ConfigError(f"dims block {dims} disagrees with the arrays")
+    if not (_is_int(d.get("seed")) and _is_int(d.get("iteration"))):
+        raise ConfigError("seed and iteration must be integers")
+    config_echo = d.get("config_echo", {})
+    if not isinstance(config_echo, dict):
+        raise ConfigError("config_echo must be an object")
     return Checkpoint(
-        params=params,
-        seed=int(d["seed"]),
-        iteration=int(d["iteration"]),
-        config_echo=d.get("config_echo", {}),
+        params=params, seed=d["seed"], iteration=d["iteration"], config_echo=config_echo
     )
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; malformed content of any kind raises ConfigError."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        d = json.loads(raw)
+    except ValueError as exc:  # also invalid UTF-8
+        raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    try:
+        return _checkpoint_from_dict(d)
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
 
 
 def require_dims(params: GnnParams, dims: GnnConfig) -> None:

@@ -165,8 +165,7 @@ def dual_trace_battery(
     violations_ok = True
     n_checked = 0
     for k in range(n_windows - 1):
-        t_last = (k + 1) * t0 - 1
-        if exec_cfg.t_stop is not None and t_last >= exec_cfg.t_stop:
+        if not exec_cfg.updates_after(k):
             continue
         window_mean = trace.rates[k * t0 : (k + 1) * t0].mean(axis=0)
         for i in range(problem.m):
@@ -187,8 +186,7 @@ def dual_trace_battery(
     projected = np.zeros(problem.m, dtype=bool)
     mu = trace.duals[0].copy()
     for k in range(n_windows - 1):
-        t_last = (k + 1) * t0 - 1
-        if exec_cfg.t_stop is not None and t_last >= exec_cfg.t_stop:
+        if not exec_cfg.updates_after(k):
             continue
         g = constraints_g(trace.rates[k * t0 : (k + 1) * t0].mean(axis=0), problem)
         raw = mu - eta * g
@@ -210,8 +208,7 @@ def dual_trace_battery(
     # Per-window step size bound: |mu_{k+1} - mu_k| <= eta sqrt(m) max|g|.
     step_ok = True
     for k in range(n_windows - 1):
-        t_last = (k + 1) * t0 - 1
-        if exec_cfg.t_stop is not None and t_last >= exec_cfg.t_stop:
+        if not exec_cfg.updates_after(k):
             continue
         g = constraints_g(trace.rates[k * t0 : (k + 1) * t0].mean(axis=0), problem)
         delta = np.linalg.norm(trace.duals[k + 1] - trace.duals[k])

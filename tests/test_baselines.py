@@ -17,11 +17,29 @@ from dualrrm.execution import ExecConfig, evaluate_suite
 from dualrrm.policy import GnnConfig
 from dualrrm.training import TrainConfig, train
 
-from conftest import make_realizations, relabel_matrix
+from conftest import make_realizations, random_gains, relabel_matrix
 
 
 def random_channel(rng, m, scale=1e-5):
     return scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+
+
+def itlinq_oracle(h, problem, icfg):
+    """Greedy scheduling with the pairwise admission rule written out."""
+    inr = problem.p_max * np.abs(h) ** 2 / problem.noise
+    snr = np.diagonal(inr)
+    cap = 10.0 ** (icfg.m_margin_db / 10.0) * snr**icfg.eta_exponent
+    if icfg.ordering == "by-SNR-desc":
+        order = sorted(range(problem.m), key=lambda i: (-snr[i], i))
+    else:
+        order = range(problem.m)
+    scheduled = []
+    for j in order:
+        if all(inr[i, j] <= cap[i] and inr[j, i] <= cap[j] for i in scheduled):
+            scheduled.append(j)
+    powers = np.zeros(problem.m)
+    powers[scheduled] = problem.p_max
+    return powers
 
 
 class TestFullReuse:
@@ -117,6 +135,22 @@ class TestItlinq:
             pp = itlinq_schedule(relabel_matrix(h, perm), cfg, icfg)
             assert np.array_equal(pp, p[perm])
 
+    @pytest.mark.parametrize("ordering", ["by-SNR-desc", "by-index"])
+    def test_matches_pairwise_oracle_on_random_instances(self, rng, ordering):
+        shares = []
+        for m in range(1, 13):
+            problem = RrmProblemConfig(m=m)
+            for _ in range(20):
+                icfg = ItlinqConfig(m_margin_db=float(rng.uniform(-10, 30)), ordering=ordering)
+                h = np.sqrt(random_gains(rng, 1, m)[0]).astype(complex)
+                if m > 1 and rng.random() < 0.3:
+                    h[1, 1] = h[0, 0]  # tied direct SNRs
+                p = itlinq_schedule(h, problem, icfg)
+                assert np.array_equal(p, itlinq_oracle(h, problem, icfg))
+                shares.append(np.count_nonzero(p) / m)
+        # the instances both admit and reject links
+        assert any(0.0 < share < 1.0 for share in shares)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             ItlinqConfig(eta_exponent=0.0).validate()
@@ -152,13 +186,12 @@ class TestEarlyStoppedBaseline:
             assert np.array_equal(trace.duals, np.zeros_like(trace.duals))
 
     def test_policy_wrappers_ignore_duals(self, rng):
+        # a dual window (n, m, m) in, one power vector per step out
         cfg = RrmProblemConfig(m=3)
-        h = random_channel(rng, 3)
-        fr = FullReusePolicy()
-        assert np.array_equal(
-            fr.powers(h, np.zeros(3), cfg), fr.powers(h, np.ones(3), cfg)
-        )
-        il = ItlinqPolicy(ItlinqConfig())
-        assert np.array_equal(
-            il.powers(h, np.zeros(3), cfg), il.powers(h, np.ones(3), cfg)
-        )
+        window = np.stack([random_channel(rng, 3, scale=s) for s in (1e-5, 1e-6, 3e-5, 1e-5)])
+        for policy in (FullReusePolicy(), ItlinqPolicy(ItlinqConfig())):
+            p = policy.powers(window, np.zeros(3), cfg)
+            assert p.shape == (4, 3)
+            assert np.array_equal(p, policy.powers(window, np.ones(3), cfg))
+            for t in range(4):
+                assert np.array_equal(p[t], policy.powers(window[t], np.ones(3), cfg))

@@ -294,6 +294,68 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
 
+def _edit(change):
+    """A checkpoint mutation that edits the parsed JSON object."""
+
+    def mutate(raw: bytes) -> bytes:
+        d = json.loads(raw)
+        change(d)
+        return json.dumps(d).encode()
+
+    return mutate
+
+
+def _first_value(name, value):
+    def change(d):
+        d["arrays"][name]["data"][0] = value
+
+    return _edit(change)
+
+
+def _widen_input(d):
+    for kind in ("w1", "w2", "w3"):
+        rec = d["arrays"][f"layer1.{kind}"]
+        rec["shape"][0] = 2
+        rec["data"] = rec["data"] * 2
+
+
+def _narrow_layer2(d):
+    rec = d["arrays"]["layer2.w1"]
+    rec["shape"][0] -= 1
+    rec["data"] = rec["data"][: rec["shape"][0] * rec["shape"][1]]
+
+
+CHECKPOINT_MUTATIONS = {
+    "truncated_json": lambda raw: raw[: len(raw) // 2],
+    "not_utf8": lambda raw: b"\xff\xfe\x00" + raw,
+    "not_an_object": lambda raw: b"[1, 2]",
+    "missing_array": _edit(lambda d: d["arrays"].pop("out.w")),
+    "unknown_array": _edit(lambda d: d["arrays"].update(extra=d["arrays"]["out.b"])),
+    "data_shorter_than_shape": _edit(lambda d: d["arrays"]["out.b"].update(data=[])),
+    "data_not_numbers": _edit(lambda d: d["arrays"]["out.b"].update(data=["0.5"])),
+    "input_width_two": _edit(_widen_input),
+    "broken_chain_f1": _edit(_narrow_layer2),
+    "nan_value": _first_value("layer1.b", float("nan")),
+    "inf_value": _first_value("out.w", float("inf")),
+    "dims_disagree": _edit(lambda d: d["dims"].update(f1=d["dims"]["f1"] + 1)),
+    "dims_use_bias_missing": _edit(lambda d: d["dims"].pop("use_bias")),
+    "seed_not_int": _edit(lambda d: d.update(seed="x")),
+}
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_MUTATIONS))
+    def test_exits_with_config_error(self, workspace, tmp_path, capsys, case):
+        _, cfg_path, _, ckpt = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(CHECKPOINT_MUTATIONS[case](ckpt.read_bytes()))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: checkpoint") and "Traceback" not in err
+
+
 class TestReproducibility:
     def test_pipeline_byte_identical_across_runs_and_workers(self, tmp_path):
         # two full generate + train + eval passes into the same output root,

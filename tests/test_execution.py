@@ -17,7 +17,7 @@ from dualrrm.execution import (
     execute,
     replay_duals,
 )
-from dualrrm.baselines import FullReusePolicy
+from dualrrm.baselines import FullReusePolicy, ItlinqConfig, ItlinqPolicy
 from dualrrm.policy import GnnConfig, init_params
 from dualrrm.training import TrainConfig, train
 from dualrrm.verify import dual_trace_battery
@@ -157,6 +157,60 @@ class TestExecute:
         trace = execute(params, test_set[0].episode(20), exec_cfg(), problem)
         manual = np.cumsum(trace.rates, axis=0) / np.arange(1, 21)[:, None]
         assert np.array_equal(trace.ergodic_rates, manual)
+
+
+def stepwise_reference(policy, episode, cfg, problem):
+    """The online algorithm one step at a time: powers and rates per step,
+    the dual update after each complete window that ends before t_stop."""
+    mu = np.zeros(problem.m) if cfg.mu_init is None else np.array(cfg.mu_init, dtype=float)
+    powers = np.empty((cfg.T, problem.m))
+    rates_t = np.empty((cfg.T, problem.m))
+    duals = []
+    for t in range(cfg.T):
+        if t % cfg.T0 == 0 and t // cfg.T0 < cfg.T // cfg.T0:
+            duals.append(mu)
+        powers[t] = policy.powers(episode[t], mu, problem)
+        rates_t[t] = rates(episode[t], powers[t], problem)
+        if (t + 1) % cfg.T0 == 0 and (cfg.t_stop is None or t < cfg.t_stop):
+            mu = dual_update(mu, rates_t[t + 1 - cfg.T0 : t + 1], cfg, problem)
+    return powers, rates_t, np.array(duals), mu
+
+
+WINDOW_CASES = {
+    "partial_tail": dict(T=23),
+    "T_equals_T0": dict(T=5),
+    "single_user": dict(T=23, m=1),
+    "mu_init": dict(T=20, mu_init=(0.5, 0.0, 1.5)),
+    # f_min above every rate: each applied update raises every dual
+    "t_stop_0": dict(T=23, t_stop=0, f_min=10.0),
+    "t_stop_7": dict(T=23, t_stop=7, f_min=10.0),
+    "t_stop_9": dict(T=23, t_stop=9, f_min=10.0),  # last step of window 1: frozen
+    "t_stop_12": dict(T=23, t_stop=12, f_min=10.0),
+}
+
+
+class TestWindowedExecution:
+    @pytest.mark.parametrize("policy_name", ["gnn", "full_reuse", "itlinq"])
+    @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+    def test_equals_stepwise_reference_bit_for_bit(self, small_run, policy_name, case):
+        _, params, test_set = small_run
+        kw = dict(WINDOW_CASES[case])
+        m = kw.pop("m", 3)
+        problem = RrmProblemConfig(m=m, f_min_bps_hz=kw.pop("f_min", 0.6))
+        real = test_set[0] if m == 3 else make_realizations(m=m, count=1, seed=33)[0]
+        policy = {
+            "gnn": GnnPolicy(params),
+            "full_reuse": FullReusePolicy(),
+            "itlinq": ItlinqPolicy(ItlinqConfig()),
+        }[policy_name]
+        cfg = exec_cfg(**kw)
+        episode = real.episode(cfg.T)
+        trace = execute(policy, episode, cfg, problem)
+        powers, rates_t, duals, final = stepwise_reference(policy, episode, cfg, problem)
+        assert np.array_equal(trace.powers, powers)
+        assert np.array_equal(trace.rates, rates_t)
+        assert np.array_equal(trace.duals, duals)
+        assert np.array_equal(trace.final_dual, final)
 
 
 def replay_final(trace: EpisodeTrace, problem) -> np.ndarray:

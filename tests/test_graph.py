@@ -99,6 +99,18 @@ class TestBuildGraph:
         with pytest.raises(DimensionMismatch):
             build_graph(h, np.zeros(4), cfg)
 
+    def test_window_graph_matches_single_steps(self, rng):
+        cfg = RrmProblemConfig(m=3)
+        window = 1e-8 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
+        mu = rng.uniform(0, 1, 3)
+        g = build_graph(window, mu, cfg)
+        assert g.edge_weights.shape == (4, 3, 3) and g.z_norm.shape == (4,)
+        for t in range(4):
+            step = build_graph(window[t], mu, cfg)
+            assert np.array_equal(g.edge_weights[t], step.edge_weights)
+            assert g.z_norm[t] == step.z_norm
+            assert np.array_equal(g.node_features, step.node_features)
+
     def test_batched_weights_match_single_step(self, rng):
         cfg = RrmProblemConfig(m=3)
         eps = np.stack(

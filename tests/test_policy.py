@@ -147,6 +147,20 @@ class TestForward:
         with pytest.raises(NonFiniteActivation):
             forward(g, params, cfg.p_max)
 
+    def test_input_width_other_than_one_rejected(self, rng):
+        # the first layer is computed as outer products with row 0 of its
+        # weights, so a wider input must raise instead of being read through it
+        cfg = small_problem(3)
+        params = init_params(GnnConfig(f1=8, f2=8), 0)
+        for w in (params.w1, params.w2, params.w3):
+            w[0] = np.vstack([w[0], w[0]])
+        (real,) = make_realizations(m=3, count=1, seed=5)
+        with pytest.raises(DimensionMismatch):
+            episode_eval(episode_tensors(real.episode(4), cfg), np.zeros(3), params, cfg)
+        g, _, _ = random_graph(rng, cfg)
+        with pytest.raises(DimensionMismatch):
+            forward(g, params, cfg.p_max)
+
     def test_use_bias_off_keeps_bias_inert(self, rng):
         cfg = small_problem(3)
         dims = GnnConfig(f1=8, f2=8, use_bias=False)
