@@ -1,17 +1,17 @@
-"""Comparison policies: full reuse, greedy link scheduling, early-stopped duals."""
+"""Comparison policies: full reuse and greedy link scheduling.
+
+The early-stopped-duals baseline is the trained policy run under an
+``ExecConfig`` with ``t_stop`` set.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Realization
-from .core import MetricsSummary, RrmProblemConfig
+from .core import RrmProblemConfig
 from .errors import ConfigError
-from .execution import EpisodeTrace, ExecConfig, evaluate_suite
-from .policy import GnnParams
 
 
 @dataclass(frozen=True)
@@ -85,24 +85,3 @@ class ItlinqPolicy:
         steps = h.reshape(-1, problem.m, problem.m)
         return np.reshape([itlinq_schedule(h_t, problem, self.cfg) for h_t in steps], h.shape[:-1])
 
-
-def early_stopped_baseline(
-    params: GnnParams,
-    dataset: Sequence[Realization],
-    exec_cfg: ExecConfig,
-    problem: RrmProblemConfig,
-    t_stop: int,
-    workers: int = 1,
-    feasibility_tolerance: float = 0.0,
-) -> tuple[MetricsSummary, list[EpisodeTrace]]:
-    """Trained policy run with dual updates frozen from ``t_stop`` on.
-
-    t_stop = 0 keeps the duals at their initial value for the whole run,
-    which is how the plain primal-dual variant is realized; t_stop = T is
-    the unablated run.
-    """
-    cfg = replace(exec_cfg, t_stop=t_stop)
-    return evaluate_suite(
-        params, dataset, cfg, problem, workers=workers,
-        feasibility_tolerance=feasibility_tolerance,
-    )

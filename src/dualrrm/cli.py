@@ -87,15 +87,15 @@ def _meta(cfg: ExperimentConfig) -> FileMeta:
 
 def _policy_for(name: str, cfg: ExperimentConfig, checkpoint_path: str | None):
     if name == "full_reuse":
-        return FullReusePolicy(), None
+        return FullReusePolicy()
     if name == "itlinq":
-        return ItlinqPolicy(cfg.itlinq), None
+        return ItlinqPolicy(cfg.itlinq)
     if name in ("state_augmented", "early_stop"):
         if checkpoint_path is None:
             raise ConfigError(f"policy {name!r} needs --checkpoint")
         ckpt = load_checkpoint(checkpoint_path)
         require_dims(ckpt.params, cfg.gnn)
-        return GnnPolicy(ckpt.params), ckpt
+        return GnnPolicy(ckpt.params)
     raise ConfigError(f"unknown policy {name!r}")
 
 
@@ -149,16 +149,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _eval_policies(cfg: ExperimentConfig, policies, args) -> int:
+def _eval_policies(cfg: ExperimentConfig, suites, args) -> int:
+    """Run each (name, policy, exec config) suite on the test split."""
     dataset, manifest = load_dataset(dataset_dir(cfg, "test"))
     meta = _meta(cfg)
     eval_dir = Path(cfg.output_dir) / "eval"
     metric_rows, user_rows, timing_rows = [], [], []
-    for name, policy in policies:
+    for name, policy, run_cfg in suites:
         t0 = time.perf_counter()
-        run_cfg = cfg.execution
-        if name.startswith("early_stop_"):
-            run_cfg = replace(run_cfg, t_stop=int(name.rsplit("_", 1)[1]))
         summary, traces = evaluate_suite(
             policy, dataset, run_cfg, cfg.problem, workers=args.workers
         )
@@ -194,28 +192,28 @@ def _eval_policies(cfg: ExperimentConfig, policies, args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_experiment(args)
-    name = args.policy
-    policy, _ = _policy_for(name, cfg, args.checkpoint)
+    name, run_cfg = args.policy, cfg.execution
+    policy = _policy_for(name, cfg, args.checkpoint)
     if name == "early_stop":
         if args.t_stop is None:
             raise ConfigError("policy early_stop needs --t-stop")
-        name = f"early_stop_{args.t_stop}"
-    return _eval_policies(cfg, [(name, policy)], args)
+        name, run_cfg = f"early_stop_{args.t_stop}", replace(run_cfg, t_stop=args.t_stop)
+    return _eval_policies(cfg, [(name, policy, run_cfg)], args)
 
 
 def cmd_baselines(args) -> int:
     cfg = _load_experiment(args)
-    policies = [
-        ("full_reuse", FullReusePolicy()),
-        ("itlinq", ItlinqPolicy(cfg.itlinq)),
+    run_cfg = cfg.execution
+    suites = [
+        ("full_reuse", FullReusePolicy(), run_cfg),
+        ("itlinq", ItlinqPolicy(cfg.itlinq), run_cfg),
     ]
     if args.checkpoint is not None:
-        gnn_policy, _ = _policy_for("state_augmented", cfg, args.checkpoint)
-        horizon = cfg.execution.T
-        policies.append(("state_augmented", gnn_policy))
-        for t_stop in (0, horizon // 5, horizon):
-            policies.append((f"early_stop_{t_stop}", gnn_policy))
-    return _eval_policies(cfg, policies, args)
+        gnn_policy = _policy_for("state_augmented", cfg, args.checkpoint)
+        suites.append(("state_augmented", gnn_policy, run_cfg))
+        for t_stop in (0, run_cfg.T // 5, run_cfg.T):
+            suites.append((f"early_stop_{t_stop}", gnn_policy, replace(run_cfg, t_stop=t_stop)))
+    return _eval_policies(cfg, suites, args)
 
 
 def cmd_gradcheck(args) -> int:
@@ -244,7 +242,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_theorem_suite(args) -> int:
     cfg = _load_experiment(args)
     dataset, _ = load_dataset(dataset_dir(cfg, "test"))
-    policy, _ = _policy_for("state_augmented", cfg, args.checkpoint)
+    policy = _policy_for("state_augmented", cfg, args.checkpoint)
     subset = dataset[: args.realizations]
     _, traces = evaluate_suite(policy, subset, cfg.execution, cfg.problem,
                                workers=args.workers)

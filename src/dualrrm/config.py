@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .baselines import ItlinqConfig
-from .channel import DEFAULT_FADING_RHO, PathlossConfig, TopologyConfig
+from .channel import DEFAULT_FADING_RHO, TopologyConfig
 from .core import RrmProblemConfig
 from .errors import ConfigError
 from .execution import ExecConfig
-from .policy import GnnConfig
+from .policy import GnnConfig, _is_int
 from .training import TrainConfig
 
 
@@ -98,59 +99,64 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return _to_jsonable(cfg)
 
 
-def _build_dataclass(cls, data: dict, path: str):
+def _is_number(value) -> bool:
+    """An int or a float that converts to a finite float; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _type_error(kind: str, value) -> str | None:
+    """Why ``value`` cannot fill a field annotated ``kind``, or None."""
+    if not kind.startswith("tuple["):
+        what, ok = _KINDS[kind]
+        return None if ok(value) else f"must be {what}, not {value!r}"
+    if not isinstance(value, (list, tuple)):
+        return f"must be a list, not {value!r}"
+    kinds = kind[6:-1].split(", ")  # tuple[float, ...] or tuple[str, float, float]
+    kinds = kinds[:1] * len(value) if kinds[-1] == "..." else kinds
+    if len(kinds) != len(value):
+        return f"must have {len(kinds)} entries, not {len(value)}"
+    return next(filter(None, map(_type_error, kinds, value)), None)
+
+
+def _build_dataclass(default, data: dict, path: str):
+    """A copy of the dataclass ``default`` with the values of a JSON object;
+    every value is type-checked against the field's annotation, and null is
+    accepted only where the default is None."""
     if not isinstance(data, dict):
-        raise ConfigError(f"section {path or cls.__name__} must be an object")
-    known = {f.name: f for f in fields(cls)}
-    kwargs = {}
+        raise ConfigError(f"section {path[:-1] or type(default).__name__} must be an object")
+    known = {f.name: f.type for f in fields(default)}
+    kwargs = {name: getattr(default, name) for name in known}
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown config key {path + key!r}")
-        target = _SECTION_TYPES.get((cls, key))
-        if target is not None and value is not None:
-            value = _build_dataclass(target, value, f"{path}{key}.")
-        elif key in _TUPLE_FIELDS.get(cls, ()) and value is not None:
-            value = tuple(value)
+        if is_dataclass(kwargs[key]):
+            value = _build_dataclass(kwargs[key], value, f"{path}{key}.")
+        elif value is None and kwargs[key] is not None:
+            raise ConfigError(f"config key {path + key!r} must not be null")
+        elif value is not None:
+            error = _type_error(known[key].removesuffix(" | None"), value)
+            if error:
+                raise ConfigError(f"config key {path + key!r} {error}")
+            value = tuple(value) if isinstance(value, list) else value
         kwargs[key] = value
-    try:
-        return cls(**{**{f.name: getattr(_DEFAULTS[cls], f.name) for f in fields(cls)}, **kwargs})
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-_SECTION_TYPES = {
-    (ExperimentConfig, "topology"): TopologyConfig,
-    (ExperimentConfig, "fading"): FadingConfig,
-    (ExperimentConfig, "problem"): RrmProblemConfig,
-    (ExperimentConfig, "gnn"): GnnConfig,
-    (ExperimentConfig, "train"): TrainConfig,
-    (ExperimentConfig, "execution"): ExecConfig,
-    (ExperimentConfig, "itlinq"): ItlinqConfig,
-    (ExperimentConfig, "data"): DatasetConfig,
-    (TopologyConfig, "pathloss"): PathlossConfig,
-}
-
-_TUPLE_FIELDS = {
-    TrainConfig: ("mu_dist",),
-    ExecConfig: ("mu_init",),
-}
-
-_DEFAULTS = {
-    ExperimentConfig: ExperimentConfig(),
-    TopologyConfig: TopologyConfig(),
-    FadingConfig: FadingConfig(),
-    RrmProblemConfig: RrmProblemConfig(m=50),
-    GnnConfig: GnnConfig(),
-    TrainConfig: TrainConfig(),
-    ExecConfig: ExecConfig(),
-    ItlinqConfig: ItlinqConfig(),
-    DatasetConfig: DatasetConfig(),
-    PathlossConfig: PathlossConfig(),
-}
+    return type(default)(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    return _build_dataclass(ExperimentConfig, data, "")
+    return _build_dataclass(ExperimentConfig(), data, "")
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

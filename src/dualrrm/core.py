@@ -106,33 +106,22 @@ def utility_sum(avg_f: np.ndarray) -> float:
     return float(np.sum(avg_f))
 
 
-def lagrangian(
-    avg_f: np.ndarray,
-    mu: np.ndarray,
-    cfg: RrmProblemConfig,
-    utility_scale: float = 1.0,
-) -> float:
-    """utility_scale * U(avg_f) + mu . g(avg_f).
-
-    ``utility_scale`` rescales the utility term only; it exists so linearity
-    of the objective in the rate weights can be exercised end to end.
-    """
+def lagrangian(avg_f: np.ndarray, mu: np.ndarray, cfg: RrmProblemConfig) -> float:
+    """U(avg_f) + mu . g(avg_f)."""
     mu = np.asarray(mu, dtype=float)
     if np.any(mu < 0):
         raise NegativeDual("dual variables must be nonnegative")
     if mu.shape[-1] != cfg.m:
         raise DimensionMismatch(f"mu shape {mu.shape} inconsistent with m={cfg.m}")
-    return utility_scale * utility_sum(avg_f) + float(mu @ constraints_g(avg_f, cfg))
+    return utility_sum(avg_f) + float(mu @ constraints_g(avg_f, cfg))
 
 
-def lagrangian_rate_weights(
-    mu: np.ndarray, cfg: RrmProblemConfig, utility_scale: float = 1.0
-) -> np.ndarray:
-    """Gradient of the Lagrangian in the ergodic rates: utility_scale + mu."""
+def lagrangian_rate_weights(mu: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
+    """Gradient of the Lagrangian in the ergodic rates: 1 + mu."""
     mu = np.asarray(mu, dtype=float)
     if np.any(mu < 0):
         raise NegativeDual("dual variables must be nonnegative")
-    return utility_scale + mu
+    return 1.0 + mu
 
 
 def metrics(

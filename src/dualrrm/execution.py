@@ -83,7 +83,7 @@ class GnnPolicy:
     params: GnnParams
 
     def powers(self, h: np.ndarray, mu: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
-        return forward(build_graph(h, mu, cfg), self.params, cfg.p_max).powers
+        return forward(build_graph(h, mu, cfg), self.params, cfg.p_max)
 
 
 def dual_update(

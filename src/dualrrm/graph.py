@@ -27,21 +27,9 @@ from .errors import DegenerateNorm, DimensionMismatch, NegativeDual, ZeroChannel
 
 @dataclass
 class RrmGraph:
-    m: int
-    node_features: np.ndarray  # (m, 1), shared by every step
-    edge_weights: np.ndarray  # (..., m, m), entry (i, j) on directed edge i -> j
-    z_norm: np.ndarray  # (...), one normalizer per step
-
-
-def _log_strengths(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
-    if not abs_h2.all():
-        raise ZeroChannel("channel magnitude is zero on at least one link")
-    return np.log(cfg.p_max * abs_h2 / cfg.noise)
-
-
-def edge_normalizer(h: np.ndarray, cfg: RrmProblemConfig) -> float:
-    """Frobenius norm of the elementwise log channel strengths."""
-    return float(edge_weights_from_gain2(np.abs(h) ** 2, cfg)[1])
+    mu: np.ndarray  # (m,) node features, shared by every step
+    edges: np.ndarray  # (..., m, m), entry (i, j) on directed edge i -> j
+    in_sums: np.ndarray  # (..., m), in_sums[..., v] = sum_u edges[..., u, v]
 
 
 def edge_weights_from_gain2(
@@ -49,7 +37,9 @@ def edge_weights_from_gain2(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized edge weights and their normalizers from |h|^2 (..., m, m);
     the normalizers have the leading shape."""
-    logs = _log_strengths(abs_h2, cfg)
+    if not abs_h2.all():
+        raise ZeroChannel("channel magnitude is zero on at least one link")
+    logs = np.log(cfg.p_max * abs_h2 / cfg.noise)
     z = np.sqrt(sorted_sum((logs**2).reshape(logs.shape[:-2] + (-1,))))
     if not z.all():
         raise DegenerateNorm("all log channel strengths are zero")
@@ -66,16 +56,5 @@ def build_graph(h: np.ndarray, mu: np.ndarray, cfg: RrmProblemConfig) -> RrmGrap
         raise DimensionMismatch(
             f"channel {h.shape} / duals {mu.shape} inconsistent with m={cfg.m}"
         )
-    weights, z = edge_weights_from_gain2(np.abs(h) ** 2, cfg)
-    return RrmGraph(m=cfg.m, node_features=mu.reshape(-1, 1), edge_weights=weights, z_norm=z)
-
-
-def episode_edge_tensors(
-    abs_h2: np.ndarray, cfg: RrmProblemConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edge weights and in-weight sums for a whole episode.
-
-    Returns (E, s) with E of shape (T, m, m) and s[t, v] = sum_u E[t, u, v].
-    """
-    weights, _ = edge_weights_from_gain2(abs_h2, cfg)
-    return weights, weights.sum(axis=-2)
+    weights, _ = edge_weights_from_gain2(np.abs(h) ** 2, cfg)
+    return RrmGraph(mu=mu, edges=weights, in_sums=weights.sum(axis=-2))

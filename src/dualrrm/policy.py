@@ -19,6 +19,7 @@ checked against central finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ from .core import (
     interference_denominators,
     lagrangian,
     lagrangian_rate_weights,
-    rates_from_gain2,
     sorted_sum,
 )
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteActivation,
 )
-from .graph import RrmGraph, episode_edge_tensors
+from .graph import RrmGraph, edge_weights_from_gain2
 from .seeding import generator
 
 _LN2 = float(np.log(2.0))
@@ -63,96 +63,77 @@ class GnnConfig:
             raise ConfigError("hidden widths must be >= 1")
 
 
-@dataclass
-class GnnParams:
-    """All trainable arrays; also the container for accumulated gradients."""
+def _array_shapes(dims: GnnConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every trainable array, in checkpoint order."""
+    f = dims.feature_dims
+    shapes = []
+    for l in (1, 2):
+        w = (f[l - 1], f[l])
+        shapes += [(f"layer{l}.w1", w), (f"layer{l}.w2", w), (f"layer{l}.w3", w),
+                   (f"layer{l}.b", w[1:])]
+    return shapes + [("out.w", (f[2], f[3])), ("out.b", (1,))]
 
-    w1: list[np.ndarray]  # per layer: (f_in, f_out)
-    w2: list[np.ndarray]
-    w3: list[np.ndarray]
-    b: list[np.ndarray]  # per layer: (f_out,)
-    w_out: np.ndarray  # (f2, 1)
-    b_out: np.ndarray  # (1,)
-    use_bias: bool = True
+
+class GnnParams:
+    """All trainable weights as one float64 vector ``flat``, read and written
+    through named views into it; also the container for gradients.
+
+    ``w1``, ``w2``, ``w3`` and ``b`` hold one view per layer, with weights of
+    shape (f_in, f_out) and biases of shape (f_out,); ``w_out`` is (f2, 1)
+    and ``b_out`` is (1,).
+    """
+
+    def __init__(self, flat: np.ndarray, dims: GnnConfig):
+        shapes = _array_shapes(dims)
+        bounds = np.cumsum([0] + [math.prod(shape) for _, shape in shapes])
+        if flat.shape != (bounds[-1],):
+            raise DimensionMismatch(f"{flat.shape} parameters, dims {dims} need {bounds[-1]}")
+        self.flat, self.dims = flat, dims
+        self._named = [
+            (name, flat[start:stop].reshape(shape))
+            for (name, shape), start, stop in zip(shapes, bounds, bounds[1:])
+        ]
+        views = [a for _, a in self._named]
+        self.w1, self.w2, self.w3, self.b = (views[i:8:4] for i in range(4))
+        self.w_out, self.b_out = views[8:]
+
+    def __reduce__(self):  # pickle the vector only; the views are rebuilt
+        return GnnParams, (self.flat, self.dims)
 
     @property
-    def feature_dims(self) -> tuple[int, ...]:
-        dims = [self.w1[0].shape[0]]
-        dims += [w.shape[1] for w in self.w1]
-        dims.append(self.w_out.shape[1])
-        return tuple(dims)
+    def feature_dims(self) -> tuple[int, int, int, int]:
+        return self.dims.feature_dims
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Stable (name, array) ordering used by checkpoints and gradchecks."""
-        out = []
-        for l in range(len(self.w1)):
-            out.append((f"layer{l + 1}.w1", self.w1[l]))
-            out.append((f"layer{l + 1}.w2", self.w2[l]))
-            out.append((f"layer{l + 1}.w3", self.w3[l]))
-            out.append((f"layer{l + 1}.b", self.b[l]))
-        out.append(("out.w", self.w_out))
-        out.append(("out.b", self.b_out))
-        return out
+        """Stable (name, view) ordering used by checkpoints and gradchecks."""
+        return list(self._named)
 
     def copy(self) -> "GnnParams":
-        return GnnParams(
-            w1=[a.copy() for a in self.w1],
-            w2=[a.copy() for a in self.w2],
-            w3=[a.copy() for a in self.w3],
-            b=[a.copy() for a in self.b],
-            w_out=self.w_out.copy(),
-            b_out=self.b_out.copy(),
-            use_bias=self.use_bias,
-        )
+        return GnnParams(self.flat.copy(), self.dims)
 
     def zeros_like(self) -> "GnnParams":
-        z = self.copy()
-        for _, a in z.named_arrays():
-            a[...] = 0.0
-        return z
+        return GnnParams(np.zeros_like(self.flat), self.dims)
 
     def add_scaled(self, other: "GnnParams", scale: float) -> None:
-        """In-place self += scale * other (shape-checked)."""
-        for (name, a), (oname, o) in zip(self.named_arrays(), other.named_arrays()):
-            if name != oname or a.shape != o.shape:
-                raise DimensionMismatch(f"{name}{a.shape} vs {oname}{o.shape}")
-            a += scale * o
-
-    def nbytes(self) -> int:
-        return sum(a.nbytes for _, a in self.named_arrays())
+        """In-place self += scale * other (dims-checked)."""
+        if other.feature_dims != self.feature_dims:
+            raise DimensionMismatch(f"dims {self.feature_dims} vs {other.feature_dims}")
+        self.flat += scale * other.flat
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for _, a in self.named_arrays())
-
-
-GradAccumulator = GnnParams
-
-
-@dataclass
-class PolicyOutput:
-    powers: np.ndarray  # (..., m), in [0, p_max]
-    pre_activation: np.ndarray  # (..., m), the scalar node outputs before sigmoid
+        return bool(np.isfinite(self.flat).all())
 
 
 def init_params(dims: GnnConfig, seed: int) -> GnnParams:
     """Uniform(-s, s) weights with s = sqrt(6 / (fan_in + fan_out)); zero biases."""
     dims.validate()
     rng = generator(seed)
-    sizes = dims.feature_dims
-    w1, w2, w3, b = [], [], [], []
-    for l in range(2):
-        fin, fout = sizes[l], sizes[l + 1]
-        s = np.sqrt(6.0 / (fin + fout))
-        w1.append(rng.uniform(-s, s, size=(fin, fout)))
-        w2.append(rng.uniform(-s, s, size=(fin, fout)))
-        w3.append(rng.uniform(-s, s, size=(fin, fout)))
-        b.append(np.zeros(fout))
-    s = np.sqrt(6.0 / (sizes[2] + sizes[3]))
-    w_out = rng.uniform(-s, s, size=(sizes[2], sizes[3]))
-    return GnnParams(
-        w1=w1, w2=w2, w3=w3, b=b, w_out=w_out, b_out=np.zeros(1),
-        use_bias=dims.use_bias,
-    )
+    params = GnnParams(np.zeros(sum(math.prod(s) for _, s in _array_shapes(dims))), dims)
+    for _, a in params.named_arrays():
+        if a.ndim == 2:  # weights (fan_in, fan_out), drawn in checkpoint order
+            s = np.sqrt(6.0 / sum(a.shape))
+            a[...] = rng.uniform(-s, s, size=a.shape)
+    return params
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -180,10 +161,6 @@ def _forward_tensors(
     y0: (..., m, 1), edges: (..., m, m), in_sums: (..., m).
     Returns the pre-sigmoid node scalars with shape (..., m).
     """
-    if params.w1[0].shape[0] != 1 or y0.shape[-1] != 1:
-        raise DimensionMismatch(
-            f"input width {params.w1[0].shape[0]} / node features {y0.shape}: f0 must be 1"
-        )
     y = y0
     inputs, masks, aggs = [], [], []
     s = in_sums[..., None]
@@ -194,7 +171,7 @@ def _forward_tensors(
             z = y * params.w1[0][0] + s * (y * params.w2[0][0]) - agg * params.w3[0][0]
         else:
             z = y @ params.w1[l] + s * (y @ params.w2[l]) - agg @ params.w3[l]
-        if params.use_bias:
+        if params.dims.use_bias:
             z = z + params.b[l]
         mask = z > 0.0
         inputs.append(y)
@@ -233,7 +210,7 @@ def _backward_tensors(
         grads.w1[l][...] = _contract(y_in, gz)
         grads.w2[l][...] = _contract(s * y_in, gz)
         grads.w3[l][...] = -_contract(cache.aggregates[l], gz)
-        if params.use_bias:
+        if params.dims.use_bias:
             grads.b[l][...] = gz.sum(axis=batch_axes)
         if l > 0:  # nothing reads the gradient in the network input
             gy = (
@@ -244,17 +221,11 @@ def _backward_tensors(
     return grads
 
 
-def forward(graph: RrmGraph, params: GnnParams, p_max: float) -> PolicyOutput:
-    """Transmit powers p_max * sigmoid(pre-activation) for every step of a graph."""
-    if graph.node_features.shape != (graph.m, params.feature_dims[0]):
-        raise DimensionMismatch(
-            f"node features {graph.node_features.shape} vs m={graph.m}, "
-            f"f0={params.feature_dims[0]}"
-        )
-    pre, _ = _forward_tensors(
-        graph.node_features, graph.edge_weights, graph.edge_weights.sum(axis=-2), params
-    )
-    return PolicyOutput(powers=p_max * _sigmoid(pre), pre_activation=pre)
+def forward(graph: RrmGraph, params: GnnParams, p_max: float) -> np.ndarray:
+    """Transmit powers p_max * sigmoid(pre-activation), (..., m), for every
+    step of a graph."""
+    pre, _ = _forward_tensors(graph.mu[:, None], graph.edges, graph.in_sums, params)
+    return p_max * _sigmoid(pre)
 
 
 def _d_lagrangian_d_powers(
@@ -285,10 +256,6 @@ class EpisodeTensors:
     edges: np.ndarray  # (T, m, m)
     in_sums: np.ndarray  # (T, m)
 
-    @property
-    def n_steps(self) -> int:
-        return self.abs_h2.shape[0]
-
 
 def episode_tensors(h_episode: np.ndarray, cfg: RrmProblemConfig) -> EpisodeTensors:
     abs_h2 = np.abs(np.asarray(h_episode)) ** 2
@@ -296,8 +263,8 @@ def episode_tensors(h_episode: np.ndarray, cfg: RrmProblemConfig) -> EpisodeTens
         raise DimensionMismatch(
             f"episode shape {abs_h2.shape} inconsistent with m={cfg.m}"
         )
-    edges, in_sums = episode_edge_tensors(abs_h2, cfg)
-    return EpisodeTensors(abs_h2=abs_h2, edges=edges, in_sums=in_sums)
+    edges, _ = edge_weights_from_gain2(abs_h2, cfg)
+    return EpisodeTensors(abs_h2=abs_h2, edges=edges, in_sums=edges.sum(axis=-2))
 
 
 def episode_eval(
@@ -305,7 +272,6 @@ def episode_eval(
     mu: np.ndarray,
     params: GnnParams,
     cfg: RrmProblemConfig,
-    utility_scale: float = 1.0,
     node_features: np.ndarray | None = None,
 ) -> tuple[float, GnnParams, np.ndarray]:
     """Episode Lagrangian, its parameter gradient, and the average rates.
@@ -317,57 +283,25 @@ def episode_eval(
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (cfg.m,):
         raise DimensionMismatch(f"duals {mu.shape} inconsistent with m={cfg.m}")
-    n_steps = tensors.n_steps
-    step_weights = lagrangian_rate_weights(mu, cfg, utility_scale) / n_steps
+    n_steps = tensors.abs_h2.shape[0]
+    step_weights = lagrangian_rate_weights(mu, cfg) / n_steps
     feats = mu if node_features is None else np.asarray(node_features, dtype=float)
     y0 = np.broadcast_to(feats[None, :, None], (n_steps, cfg.m, 1))
     pre, cache = _forward_tensors(y0, tensors.edges, tensors.in_sums, params)
     sig = _sigmoid(pre)
     f, dldp = _d_lagrangian_d_powers(tensors.abs_h2, cfg.p_max * sig, step_weights, cfg)
     avg_f = f.mean(axis=0)
-    value = lagrangian(avg_f, mu, cfg, utility_scale)
+    value = lagrangian(avg_f, mu, cfg)
     d_pre = dldp * cfg.p_max * sig * (1.0 - sig)
     grads = _backward_tensors(d_pre, cache, tensors.edges, tensors.in_sums, params)
     return value, grads, avg_f
 
 
-def episode_lagrangian_and_grad(
-    h_episode: np.ndarray,
-    mu: np.ndarray,
-    params: GnnParams,
-    cfg: RrmProblemConfig,
-    utility_scale: float = 1.0,
-) -> tuple[float, GnnParams]:
-    """Episode objective for fixed duals, and its exact parameter gradient.
-
-    The objective is the Lagrangian of the episode-average rates under the
-    policy p_t = p_max * sigmoid(net(H_t, mu)); its gradient in the rates is
-    the constant weight vector (utility_scale + mu) / T, which is chained
-    through the rate function, the sigmoid head, and every network layer.
-    """
-    value, grads, _ = episode_eval(
-        episode_tensors(h_episode, cfg), mu, params, cfg, utility_scale
-    )
-    return value, grads
-
-
-def apply_update(params: GnnParams, grad: GradAccumulator, eta_phi: float) -> GnnParams:
+def apply_update(params: GnnParams, grad: GnnParams, eta_phi: float) -> GnnParams:
     """Plain gradient-ascent step: params + eta_phi * grad."""
     out = params.copy()
     out.add_scaled(grad, eta_phi)
     return out
-
-
-def episode_average_rates(
-    h_episode: np.ndarray, mu: np.ndarray, params: GnnParams, cfg: RrmProblemConfig
-) -> np.ndarray:
-    """Episode-average per-user rates under the policy with fixed duals."""
-    tensors = episode_tensors(h_episode, cfg)
-    y0 = np.broadcast_to(
-        np.asarray(mu, dtype=float)[None, :, None], (tensors.n_steps, cfg.m, 1)
-    )
-    pre, _ = _forward_tensors(y0, tensors.edges, tensors.in_sums, params)
-    return rates_from_gain2(tensors.abs_h2, cfg.p_max * _sigmoid(pre), cfg).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +324,7 @@ def _dims_block(params: GnnParams) -> dict:
         "f1": dims[1],
         "f2": dims[2],
         "f3": dims[3],
-        "use_bias": params.use_bias,
+        "use_bias": params.dims.use_bias,
     }
 
 

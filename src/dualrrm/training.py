@@ -59,7 +59,7 @@ class TrainConfig:
     batch_size: int = 128
     episode_len: int = 100
     eta_phi: float | None = None
-    mu_dist: tuple = ("uniform", 0.0, 1.0)
+    mu_dist: tuple[str, float, float] = ("uniform", 0.0, 1.0)
     lr_decay_factor: float = 1.0
     lr_decay_every_epochs: int = 100
     checkpoint_every: int | None = None
@@ -124,10 +124,8 @@ def _sample_index(global_sample: int, dataset_size: int, seed: int, perm_cache: 
 
 
 def _episode_task(payload) -> tuple[float, GnnParams, np.ndarray]:
-    tensors, mu, params, cfg, utility_scale, node_features = payload
-    return episode_eval(
-        tensors, mu, params, cfg, utility_scale=utility_scale, node_features=node_features
-    )
+    tensors, mu, params, cfg, node_features = payload
+    return episode_eval(tensors, mu, params, cfg, node_features=node_features)
 
 
 class _TensorCache:
@@ -158,7 +156,6 @@ def _run_ascent(
     seed_path: tuple[int, ...] = (),
     fixed_mu: np.ndarray | None = None,
     node_features: np.ndarray | None = None,
-    utility_scale: float = 1.0,
     log: TrainingLog | None = None,
     checkpoint_cb: Callable[[int, GnnParams], None] | None = None,
 ) -> GnnParams:
@@ -196,10 +193,7 @@ def _run_ascent(
                 idx = _sample_index(
                     n * cfg.batch_size + b, len(dataset), cfg.seed, perm_cache
                 )
-                payloads.append(
-                    (cache.get(idx), mu_batch[b], params, problem, utility_scale,
-                     node_features)
-                )
+                payloads.append((cache.get(idx), mu_batch[b], params, problem, node_features))
             try:
                 if pool is None:
                     results = [_episode_task(p) for p in payloads]

@@ -7,11 +7,12 @@ early-stopping and transferability criteria through a session fixture.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dualrrm.baselines import FullReusePolicy, early_stopped_baseline
+from dualrrm.baselines import FullReusePolicy
 from dualrrm.channel import Realization, TopologyConfig, sample_topology
 from dualrrm.core import RrmProblemConfig, constraints_g, rates
 from dualrrm.execution import ExecConfig, evaluate_suite, execute
@@ -90,7 +91,7 @@ class TestCriterion2Equivariance:
             h = real.episode(1)[0]
             mu = rng.uniform(0, 1, m)
             p = rng.uniform(0, problem.p_max, m)
-            base_powers = forward(build_graph(h, mu, problem), params, problem.p_max).powers
+            base_powers = forward(build_graph(h, mu, problem), params, problem.p_max)
             base_rates = rates(h, p, problem)
             base_g = constraints_g(base_rates, problem)
             for _ in range(20):
@@ -98,7 +99,7 @@ class TestCriterion2Equivariance:
                 hp = relabel_matrix(h, perm)
                 out = forward(build_graph(hp, mu[perm], problem), params, problem.p_max)
                 worst_forward = max(
-                    worst_forward, float(np.max(np.abs(out.powers - base_powers[perm])))
+                    worst_forward, float(np.max(np.abs(out - base_powers[perm])))
                 )
                 rp = rates(hp, p[perm], problem)
                 rates_exact &= np.array_equal(rp, base_rates[perm])
@@ -208,12 +209,12 @@ class TestCriterion6EarlyStopping:
         wins = 0
         details = []
         for seed, params, test_set in runs:
-            frozen, _ = early_stopped_baseline(
-                params, test_set, EXPERIMENT_EXEC, problem, t_stop=0,
+            frozen, _ = evaluate_suite(
+                params, test_set, replace(EXPERIMENT_EXEC, t_stop=0), problem,
                 feasibility_tolerance=FEASIBILITY_TOL,
             )
-            full, _ = early_stopped_baseline(
-                params, test_set, EXPERIMENT_EXEC, problem, t_stop=EXPERIMENT_EXEC.T,
+            full, _ = evaluate_suite(
+                params, test_set, replace(EXPERIMENT_EXEC, t_stop=EXPERIMENT_EXEC.T), problem,
                 feasibility_tolerance=FEASIBILITY_TOL,
             )
             ok = frozen.feasibility_fraction <= full.feasibility_fraction

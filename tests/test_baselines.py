@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from dualrrm.baselines import (
     FullReusePolicy,
     ItlinqConfig,
     ItlinqPolicy,
-    early_stopped_baseline,
     full_reuse,
     itlinq_schedule,
 )
@@ -173,7 +173,7 @@ class TestEarlyStoppedBaseline:
         problem, params, test_set = trained
         cfg = ExecConfig(T=20, T0=5, eta_mu=20.0)
         base, base_traces = evaluate_suite(params, test_set, cfg, problem)
-        ablated, traces = early_stopped_baseline(params, test_set, cfg, problem, t_stop=20)
+        ablated, traces = evaluate_suite(params, test_set, replace(cfg, t_stop=20), problem)
         assert base == ablated
         for a, b in zip(base_traces, traces):
             assert np.array_equal(a.powers, b.powers)
@@ -181,7 +181,7 @@ class TestEarlyStoppedBaseline:
     def test_t_stop_zero_freezes_duals(self, trained):
         problem, params, test_set = trained
         cfg = ExecConfig(T=20, T0=5, eta_mu=20.0)
-        _, traces = early_stopped_baseline(params, test_set, cfg, problem, t_stop=0)
+        _, traces = evaluate_suite(params, test_set, replace(cfg, t_stop=0), problem)
         for trace in traces:
             assert np.array_equal(trace.duals, np.zeros_like(trace.duals))
 

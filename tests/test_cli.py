@@ -294,6 +294,34 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
 
 
+CONFIG_MUTATIONS = {
+    "seed_string": {"seed": "x"},
+    "seed_bool": {"seed": True},
+    "seed_float": {"seed": 5.0},
+    "seed_null": {"seed": None},
+    "batch_size_string": {"train": {"batch_size": "4"}},
+    "horizon_float": {"execution": {"T": 20.0}},
+    "p_max_nan": {"problem": {"p_max_dbm": float("nan")}},
+    "p_max_int_beyond_float": {"problem": {"p_max_dbm": 10**400}},
+    "use_bias_int": {"gnn": {"use_bias": 1}},
+    "density_mode_number": {"topology": {"density_mode": 3}},
+    "mu_init_entry_string": {"execution": {"mu_init": [0.1, "a", 0.2]}},
+    "mu_dist_bound_string": {"train": {"mu_dist": ["uniform", "0", 1]}},
+    "mu_dist_two_entries": {"train": {"mu_dist": ["uniform", 0.0]}},
+    "section_null": {"train": None},
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("case", sorted(CONFIG_MUTATIONS))
+    def test_exits_with_config_error(self, tmp_path, capsys, case):
+        cfg_path = write_cfg(tmp_path, **CONFIG_MUTATIONS[case])
+        code = main(["generate", "--config", str(cfg_path), "--split", "test"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error") and "Traceback" not in err
+
+
 def _edit(change):
     """A checkpoint mutation that edits the parsed JSON object."""
 

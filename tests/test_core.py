@@ -202,7 +202,6 @@ class TestLagrangian:
         cfg = RrmProblemConfig(m=3)
         mu = np.array([0.0, 0.5, 2.0])
         assert np.array_equal(lagrangian_rate_weights(mu, cfg), 1.0 + mu)
-        assert np.array_equal(lagrangian_rate_weights(mu, cfg, 2.0), 2.0 + mu)
 
 
 class TestMetrics:

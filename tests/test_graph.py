@@ -5,7 +5,8 @@ import pytest
 
 from dualrrm.core import RrmProblemConfig
 from dualrrm.errors import DegenerateNorm, DimensionMismatch, NegativeDual, ZeroChannel
-from dualrrm.graph import build_graph, edge_normalizer, edge_weights_from_gain2
+from dualrrm.graph import build_graph, edge_weights_from_gain2
+from dualrrm.policy import episode_tensors
 
 from conftest import relabel_matrix
 
@@ -14,6 +15,11 @@ def channel_with_strength_ratio(cfg, ratio):
     """Channel whose every entry satisfies p_max |h|^2 / noise = ratio."""
     mag = math.sqrt(ratio * cfg.noise / cfg.p_max)
     return np.full((cfg.m, cfg.m), mag, dtype=complex)
+
+
+def edge_normalizer(h, cfg):
+    """Frobenius norm of the elementwise log channel strengths."""
+    return edge_weights_from_gain2(np.abs(h) ** 2, cfg)[1]
 
 
 class TestEdgeNormalizer:
@@ -61,20 +67,20 @@ class TestBuildGraph:
         cfg = RrmProblemConfig(m=3)
         h = 1e-8 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         g = build_graph(h, np.zeros(3), cfg)
-        assert np.array_equal(g.node_features, np.zeros((3, 1)))
+        assert np.array_equal(g.mu, np.zeros(3))
 
     def test_unit_frobenius_norm(self, rng):
         cfg = RrmProblemConfig(m=4)
         h = 1e-8 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         g = build_graph(h, np.zeros(4), cfg)
-        assert np.linalg.norm(g.edge_weights) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(g.edges) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_weights_preserved(self):
         cfg = RrmProblemConfig(m=2)
         h = channel_with_strength_ratio(cfg, math.e)
         h[0, 1] = h[0, 1] * 1e-4  # much weaker link -> negative log strength
         g = build_graph(h, np.zeros(2), cfg)
-        assert g.edge_weights[0, 1] < 0
+        assert g.edges[0, 1] < 0
 
     def test_permutation_relabeling(self, rng):
         cfg = RrmProblemConfig(m=4)
@@ -83,9 +89,9 @@ class TestBuildGraph:
         g = build_graph(h, mu, cfg)
         perm = rng.permutation(4)
         gp = build_graph(relabel_matrix(h, perm), mu[perm], cfg)
-        assert np.max(np.abs(gp.edge_weights - relabel_matrix(g.edge_weights, perm))) < 1e-12
-        assert np.max(np.abs(gp.node_features[:, 0] - g.node_features[perm, 0])) == 0.0
-        assert gp.z_norm == g.z_norm
+        assert np.max(np.abs(gp.edges - relabel_matrix(g.edges, perm))) < 1e-12
+        assert np.array_equal(gp.mu, g.mu[perm])
+        assert edge_normalizer(relabel_matrix(h, perm), cfg) == edge_normalizer(h, cfg)
 
     def test_negative_dual_rejected(self, rng):
         cfg = RrmProblemConfig(m=2)
@@ -104,12 +110,14 @@ class TestBuildGraph:
         window = 1e-8 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
         mu = rng.uniform(0, 1, 3)
         g = build_graph(window, mu, cfg)
-        assert g.edge_weights.shape == (4, 3, 3) and g.z_norm.shape == (4,)
+        z = edge_normalizer(window, cfg)
+        assert g.edges.shape == (4, 3, 3) and g.in_sums.shape == (4, 3) and z.shape == (4,)
         for t in range(4):
             step = build_graph(window[t], mu, cfg)
-            assert np.array_equal(g.edge_weights[t], step.edge_weights)
-            assert g.z_norm[t] == step.z_norm
-            assert np.array_equal(g.node_features, step.node_features)
+            assert np.array_equal(g.edges[t], step.edges)
+            assert np.array_equal(g.in_sums[t], step.in_sums)
+            assert z[t] == edge_normalizer(window[t], cfg)
+            assert np.array_equal(g.mu, step.mu)
 
     def test_batched_weights_match_single_step(self, rng):
         cfg = RrmProblemConfig(m=3)
@@ -117,10 +125,8 @@ class TestBuildGraph:
             [1e-8 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
              for _ in range(4)]
         )
-        from dualrrm.graph import episode_edge_tensors
-
-        weights, in_sums = episode_edge_tensors(np.abs(eps) ** 2, cfg)
+        tensors = episode_tensors(eps, cfg)
         for t in range(4):
             single, _ = edge_weights_from_gain2(np.abs(eps[t]) ** 2, cfg)
-            assert np.array_equal(weights[t], single)
-            assert np.allclose(in_sums[t], single.sum(axis=0), atol=1e-15)
+            assert np.array_equal(tensors.edges[t], single)
+            assert np.allclose(tensors.in_sums[t], single.sum(axis=0), atol=1e-15)

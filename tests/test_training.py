@@ -171,7 +171,7 @@ class TestTrainLoop:
             episode = real.episode(10)
             for t in range(10):
                 g = build_graph(episode[t], np.array([0.5]), problem)
-                ratios.append(forward(g, params, problem.p_max).powers[0] / problem.p_max)
+                ratios.append(forward(g, params, problem.p_max)[0] / problem.p_max)
         assert np.mean(ratios) > 0.95
 
     def test_fixed_mu_trend_mostly_nondecreasing(self):
@@ -198,7 +198,8 @@ class TestTrainLoop:
         assert frac >= 0.8
 
     def test_utility_rescaling_reweights_gradient(self):
-        # one batch: 2U-gradients equal the (1 + mu) -> (2 + mu) reweighting
+        # one batch: 2U-gradients, i.e. duals mu + 1 with the policy input
+        # held at mu, equal the (1 + mu) -> (2 + mu) reweighting
         problem = RrmProblemConfig(m=3)
         (real,) = make_realizations(m=3, count=1, seed=9)
         tensors = episode_tensors(real.episode(6), problem)
@@ -206,15 +207,14 @@ class TestTrainLoop:
         mu_batch = sample_duals(3, 4, ("uniform", 0.0, 1.0), 21)
         for b in range(4):
             mu = mu_batch[b]
-            _, g2, _ = episode_eval(tensors, mu, params, problem, utility_scale=2.0)
+            _, g2, _ = episode_eval(
+                tensors, mu + 1.0, params, problem, node_features=mu
+            )
             _, g1, _ = episode_eval(tensors, mu, params, problem)
             _, gu, _ = episode_eval(
                 tensors, np.zeros(3), params, problem, node_features=mu
             )
-            for (_, a), (_, x), (_, y) in zip(
-                g2.named_arrays(), g1.named_arrays(), gu.named_arrays()
-            ):
-                assert np.max(np.abs(a - (x + y))) < 1e-10
+            assert np.max(np.abs(g2.flat - (g1.flat + gu.flat))) < 1e-10
 
 
 class TestPerMuOracle:
@@ -256,9 +256,7 @@ class TestPerMuOracle:
         episode = dataset[0].episode(2)
         g_a = build_graph(episode[0], np.zeros(3), problem)
         g_b = build_graph(episode[0], np.array([0.9, 0.1, 0.5]), problem)
-        ones = np.ones((3, 1))
-        g_a.node_features = ones
-        g_b.node_features = ones
-        pa = forward(g_a, oracle, problem.p_max).powers
-        pb = forward(g_b, oracle, problem.p_max).powers
+        g_a.mu = g_b.mu = np.ones(3)
+        pa = forward(g_a, oracle, problem.p_max)
+        pb = forward(g_b, oracle, problem.p_max)
         assert np.array_equal(pa, pb)
