@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,14 +87,10 @@ class TopologyConfig:
     @property
     def nonstandard_area(self) -> bool:
         """True when an explicit area overrides the density-mode rule."""
-        if self.area_side_m is None:
-            return False
-        standard = (
-            math.sqrt(self.m / 20.0) * 2000.0
-            if self.density_mode == "fixed"
-            else 2000.0
+        return (
+            self.area_side_m is not None
+            and self.area_side_m != replace(self, area_side_m=None).resolved_area_side_m()
         )
-        return self.area_side_m != standard
 
 
 @dataclass
@@ -108,21 +104,6 @@ class LinkGainMatrix:
     @property
     def m(self) -> int:
         return self.gains_linear.shape[0]
-
-
-@dataclass
-class FadingState:
-    """Unit-power complex fading coefficients plus their stream handle.
-
-    The stream handle is the (seed, step) pair: innovations for step t are
-    read from counter slot t of the Philox stream keyed by ``seed``, so any
-    trajectory can be replayed from scratch without shared mutable state.
-    """
-
-    coeffs: np.ndarray  # (m, m) complex, E|c|^2 = 1
-    rho: float
-    seed: int
-    step: int = 0
 
 
 def pathloss_db(distance_m: np.ndarray | float, cfg: PathlossConfig) -> np.ndarray:
@@ -192,45 +173,6 @@ def _complex_normal(rng: np.random.Generator, m: int) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def init_fading(m: int, rho: float, seed: int) -> FadingState:
-    """Fading state at step 0, drawn from the stationary CN(0, 1) law."""
-    if not 0.0 <= rho <= 1.0:
-        raise ConfigError("rho must lie in [0, 1]")
-    coeffs = _complex_normal(generator_at(seed, 0), m)
-    return FadingState(coeffs=coeffs, rho=rho, seed=seed, step=0)
-
-
-def fading_step(state: FadingState) -> FadingState:
-    """Advance the Gauss-Markov process one step.
-
-    c' = rho * c + sqrt(1 - rho^2) * w with w ~ CN(0, 1) i.i.d., which keeps
-    the stationary unit-power law intact.
-    """
-    nxt = state.step + 1
-    w = _complex_normal(generator_at(state.seed, nxt), state.coeffs.shape[0])
-    coeffs = state.rho * state.coeffs + math.sqrt(1.0 - state.rho**2) * w
-    return FadingState(coeffs=coeffs, rho=state.rho, seed=state.seed, step=nxt)
-
-
-def channel_at(large: LinkGainMatrix, fading: FadingState) -> np.ndarray:
-    """Channel matrix h = sqrt(large-scale gain) * fading coefficient."""
-    if large.gains_linear.shape != fading.coeffs.shape:
-        raise DimensionMismatch(
-            f"gains {large.gains_linear.shape} vs fading {fading.coeffs.shape}"
-        )
-    return np.sqrt(large.gains_linear) * fading.coeffs
-
-
-def episode_channel(large: LinkGainMatrix, fading0: FadingState, n_steps: int) -> np.ndarray:
-    """Channel matrices for steps 0..n_steps-1 as a (T, m, m) complex array."""
-    out = np.empty((n_steps, large.m, large.m), dtype=complex)
-    state = fading0
-    for t in range(n_steps):
-        out[t] = channel_at(large, state)
-        state = fading_step(state)
-    return out
-
-
 @dataclass
 class Realization:
     """One cached network sample: large-scale part plus fading stream seed."""
@@ -245,8 +187,26 @@ class Realization:
         return self.large.m
 
     def episode(self, n_steps: int) -> np.ndarray:
-        fading0 = init_fading(self.m, self.rho, self.fading_seed)
-        return episode_channel(self.large, fading0, n_steps)
+        """Channels for steps 0..n_steps-1 as a (T, m, m) complex array.
+
+        The fading starts from the stationary law, c_0 ~ CN(0, 1), and
+        follows c_t = rho * c_{t-1} + sqrt(1 - rho^2) * w_t with w_t ~ CN(0, 1)
+        i.i.d., which keeps the unit-power law intact.  c_0 and w_t are read
+        from counter slots 0 and t of the Philox stream keyed by
+        ``fading_seed``, so any episode replays from the seed alone.
+        """
+        if not 0.0 <= self.rho <= 1.0:
+            raise ConfigError("rho must lie in [0, 1]")
+        sqrt_gain = np.sqrt(self.large.gains_linear)
+        innovation = math.sqrt(1.0 - self.rho**2)
+        out = np.empty((n_steps, self.m, self.m), dtype=complex)
+        c = _complex_normal(generator_at(self.fading_seed, 0), self.m)
+        for t in range(n_steps):
+            if t > 0:
+                w = _complex_normal(generator_at(self.fading_seed, t), self.m)
+                c = self.rho * c + innovation * w
+            out[t] = sqrt_gain * c
+        return out
 
 
 def realization_to_dict(r: Realization, config_echo: dict | None = None) -> dict:
@@ -264,22 +224,32 @@ def realization_to_dict(r: Realization, config_echo: dict | None = None) -> dict
     return d
 
 
-def realization_from_dict(d: dict) -> Realization:
-    m = int(d["m"])
-    gains = np.asarray(d["gains_linear"], dtype=float)
-    if gains.shape != (m, m):
-        raise DimensionMismatch(f"gains shape {gains.shape} does not match m={m}")
-    large = LinkGainMatrix(
-        gains_linear=gains,
-        tx_positions=np.asarray(d["tx_positions"], dtype=float),
-        rx_positions=np.asarray(d["rx_positions"], dtype=float),
-    )
-    return Realization(
-        large=large,
-        fading_seed=int(d["fading_seed"]),
-        rho=float(d["rho"]),
-        topology_seed=int(d["topology_seed"]),
-    )
+def realization_from_dict(d) -> Realization:
+    """A realization from its JSON object.  A missing or mistyped key, or a
+    gain that is not positive and finite, raises ConfigError; gains or
+    positions that disagree with m raise DimensionMismatch."""
+    if not isinstance(d, dict):
+        raise ConfigError("not a JSON object")
+    for key, kinds in (("m", (int,)), ("topology_seed", (int,)), ("fading_seed", (int,)),
+                       ("rho", (int, float))):
+        if type(d.get(key)) not in kinds:
+            raise ConfigError(f"{key} is missing or mistyped: {d.get(key)!r}")
+    arrays = {}
+    for key in ("gains_linear", "tx_positions", "rx_positions"):
+        try:
+            arrays[key] = np.array(d.get(key))
+        except ValueError as exc:  # ragged nesting
+            raise ConfigError(f"{key}: {exc}") from None
+        if arrays[key].dtype.kind not in "iuf":
+            raise ConfigError(f"{key} must be an array of numbers")
+    m, shapes = d["m"], [a.shape for a in arrays.values()]
+    if shapes != [(m, m), (m, 2), (m, 2)]:
+        raise DimensionMismatch(f"array shapes {shapes} do not match m={m}")
+    gains = arrays["gains_linear"]
+    if not np.all((gains > 0) & np.isfinite(gains)):
+        raise ConfigError("gains_linear must be positive and finite")
+    large = LinkGainMatrix(**{k: a.astype(float) for k, a in arrays.items()})
+    return Realization(large, d["fading_seed"], float(d["rho"]), d["topology_seed"])
 
 
 def save_realization(path, r: Realization, config_echo: dict | None = None) -> None:
@@ -288,5 +258,9 @@ def save_realization(path, r: Realization, config_echo: dict | None = None) -> N
 
 
 def load_realization(path) -> Realization:
-    with open(path) as f:
-        return realization_from_dict(json.load(f))
+    """Read a realization; malformed content of any kind raises ConfigError."""
+    try:
+        with open(path) as f:
+            return realization_from_dict(json.load(f))
+    except (ValueError, ConfigError, DimensionMismatch) as exc:  # ValueError: bad JSON
+        raise ConfigError(f"realization {path}: {exc}") from None

@@ -193,10 +193,10 @@ def _eval_policies(cfg: ExperimentConfig, suites, args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_experiment(args)
     name, run_cfg = args.policy, cfg.execution
+    if (name == "early_stop") != (args.t_stop is not None):
+        raise ConfigError("--t-stop is needed by --policy early_stop and refused by the others")
     policy = _policy_for(name, cfg, args.checkpoint)
     if name == "early_stop":
-        if args.t_stop is None:
-            raise ConfigError("policy early_stop needs --t-stop")
         name, run_cfg = f"early_stop_{args.t_stop}", replace(run_cfg, t_stop=args.t_stop)
     return _eval_policies(cfg, [(name, policy, run_cfg)], args)
 

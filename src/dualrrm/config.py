@@ -178,8 +178,3 @@ def canonical_json(cfg: ExperimentConfig) -> str:
 def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()
 
-
-def save_config(path: str | Path, cfg: ExperimentConfig) -> None:
-    with open(path, "w") as f:
-        json.dump(config_to_dict(cfg), f, sort_keys=True, indent=2)
-        f.write("\n")

@@ -81,12 +81,23 @@ def write_dataset(cfg: ExperimentConfig, split: str, realizations: list[Realizat
 
 
 def load_dataset(path: str | Path) -> tuple[list[Realization], dict]:
-    """Realizations plus manifest from a dataset directory."""
+    """Realizations plus manifest from a dataset directory; a malformed
+    manifest or realization file raises ConfigError."""
     path = Path(path)
-    with open(path / MANIFEST_NAME) as f:
-        manifest = json.load(f)
+    try:
+        with open(path / MANIFEST_NAME) as f:
+            manifest = json.load(f)
+    except ValueError as exc:
+        raise ConfigError(f"dataset manifest {path / MANIFEST_NAME}: {exc}") from None
+    if not (isinstance(manifest, dict) and type(manifest.get("count")) is int
+            and type(manifest.get("m")) is int):
+        raise ConfigError(f"dataset manifest {path / MANIFEST_NAME} needs integers count and m")
     realizations = [
         load_realization(path / f"realization_{i:05d}.json")
         for i in range(manifest["count"])
     ]
+    for i, r in enumerate(realizations):
+        if r.m != manifest["m"]:
+            raise ConfigError(f"dataset {path}: realization {i} has m={r.m}, "
+                              f"the manifest says m={manifest['m']}")
     return realizations, manifest

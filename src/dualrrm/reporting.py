@@ -56,15 +56,6 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence],
             writer.writerow([_fmt(v) for v in row])
 
 
-def read_csv(path: str | Path) -> tuple[dict, list[dict]]:
-    """Meta dict and row dicts from a file written by ``write_csv``."""
-    with open(path, newline="") as f:
-        comment = f.readline().strip().lstrip("# ")
-        meta = dict(part.split("=", 1) for part in comment.split())
-        rows = list(csv.DictReader(f))
-    return meta, rows
-
-
 TRAINING_LOG_HEADER = [
     "iteration",
     "mean_lagrangian",

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from dualrrm.channel import (
-    FadingState,
+    LinkGainMatrix,
     PathlossConfig,
+    Realization,
     TopologyConfig,
-    channel_at,
-    fading_step,
-    init_fading,
     load_realization,
     pathloss_db,
     realization_from_dict,
@@ -18,6 +16,7 @@ from dualrrm.channel import (
     save_realization,
 )
 from dualrrm.errors import ConfigError, DimensionMismatch, PlacementInfeasible
+from dualrrm.seeding import generator_at
 
 from conftest import make_realizations
 
@@ -101,42 +100,51 @@ class TestTopology:
             PathlossConfig(exponent_near=3.0, exponent_far=2.0).validate()
 
 
+def realization(m, rho, seed, gain=1.0):
+    """A realization with every large-scale gain equal to ``gain``, so its
+    channels are sqrt(gain) times the fading coefficients."""
+    large = LinkGainMatrix(
+        gains_linear=np.full((m, m), gain), tx_positions=np.zeros((m, 2)),
+        rx_positions=np.zeros((m, 2)),
+    )
+    return Realization(large=large, fading_seed=seed, rho=rho, topology_seed=0)
+
+
+def complex_normal_at(seed, slot, m):
+    """The CN(0, 1) draw of counter slot ``slot``: c_0 for slot 0, w_t for t."""
+    rng = generator_at(seed, slot)
+    re = rng.standard_normal((m, m))
+    im = rng.standard_normal((m, m))
+    return (re + 1j * im) / math.sqrt(2.0)
+
+
 class TestFading:
     def test_rho_one_never_changes(self):
-        state = init_fading(4, 1.0, 9)
-        stepped = fading_step(fading_step(state))
-        assert np.array_equal(stepped.coeffs, state.coeffs)
+        ep = realization(4, 1.0, 9).episode(3)
+        assert np.array_equal(ep[1], ep[0]) and np.array_equal(ep[2], ep[0])
 
     def test_rho_zero_is_full_innovation(self):
-        # with rho = 0 the output is the innovation alone, whatever the input
-        a = init_fading(3, 0.0, 11)
-        b = FadingState(coeffs=np.full((3, 3), 7 + 7j), rho=0.0, seed=11, step=0)
-        assert np.array_equal(fading_step(a).coeffs, fading_step(b).coeffs)
+        # with rho = 0 each step is its own slot's innovation, whatever came before
+        ep = realization(3, 0.0, 11).episode(3)
+        for t in range(3):
+            assert np.array_equal(ep[t], complex_normal_at(11, t, 3))
 
     def test_unit_mean_power(self):
         # 10^5 i.i.d. stationary draws
-        state = init_fading(317, 0.956, 123)
-        mean_power = np.mean(np.abs(state.coeffs) ** 2)
+        c0 = realization(317, 0.956, 123).episode(1)[0]
+        mean_power = np.mean(np.abs(c0) ** 2)
         assert 0.98 <= mean_power <= 1.02
 
     def test_lag1_autocorrelation_rho_zero(self):
         n = 100_000
-        trace = np.empty(n, dtype=complex)
-        state = init_fading(1, 0.0, 77)
-        for t in range(n):
-            trace[t] = state.coeffs[0, 0]
-            state = fading_step(state)
+        trace = realization(1, 0.0, 77).episode(n)[:, 0, 0]
         corr = np.mean(trace[1:] * np.conj(trace[:-1])).real
         assert abs(corr) < 0.02
 
     def test_lag1_autocorrelation_default_rho(self):
         n = 100_000
         rho = 0.956
-        trace = np.empty(n, dtype=complex)
-        state = init_fading(1, rho, 31)
-        for t in range(n):
-            trace[t] = state.coeffs[0, 0]
-            state = fading_step(state)
+        trace = realization(1, rho, 31).episode(n)[:, 0, 0]
         num = np.mean(trace[1:] * np.conj(trace[:-1])).real
         den = np.mean(np.abs(trace) ** 2)
         assert num / den == pytest.approx(rho, abs=0.01)
@@ -146,53 +154,40 @@ class TestFading:
         total = 0.0
         count = 0
         for seed in range(10):
-            state = init_fading(100, 0.956, 400 + seed)
-            for _ in range(1000):
-                state = fading_step(state)
-            total += np.sum(np.abs(state.coeffs) ** 2)
-            count += state.coeffs.size
+            c = realization(100, 0.956, 400 + seed).episode(1001)[-1]
+            total += np.sum(np.abs(c) ** 2)
+            count += c.size
         assert count == 100_000
         assert total / count == pytest.approx(1.0, abs=0.02)
 
     def test_trajectory_deterministic_and_replayable(self):
-        state = init_fading(3, 0.956, 5)
-        once = [fading_step(state).coeffs, fading_step(fading_step(state)).coeffs]
-        again = init_fading(3, 0.956, 5)
-        assert np.array_equal(again.coeffs, state.coeffs)
-        assert np.array_equal(fading_step(again).coeffs, once[0])
+        once = realization(3, 0.956, 5).episode(3)
+        again = realization(3, 0.956, 5).episode(2)
+        assert np.array_equal(again, once[:2])
+        assert not np.array_equal(once[1], once[0])
 
     def test_rho_validated(self):
         with pytest.raises(ConfigError):
-            init_fading(2, 1.5, 0)
+            realization(2, 1.5, 0).episode(1)
 
 
 class TestChannelAt:
+    """The channel at step t is sqrt(large-scale gain) * fading coefficient."""
+
     def test_unit_everything(self):
-        large = sample_topology(TopologyConfig(m=2, area_side_m=300.0), 1)
-        large.gains_linear = np.ones((2, 2))
-        fading = FadingState(coeffs=np.ones((2, 2), dtype=complex), rho=0.5, seed=0)
-        assert np.array_equal(channel_at(large, fading), np.ones((2, 2)))
+        # unit gains leave the fading coefficients untouched
+        ep = realization(2, 0.0, 4).episode(2)
+        assert np.array_equal(ep[1], complex_normal_at(4, 1, 2))
 
     def test_scalar_arithmetic(self):
-        large = sample_topology(TopologyConfig(m=1, area_side_m=300.0), 1)
-        large.gains_linear = np.array([[4.0]])
-        fading = FadingState(coeffs=np.array([[0.5 + 0j]]), rho=0.5, seed=0)
-        assert channel_at(large, fading)[0, 0] == 1.0 + 0j
+        four = realization(1, 0.956, 6, gain=4.0).episode(5)
+        one = realization(1, 0.956, 6).episode(5)
+        assert np.array_equal(four, 2.0 * one)
 
     def test_second_moment_matches_gain(self):
         m = 317  # 100489 > 10^5 samples in one draw
-        large = sample_topology(TopologyConfig(m=2, area_side_m=300.0), 1)
-        large.gains_linear = np.full((m, m), 4.0)
-        large.tx_positions = np.zeros((m, 2))
-        large.rx_positions = np.zeros((m, 2))
-        fading = init_fading(m, 0.956, 9)
-        h = channel_at(large, fading)
+        h = realization(m, 0.956, 9, gain=4.0).episode(1)[0]
         assert np.mean(np.abs(h) ** 2) == pytest.approx(4.0, rel=0.02)
-
-    def test_dimension_mismatch(self):
-        large = sample_topology(TopologyConfig(m=2, area_side_m=300.0), 1)
-        with pytest.raises(DimensionMismatch):
-            channel_at(large, init_fading(3, 0.5, 0))
 
 
 class TestRealizationIO:
@@ -218,9 +213,12 @@ class TestRealizationIO:
     def test_episode_matches_manual_stepping(self):
         (real,) = make_realizations(m=3, count=1, seed=8)
         ep = real.episode(4)
-        state = init_fading(3, real.rho, real.fading_seed)
-        manual = []
-        for _ in range(4):
-            manual.append(channel_at(real.large, state))
-            state = fading_step(state)
+        # the recurrence slot by slot: c_0 from slot 0, then w_t from slot t
+        sqrt_gain = np.sqrt(real.large.gains_linear)
+        c = complex_normal_at(real.fading_seed, 0, 3)
+        manual = [sqrt_gain * c]
+        for t in range(1, 4):
+            w = complex_normal_at(real.fading_seed, t, 3)
+            c = real.rho * c + math.sqrt(1.0 - real.rho**2) * w
+            manual.append(sqrt_gain * c)
         assert np.array_equal(ep, np.stack(manual))

@@ -1,4 +1,6 @@
+import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +8,17 @@ import pytest
 
 from dualrrm.cli import EXIT_CONFIG, EXIT_OK, main
 from dualrrm.policy import load_checkpoint
-from dualrrm.reporting import read_csv
 
 from conftest import params_equal
+
+
+def read_csv(path):
+    """Provenance fields and row dicts of a CSV written by the CLI."""
+    with open(path, newline="") as f:
+        comment = f.readline().strip().lstrip("# ")
+        meta = dict(part.split("=", 1) for part in comment.split())
+        rows = list(csv.DictReader(f))
+    return meta, rows
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -170,6 +180,17 @@ class TestEval:
             ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
              "--m-override", "4", "--out", out]
         ) == EXIT_OK
+
+    @pytest.mark.parametrize("policy", ["state_augmented", "full_reuse"])
+    def test_t_stop_refused_without_early_stop(self, workspace, capsys, policy):
+        _, cfg_path, _, ckpt = workspace
+        capsys.readouterr()
+        code = main(
+            ["eval", "--config", str(cfg_path), "--policy", policy,
+             "--checkpoint", str(ckpt), "--t-stop", "0"]
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
 
     def test_early_stop_requires_t_stop(self, workspace):
         _, cfg_path, _, ckpt = workspace
@@ -382,6 +403,57 @@ class TestMalformedCheckpoint:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error: checkpoint") and "Traceback" not in err
+
+
+def _manifest(change):
+    return "manifest.json", _edit(change)
+
+
+def _realization(change):
+    return "realization_00001.json", _edit(change)
+
+
+def _first_gain(value):
+    def change(d):
+        d["gains_linear"][0][0] = value
+
+    return _realization(change)
+
+
+DATASET_MUTATIONS = {
+    "manifest_truncated": ("manifest.json", lambda raw: raw[: len(raw) // 2]),
+    "manifest_not_an_object": ("manifest.json", lambda raw: b"[1, 2]"),
+    "manifest_count_missing": _manifest(lambda d: d.pop("count")),
+    "manifest_count_string": _manifest(lambda d: d.update(count="2")),
+    "manifest_m_disagrees": _manifest(lambda d: d.update(m=d["m"] + 1)),
+    "realization_truncated": ("realization_00001.json", lambda raw: raw[: len(raw) // 2]),
+    "realization_not_an_object": ("realization_00001.json", lambda raw: b"null"),
+    "fading_seed_missing": _realization(lambda d: d.pop("fading_seed")),
+    "fading_seed_float": _realization(lambda d: d.update(fading_seed=1.5)),
+    "rho_string": _realization(lambda d: d.update(rho="0.9")),
+    "gains_not_numbers": _realization(lambda d: d.update(gains_linear=[["a"]])),
+    "gains_ragged": _realization(lambda d: d["gains_linear"][0].pop()),
+    "gains_disagree_with_m": _realization(lambda d: d["gains_linear"].pop()),
+    "gain_negative": _first_gain(-1.0),
+    "gain_nan": _first_gain(float("nan")),
+}
+
+
+class TestMalformedDataset:
+    @pytest.mark.parametrize("case", sorted(DATASET_MUTATIONS))
+    def test_exits_with_config_error(self, workspace, tmp_path, capsys, case):
+        _, cfg_path, run, _ = workspace
+        out = tmp_path / "out"
+        shutil.copytree(run / "datasets" / "test", out / "datasets" / "test")
+        name, mutate = DATASET_MUTATIONS[case]
+        target = out / "datasets" / "test" / name
+        target.write_bytes(mutate(target.read_bytes()))
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg_path), "--policy", "full_reuse",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error") and "Traceback" not in err
 
 
 class TestReproducibility:

@@ -12,7 +12,6 @@ from dualrrm.config import (
     config_hash,
     config_to_dict,
     load_config,
-    save_config,
 )
 from dualrrm.datasets import generate_dataset, load_dataset, write_dataset
 from dualrrm.errors import ConfigError
@@ -79,7 +78,7 @@ class TestConfig:
     def test_save_load_stable(self, tmp_path):
         cfg = ExperimentConfig(seed=4).validate()
         path = tmp_path / "out.json"
-        save_config(path, cfg)
+        path.write_text(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n")
         assert config_hash(load_config(path)) == config_hash(cfg)
 
     def test_with_m_override(self):

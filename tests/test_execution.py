@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dualrrm import execution
 from dualrrm.core import RrmProblemConfig, metrics, rates
 from dualrrm.errors import (
     DimensionMismatch,
@@ -157,6 +160,70 @@ class TestExecute:
         trace = execute(params, test_set[0].episode(20), exec_cfg(), problem)
         manual = np.cumsum(trace.rates, axis=0) / np.arange(1, 21)[:, None]
         assert np.array_equal(trace.ergodic_rates, manual)
+
+
+def failed_laws(trace, cfg, problem):
+    return {r.name for r in dual_trace_battery(trace, cfg, problem) if not r.passed}
+
+
+def with_dual(trace, k, i, value):
+    """A copy of ``trace`` whose recorded dual of user i in window k is ``value``."""
+    duals = trace.duals.copy()
+    duals[k, i] = value
+    return replace(trace, duals=duals)
+
+
+@pytest.fixture(scope="module")
+def battery_case():
+    """A full-reuse trace of six windows; with f_min = 10 every window is
+    violated, so each applied update raises every dual."""
+    (real,) = make_realizations(m=3, count=1, seed=32, area=400.0)
+    cfg = exec_cfg(T=30)
+
+    def run(f_min=0.6, mu_init=None):
+        problem = RrmProblemConfig(m=3, f_min_bps_hz=f_min)
+        run_cfg = replace(cfg, mu_init=mu_init)
+        trace = execute(FullReusePolicy(), real.episode(30), run_cfg, problem)
+        assert failed_laws(trace, run_cfg, problem) == set()
+        return trace, run_cfg, problem
+
+    return run
+
+
+class TestTraceBatteryCatches:
+    def test_negative_dual(self, battery_case):
+        trace, cfg, problem = battery_case()
+        assert "dual_nonnegative" in failed_laws(with_dual(trace, 3, 1, -0.5), cfg, problem)
+
+    def test_dual_off_by_one_ulp(self, battery_case):
+        trace, cfg, problem = battery_case()
+        nudged = np.nextafter(trace.duals[2, 0], np.inf)
+        assert "replay_bit_exact" in failed_laws(with_dual(trace, 2, 0, nudged), cfg, problem)
+
+    def test_violated_window_without_raise(self, battery_case):
+        trace, cfg, problem = battery_case(f_min=10.0)
+        assert trace.duals[3, 2] > trace.duals[2, 2]
+        held = with_dual(trace, 3, 2, trace.duals[2, 2])
+        assert "violation_raises_dual" in failed_laws(held, cfg, problem)
+
+    def test_dual_jump(self, battery_case):
+        trace, cfg, problem = battery_case()
+        jumped = with_dual(trace, 4, 0, trace.duals[4, 0] + 1e3)
+        assert "bounded_dual_step" in failed_laws(jumped, cfg, problem)
+
+    def test_telescoping_reads_the_replayed_update(self, battery_case, monkeypatch):
+        # duals far from zero never get projected; a replay that takes twice
+        # the step overshoots the telescoped bound of every user whose rates
+        # beat f_min on net
+        trace, cfg, problem = battery_case(mu_init=(1e4, 1e4, 1e4))
+        assert np.any(trace.rates[:25].mean(axis=0) > problem.f_min_bps_hz)
+        real_update = execution.dual_update
+
+        def doubled(mu, window, exec_cfg, problem):
+            return real_update(mu, window, replace(exec_cfg, eta_mu=2 * exec_cfg.eta_mu), problem)
+
+        monkeypatch.setattr(execution, "dual_update", doubled)
+        assert "telescoping_bound" in failed_laws(trace, cfg, problem)
 
 
 def stepwise_reference(policy, episode, cfg, problem):

@@ -1,0 +1,127 @@
+"""Golden-run check: the CLI pipeline's outputs, compared byte for byte.
+
+A pure refactor must leave every default output byte-identical.  ``run``
+drives the CLI of this checkout's ``src`` through a fixed pipeline at m=6
+and m=20 (generate, train with intermediate checkpoints, eval with CDF and
+trace exports, early-stop eval, baselines, gradcheck, theorem-suite) and
+keeps every file it writes plus the stdout and exit code of each step.
+``compare`` lists every file that is missing from either tree or differs,
+and exits nonzero if there is any.
+
+    python3 tools/golden.py run /tmp/golden_old      # in the old checkout
+    python3 tools/golden.py run /tmp/golden_new      # in the new checkout
+    python3 tools/golden.py compare /tmp/golden_old /tmp/golden_new
+
+Wall-clock outputs (``train --timing``, ``--export-timing``) are left out,
+because they differ from run to run.  Each size's output directory is
+relative to OUT, so the config hashes in the files do not depend on where
+OUT is.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CKPT = "checkpoints/checkpoint_final.json"
+AREA_M = {6: 500.0, 20: 1000.0}
+
+
+def _config(m: int) -> dict:
+    return {
+        "seed": 7,
+        "output_dir": f"m{m}",
+        "topology": {"m": m, "area_side_m": AREA_M[m]},
+        "gnn": {"f1": 16, "f2": 16},
+        "train": {"n_iters": 40, "batch_size": 4, "episode_len": 20,
+                  "checkpoint_every": 20},
+        "execution": {"T": 103, "T0": 5},
+        "data": {"n_train": 8, "n_test": 4},
+    }
+
+
+def _steps(m: int) -> list[tuple[str, list[str]]]:
+    ckpt = f"m{m}/{CKPT}"
+    return [
+        ("generate_train", ["generate", "--split", "train"]),
+        ("generate_test", ["generate", "--split", "test"]),
+        ("train", ["train"]),
+        ("eval", ["eval", "--checkpoint", ckpt, "--export-cdf", "--export-trace", "2"]),
+        ("eval_early_stop", ["eval", "--policy", "early_stop", "--t-stop", "37",
+                             "--checkpoint", ckpt]),
+        ("baselines", ["baselines", "--checkpoint", ckpt, "--export-cdf"]),
+        ("gradcheck", ["gradcheck", "--m", str(m), "--steps", "5", "--coords", "20"]),
+        ("theorem_suite", ["theorem-suite", "--checkpoint", ckpt, "--realizations", "4"]),
+    ]
+
+
+def run(out: Path) -> int:
+    if out.exists() and any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    failed = 0
+    for m in AREA_M:
+        cfg = f"m{m}.json"
+        (out / cfg).write_text(json.dumps(_config(m), sort_keys=True))
+        logs = out / f"m{m}" / "stdout"
+        logs.mkdir(parents=True)
+        for name, argv in _steps(m):
+            proc = subprocess.run(
+                [sys.executable, "-m", "dualrrm.cli", *argv, "--config", cfg],
+                cwd=out, env=env, capture_output=True, text=True,
+            )
+            (logs / f"{name}.txt").write_text(f"exit {proc.returncode}\n{proc.stdout}")
+            if proc.returncode != 0:
+                failed += 1
+                print(f"m={m} {name}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+            # the eval-like steps all write eval/; keep each step's files apart
+            if (out / f"m{m}" / "eval").exists():
+                (out / f"m{m}" / "eval").rename(out / f"m{m}" / f"{name}_outputs")
+    n_files = sum(1 for p in out.rglob("*") if p.is_file())
+    print(f"{n_files} files in {out}; {failed} steps failed")
+    return 1 if failed else 0
+
+
+def compare(a: Path, b: Path) -> int:
+    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (a, b)]
+    if not files[0] and not files[1]:
+        print("no files to compare", file=sys.stderr)
+        return 2
+    problems = 0
+    for rel in sorted(files[0] | files[1]):
+        for root, present in zip((a, b), files):
+            if rel not in present:
+                problems += 1
+                print(f"missing from {root}: {rel}")
+        if rel in files[0] and rel in files[1] and (a / rel).read_bytes() != (b / rel).read_bytes():
+            problems += 1
+            print(f"differs: {rel}")
+    n_files = len(files[0] | files[1])
+    print(f"{n_files} files, {problems} missing or differing")
+    return 1 if problems else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("run", help="run the pipeline into an empty directory")
+    p.add_argument("out", type=Path)
+    p = sub.add_parser("compare", help="compare two run directories byte for byte")
+    p.add_argument("a", type=Path)
+    p.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        return run(args.out)
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
