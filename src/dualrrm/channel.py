@@ -20,8 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DimensionMismatch, PlacementInfeasible
-from .seeding import generator, generator_at
+from .seeding import SlotGenerator, generator
 
 _MAX_PLACEMENT_ROUNDS = 10_000
 
@@ -167,10 +168,11 @@ def sample_topology(cfg: TopologyConfig, seed: int) -> LinkGainMatrix:
     )
 
 
-def _complex_normal(rng: np.random.Generator, m: int) -> np.ndarray:
-    re = rng.standard_normal((m, m))
-    im = rng.standard_normal((m, m))
-    return (re + 1j * im) / math.sqrt(2.0)
+def _complex_normal(rng: np.random.Generator, planes: np.ndarray) -> np.ndarray:
+    """A CN(0, 1) matrix: ``planes`` (2, m, m) is refilled from ``rng`` with
+    the real parts, then the imaginary parts."""
+    rng.standard_normal(out=planes)
+    return (planes[0] + 1j * planes[1]) / math.sqrt(2.0)
 
 
 @dataclass
@@ -200,10 +202,11 @@ class Realization:
         sqrt_gain = np.sqrt(self.large.gains_linear)
         innovation = math.sqrt(1.0 - self.rho**2)
         out = np.empty((n_steps, self.m, self.m), dtype=complex)
-        c = _complex_normal(generator_at(self.fading_seed, 0), self.m)
+        slots, planes = SlotGenerator(self.fading_seed), np.empty((2, self.m, self.m))
+        c = _complex_normal(slots.at(0), planes)
         for t in range(n_steps):
             if t > 0:
-                w = _complex_normal(generator_at(self.fading_seed, t), self.m)
+                w = _complex_normal(slots.at(t), planes)
                 c = self.rho * c + innovation * w
             out[t] = sqrt_gain * c
         return out
@@ -253,7 +256,7 @@ def realization_from_dict(d) -> Realization:
 
 
 def save_realization(path, r: Realization, config_echo: dict | None = None) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         json.dump(realization_to_dict(r, config_echo), f, sort_keys=True)
 
 

@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from . import __version__
+from .atomic import atomic_open
 from .channel import (
     Realization,
     load_realization,
@@ -75,7 +76,7 @@ def write_dataset(cfg: ExperimentConfig, split: str, realizations: list[Realizat
             for r in realizations
         ],
     }
-    with open(out / MANIFEST_NAME, "w") as f:
+    with atomic_open(out / MANIFEST_NAME) as f:
         json.dump(manifest, f, sort_keys=True, separators=(",", ":"))
     return out
 

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_open
 from .core import MetricsSummary
 from .execution import EpisodeTrace, ExecConfig
 from .training import TrainingLog
@@ -48,7 +49,7 @@ def _fmt(value) -> str:
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence], meta: FileMeta) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         f.write(meta.comment() + "\n")
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)

@@ -23,10 +23,6 @@ ORACLE = 5
 # Splits, used as the path element after TOPOLOGY / FADING.
 SPLIT_IDS = {"train": 0, "test": 1}
 
-# Counter blocks reserved per random-access slot.  One slot never consumes
-# anywhere near 2**64 outputs, so slots cannot overlap.
-_SLOT_STRIDE = 1 << 64
-
 
 def derive_seed(master_seed: int, *path: int) -> int:
     """Derive a child integer seed from the master seed and a purpose path."""
@@ -39,8 +35,22 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def generator_at(seed: int, slot: int) -> np.random.Generator:
-    """Generator positioned at a fixed counter slot of the seed's stream."""
-    bg = np.random.Philox(key=seed)
-    bg.advance(slot * _SLOT_STRIDE)
-    return np.random.Generator(bg)
+class SlotGenerator:
+    """Random access to the counter slots of one seed's stream.
+
+    Slot s starts at Philox counter s * 2**64, that is, with counter word 1
+    set to s; one slot never consumes anywhere near 2**64 outputs, so slots
+    cannot overlap.  One generator is repositioned for every slot, which is
+    much cheaper than building a generator per slot.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = generator(seed)
+        self._start = self._rng.bit_generator.state  # counter 0, nothing buffered
+
+    def at(self, slot: int) -> np.random.Generator:
+        """The generator at the start of ``slot``: the position that
+        ``Philox(key=seed).advance(slot << 64)`` reaches."""
+        self._start["state"]["counter"][1] = slot
+        self._rng.bit_generator.state = self._start
+        return self._rng

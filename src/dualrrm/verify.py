@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import DEFAULT_FADING_RHO, Realization, TopologyConfig, sample_topology
 from .core import RrmProblemConfig, constraints_g
-from .errors import ConfigError
+from .errors import ConfigError, NegativeDual
 from .execution import EpisodeTrace, ExecConfig, replay_duals
 from .policy import (
     GnnConfig,
@@ -131,34 +131,41 @@ def dual_trace_battery(
     """Arithmetic laws of the projected dual dynamics on a recorded trace.
 
     The laws that concern updates read the windows k whose update produced
-    the recorded dual k+1, and their constraint slacks g_k.
+    the recorded dual k+1, and their constraint slacks g_k.  A trace whose
+    first dual is negative cannot be replayed, so the laws that read the
+    replayed trajectory fail on it.
     """
     duals, eta = trace.duals, exec_cfg.eta_mu
-    replayed = replay_duals(trace, exec_cfg, problem)
     ks = np.flatnonzero([exec_cfg.updates_after(k) for k in range(len(duals) - 1)])
     windows = trace.rates[: len(duals) * exec_cfg.T0].reshape(len(duals), exec_cfg.T0, -1)
     mean_rates = windows[ks].mean(axis=1)
     g = constraints_g(mean_rates, problem)
     before, after = duals[ks], duals[ks + 1]
     violated = mean_rates < problem.f_min_bps_hz
-    # users whose replayed trajectory never hit the projection onto mu >= 0
-    free = ~np.any(replayed[ks] - eta * g < 0.0, axis=0)
-    bound = duals[0] - eta * g.sum(axis=0)
-    tol = 1e-9 * max(1.0, float(np.abs(bound).max()))
     step = np.linalg.norm(after - before, axis=1)
     cap = eta * math.sqrt(problem.m) * np.abs(g).max(axis=1)
+    try:
+        replayed = replay_duals(trace, exec_cfg, problem)
+    except NegativeDual as exc:
+        replay = telescoping = (False, f"no replay: {exc}")
+    else:
+        # users whose replayed trajectory never hit the projection onto mu >= 0
+        free = ~np.any(replayed[ks] - eta * g < 0.0, axis=0)
+        bound = duals[0] - eta * g.sum(axis=0)
+        tol = 1e-9 * max(1.0, float(np.abs(bound).max()))
+        replay = (bool(np.array_equal(replayed, duals)), "recomputed duals match recorded duals")
+        telescoping = (bool(np.all(replayed[-1][free] >= bound[free] - tol)),
+                       f"{int(free.sum())} users without projection")
     return [
         BatteryResult("dual_nonnegative", bool(np.all(duals >= 0.0)),
                       f"min dual {duals.min():.3g}"),
         # Replaying the update rule from the rates reproduces the trajectory.
-        BatteryResult("replay_bit_exact", bool(np.array_equal(replayed, duals)),
-                      "recomputed duals match recorded duals"),
+        BatteryResult("replay_bit_exact", *replay),
         # A violated window with an applied update strictly raises the dual.
         BatteryResult("violation_raises_dual", bool(np.all(after[violated] > before[violated])),
                       f"{int(violated.sum())} violated (user, window) pairs checked"),
         # Without projection the dual telescopes to mu_0 - eta * sum_k g_k.
-        BatteryResult("telescoping_bound", bool(np.all(replayed[-1][free] >= bound[free] - tol)),
-                      f"{int(free.sum())} users without projection"),
+        BatteryResult("telescoping_bound", *telescoping),
         # Per-window step size bound: |mu_{k+1} - mu_k| <= eta sqrt(m) max|g_k|.
         BatteryResult("bounded_dual_step", not np.any(step > cap * (1.0 + 1e-12) + 1e-12),
                       "norm of each update within bound"),

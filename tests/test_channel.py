@@ -16,7 +16,6 @@ from dualrrm.channel import (
     save_realization,
 )
 from dualrrm.errors import ConfigError, DimensionMismatch, PlacementInfeasible
-from dualrrm.seeding import generator_at
 
 from conftest import make_realizations
 
@@ -111,8 +110,9 @@ def realization(m, rho, seed, gain=1.0):
 
 
 def complex_normal_at(seed, slot, m):
-    """The CN(0, 1) draw of counter slot ``slot``: c_0 for slot 0, w_t for t."""
-    rng = generator_at(seed, slot)
+    """The CN(0, 1) draw of counter slot ``slot``: c_0 for slot 0, w_t for t,
+    from a fresh generator advanced to the slot."""
+    rng = np.random.Generator(np.random.Philox(key=seed).advance(slot << 64))
     re = rng.standard_normal((m, m))
     im = rng.standard_normal((m, m))
     return (re + 1j * im) / math.sqrt(2.0)

@@ -1,9 +1,13 @@
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualrrm.channel import TopologyConfig
+from dualrrm import atomic
+from dualrrm.atomic import atomic_open
+from dualrrm.channel import TopologyConfig, save_realization
 from dualrrm.config import (
     DatasetConfig,
     ExperimentConfig,
@@ -15,6 +19,10 @@ from dualrrm.config import (
 )
 from dualrrm.datasets import generate_dataset, load_dataset, write_dataset
 from dualrrm.errors import ConfigError
+from dualrrm.policy import Checkpoint, GnnConfig, init_params, save_checkpoint
+from dualrrm.reporting import FileMeta, write_csv
+
+from conftest import make_realizations
 
 
 def small_experiment(tmp_path, seed=0, m=3, n_train=4, n_test=3):
@@ -148,3 +156,83 @@ class TestDatasets:
         for x, y in zip(a, b):
             assert np.array_equal(x.large.gains_linear, y.large.gains_linear)
             assert x.fading_seed == y.fading_seed
+
+
+class _DiskFullAfter:
+    """A file that takes ``budget`` characters, then fails like a full disk."""
+
+    def __init__(self, f, budget):
+        self.f, self.budget = f, budget
+
+    def write(self, data):
+        room, self.budget = self.budget, self.budget - len(data)
+        if len(data) > room:
+            self.f.write(data[: max(room, 0)])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def _checkpoint_writer(tmp_path, version):
+    path = tmp_path / "checkpoint.json"
+    params = init_params(GnnConfig(f1=4, f2=4), version)
+    save_checkpoint(path, Checkpoint(params=params, seed=version, iteration=version))
+    return path
+
+
+def _realization_writer(tmp_path, version):
+    path = tmp_path / "realization.json"
+    save_realization(path, make_realizations(m=3, count=1, seed=version)[0])
+    return path
+
+
+def _manifest_writer(tmp_path, version):
+    cfg = small_experiment(tmp_path, seed=version)
+    return write_dataset(cfg, "train", generate_dataset(cfg, "train")) / "manifest.json"
+
+
+def _csv_writer(tmp_path, version):
+    path = tmp_path / "metrics.csv"
+    rows = [[version, i, 0.5 * i] for i in range(50)]
+    write_csv(path, ["a", "b", "c"], rows, FileMeta("0", "hash", version))
+    return path
+
+
+class TestAtomicWrites:
+    def test_helper_keeps_previous_file_on_error(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path, "wb") as f:
+                f.write(b"new and partial")
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == b"previous"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize(
+        "writer", [_checkpoint_writer, _realization_writer, _manifest_writer, _csv_writer],
+        ids=["checkpoint", "realization", "manifest", "csv"],
+    )
+    def test_failed_write_leaves_previous_file(self, tmp_path, monkeypatch, writer):
+        path = writer(tmp_path, 1)
+        before = path.read_bytes()
+        listing = sorted(p.name for p in path.parent.iterdir())
+        # a full disk after 10 characters of the new target file
+        real_open = open
+
+        def failing_open(file, *args, **kwargs):
+            f = real_open(file, *args, **kwargs)
+            return _DiskFullAfter(f, 10) if Path(file).name.startswith(f".{path.name}.") else f
+
+        monkeypatch.setattr(atomic, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            writer(tmp_path, 2)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == listing
+        monkeypatch.undo()
+        assert writer(tmp_path, 2).read_bytes() != before

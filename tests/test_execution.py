@@ -195,6 +195,15 @@ class TestTraceBatteryCatches:
         trace, cfg, problem = battery_case()
         assert "dual_nonnegative" in failed_laws(with_dual(trace, 3, 1, -0.5), cfg, problem)
 
+    def test_negative_first_dual(self, battery_case):
+        # the replay starts from the first recorded dual, which the update
+        # rule refuses when negative; the laws that read the replay fail
+        trace, cfg, problem = battery_case()
+        results = dual_trace_battery(with_dual(trace, 0, 1, -0.5), cfg, problem)
+        failed = {r.name: r.detail for r in results if not r.passed}
+        assert {"dual_nonnegative", "replay_bit_exact", "telescoping_bound"} <= failed.keys()
+        assert failed["telescoping_bound"].startswith("no replay: ")
+
     def test_dual_off_by_one_ulp(self, battery_case):
         trace, cfg, problem = battery_case()
         nudged = np.nextafter(trace.duals[2, 0], np.inf)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualrrm import policy
 from dualrrm.core import RrmProblemConfig, rates, rates_from_gain2
 from dualrrm.errors import (
     CheckpointDimMismatch,
@@ -17,6 +18,7 @@ from dualrrm.graph import RrmGraph, build_graph
 from dualrrm.policy import (
     Checkpoint,
     GnnConfig,
+    _block_steps,
     _d_lagrangian_d_powers,
     _forward_tensors,
     apply_update,
@@ -228,6 +230,58 @@ class TestEpisodeObjective:
         _, ga, _ = episode_eval(tensors, mu, params, cfg)
         _, gb, _ = episode_eval(tensors, np.zeros(3), params, cfg, node_features=mu)
         assert np.max(np.abs(g2.flat - (ga.flat + gb.flat))) < 1e-10
+
+
+def force_block_steps(mp, n, m, dims):
+    """Make ``episode_eval`` run time blocks of exactly ``n`` steps."""
+    mp.setattr(policy, "_BLOCK_BYTES", n * 8 * m * max(dims.f1, dims.f2))
+    assert _block_steps(m, dims) == n
+
+
+class TestTimeBlocks:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        n_steps=st.integers(1, 40),
+        f1=st.integers(1, 8),
+        f2=st.integers(1, 8),
+        split=st.sampled_from(["one", "two", "uneven", "whole"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocks_match_one_block(self, m, n_steps, f1, f2, split, seed):
+        cfg, dims = small_problem(m), GnnConfig(f1=f1, f2=f2)
+        (real,) = make_realizations(m=m, count=1, seed=seed, area=1000.0)
+        tensors = episode_tensors(real.episode(n_steps), cfg)
+        mu = np.random.default_rng(seed).uniform(0, 2, m)
+        params = init_params(dims, seed)
+        # "uneven": a block longer than half the episode, then a shorter one
+        n = {"one": 1, "two": 2, "uneven": n_steps // 2 + 1, "whole": n_steps}[split]
+        with pytest.MonkeyPatch.context() as mp:
+            force_block_steps(mp, n_steps + 5, m, dims)
+            ref_value, ref_grads, ref_avg = episode_eval(tensors, mu, params, cfg)
+            force_block_steps(mp, n, m, dims)
+            value, grads, avg = episode_eval(tensors, mu, params, cfg)
+        assert value == ref_value and np.array_equal(avg, ref_avg)
+        if n >= n_steps:
+            assert np.array_equal(grads.flat, ref_grads.flat)
+        else:  # the same terms, summed block by block
+            scale = np.max(np.abs(ref_grads.flat))
+            assert np.max(np.abs(grads.flat - ref_grads.flat)) <= 1e-13 * scale
+
+    def test_finite_differences_with_three_step_blocks(self, monkeypatch):
+        dims = GnnConfig(f1=8, f2=8)
+        force_block_steps(monkeypatch, 3, 4, dims)
+        report = finite_difference_check(small_problem(4), dims, n_steps=7, n_coords=30, seed=5)
+        assert report.passed(1e-4), f"max rel err {report.max_rel_err}"
+
+    def test_block_rule(self):
+        assert _block_steps(50, GnnConfig(f1=64, f2=64)) == 20  # paper shape
+        # one block at the desk acceptance shape (m=6, f=64, T=50) and the
+        # golden-run shapes (m=6 and 20, f=16, T=20)
+        assert _block_steps(6, GnnConfig()) >= 50
+        assert _block_steps(6, GnnConfig(f1=16, f2=16)) >= 20
+        assert _block_steps(20, GnnConfig(f1=16, f2=16)) >= 20
+        assert _block_steps(10**6, GnnConfig()) == 1
 
 
 def random_kernel_inputs(rng, cfg, n_steps):
