@@ -32,56 +32,60 @@ class ItlinqConfig:
             raise ConfigError(f"unknown ordering {self.ordering!r}")
 
 
-def full_reuse(h: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
+def full_reuse(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
     """Every transmitter at maximum power, whatever the channel; the powers
-    take the leading shape of ``h`` (..., m, m)."""
-    return np.full(h.shape[:-1], cfg.p_max)
+    take the leading shape of ``abs_h2`` (..., m, m)."""
+    return np.full(abs_h2.shape[:-1], cfg.p_max)
 
 
 def itlinq_schedule(
-    h: np.ndarray, problem: RrmProblemConfig, cfg: ItlinqConfig
+    abs_h2: np.ndarray, problem: RrmProblemConfig, cfg: ItlinqConfig
 ) -> np.ndarray:
-    """Greedy on/off scheduling; selected links transmit at p_max.
+    """Greedy on/off scheduling of every step of ``abs_h2`` (..., m, m);
+    selected links transmit at p_max.
 
     Links are visited in the configured order (default: descending direct
     SNR, ties broken by lower index).  Candidate j joins the scheduled set S
     when for every i in S both INR(i -> j) <= M * SNR_i**eta and
     INR(j -> i) <= M * SNR_j**eta, with SNRs and INRs measured against the
-    noise floor at maximum power.
+    noise floor at maximum power.  Everything but the greedy scan is
+    computed for all steps at once.
     """
     cfg.validate()
-    inr = problem.p_max * np.abs(h) ** 2 / problem.noise  # (i, j): tx i at rx j
-    snr = np.diagonal(inr)
+    inr = problem.p_max * abs_h2 / problem.noise  # (..., i, j): tx i at rx j
+    snr = inr.diagonal(0, -2, -1)
     margin = 10.0 ** (cfg.m_margin_db / 10.0)
     cap = margin * snr**cfg.eta_exponent
+    ok = inr <= cap[..., None]  # (..., i, j): INR(i -> j) within i's cap
+    compat = (ok & ok.swapaxes(-1, -2)).reshape(-1, problem.m, problem.m).tolist()
     if cfg.ordering == "by-SNR-desc":
-        order = np.argsort(-snr, kind="stable").tolist()
+        orders = np.argsort(-snr, axis=-1, kind="stable").reshape(-1, problem.m).tolist()
     else:
-        order = range(problem.m)
-    ok = inr <= cap[:, None]  # (i, j): INR(i -> j) within i's cap
-    compat = (ok & ok.T).tolist()  # [j][i]: links i and j may coexist
-    scheduled: list[int] = []
-    for j in order:
-        row = compat[j]
-        if all(row[i] for i in scheduled):
-            scheduled.append(j)
-    powers = np.zeros(problem.m)
-    powers[scheduled] = problem.p_max
-    return powers
+        orders = [range(problem.m)] * len(compat)
+    powers = np.zeros((len(compat), problem.m))
+    for p, rows, order in zip(powers, compat, orders):  # [j][i]: i and j may coexist
+        scheduled: list[int] = []
+        for j in order:
+            row = rows[j]
+            if all(row[i] for i in scheduled):
+                scheduled.append(j)
+        p[scheduled] = problem.p_max
+    return powers.reshape(abs_h2.shape[:-1])
 
 
 @dataclass
 class FullReusePolicy:
-    def powers(self, h: np.ndarray, mu: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
-        return full_reuse(h, cfg)
+    def windows(self, abs_h2: np.ndarray, cfg: RrmProblemConfig):
+        """Powers ignore the duals: one pass over the block (see ``execute``)."""
+        powers = full_reuse(abs_h2, cfg)
+        return lambda steps, mu: powers[steps]
 
 
 @dataclass
 class ItlinqPolicy:
     cfg: ItlinqConfig
 
-    def powers(self, h: np.ndarray, mu: np.ndarray, problem: RrmProblemConfig) -> np.ndarray:
-        """One schedule per step of ``h`` (..., m, m)."""
-        steps = h.reshape(-1, problem.m, problem.m)
-        return np.reshape([itlinq_schedule(h_t, problem, self.cfg) for h_t in steps], h.shape[:-1])
-
+    def windows(self, abs_h2: np.ndarray, problem: RrmProblemConfig):
+        """Schedules ignore the duals: one pass over the block (see ``execute``)."""
+        powers = itlinq_schedule(abs_h2, problem, self.cfg)
+        return lambda steps, mu: powers[steps]

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .atomic import atomic_open
+from .core import block_steps
 from .errors import ConfigError, DimensionMismatch, PlacementInfeasible
 from .seeding import SlotGenerator, generator
 
@@ -168,13 +169,6 @@ def sample_topology(cfg: TopologyConfig, seed: int) -> LinkGainMatrix:
     )
 
 
-def _complex_normal(rng: np.random.Generator, planes: np.ndarray) -> np.ndarray:
-    """A CN(0, 1) matrix: ``planes`` (2, m, m) is refilled from ``rng`` with
-    the real parts, then the imaginary parts."""
-    rng.standard_normal(out=planes)
-    return (planes[0] + 1j * planes[1]) / math.sqrt(2.0)
-
-
 @dataclass
 class Realization:
     """One cached network sample: large-scale part plus fading stream seed."""
@@ -195,20 +189,34 @@ class Realization:
         follows c_t = rho * c_{t-1} + sqrt(1 - rho^2) * w_t with w_t ~ CN(0, 1)
         i.i.d., which keeps the unit-power law intact.  c_0 and w_t are read
         from counter slots 0 and t of the Philox stream keyed by
-        ``fading_seed``, so any episode replays from the seed alone.
+        ``fading_seed`` (the real parts, then the imaginary parts), so any
+        episode replays from the seed alone.  The steps are synthesized in
+        time blocks sized by ``core.block_steps``: the normal draws, the
+        complex innovations and the sqrt(G) scaling take a few calls per
+        block, and the recurrence one multiply-add per step.
         """
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError("rho must lie in [0, 1]")
+        m, slots = self.m, SlotGenerator(self.fading_seed)
         sqrt_gain = np.sqrt(self.large.gains_linear)
         innovation = math.sqrt(1.0 - self.rho**2)
-        out = np.empty((n_steps, self.m, self.m), dtype=complex)
-        slots, planes = SlotGenerator(self.fading_seed), np.empty((2, self.m, self.m))
-        c = _complex_normal(slots.at(0), planes)
-        for t in range(n_steps):
-            if t > 0:
-                w = _complex_normal(slots.at(t), planes)
-                c = self.rho * c + innovation * w
-            out[t] = sqrt_gain * c
+        n_block = min(block_steps(16 * m * m), max(n_steps, 1))  # the (n, 2, m, m) draws
+        planes = np.empty((n_block, 2, m, m))
+        out = np.empty((n_steps, m, m), dtype=complex)
+        for t0 in range(0, n_steps, n_block):
+            n = min(n_block, n_steps - t0)
+            for i in range(n):
+                slots.at(t0 + i).standard_normal(out=planes[i])
+            # c is built in the output, so no block-sized temporary is left
+            c = np.multiply(1j, planes[:n, 1], out=out[t0 : t0 + n])
+            c += planes[:n, 0]
+            c /= math.sqrt(2.0)
+            first = int(t0 == 0)  # c_0 is the first draw itself
+            c[first:] *= innovation
+            for i in range(first, n):
+                c[i] += self.rho * (c[i - 1] if i else last)
+            last = c[-1].copy()
+            c *= sqrt_gain
         return out
 
 

@@ -82,8 +82,10 @@ def write_dataset(cfg: ExperimentConfig, split: str, realizations: list[Realizat
 
 
 def load_dataset(path: str | Path) -> tuple[list[Realization], dict]:
-    """Realizations plus manifest from a dataset directory; a malformed
-    manifest or realization file raises ConfigError."""
+    """Realizations plus manifest from a dataset directory.  A malformed
+    manifest or realization file raises ConfigError, and so do seeds that
+    differ between a file and its manifest entry or that do not re-derive
+    from the manifest's master seed and split."""
     path = Path(path)
     try:
         with open(path / MANIFEST_NAME) as f:
@@ -93,6 +95,12 @@ def load_dataset(path: str | Path) -> tuple[list[Realization], dict]:
     if not (isinstance(manifest, dict) and type(manifest.get("count")) is int
             and type(manifest.get("m")) is int):
         raise ConfigError(f"dataset manifest {path / MANIFEST_NAME} needs integers count and m")
+    master, split, seeds = (manifest.get(k) for k in ("master_seed", "split", "seeds"))
+    if not (type(master) is int and master >= 0 and isinstance(split, str)
+            and isinstance(seeds, list) and len(seeds) == manifest["count"]):
+        raise ConfigError(f"dataset manifest {path / MANIFEST_NAME} needs a master_seed >= 0, "
+                          "a split and one seeds entry per realization")
+    sid = _split_id(split)
     realizations = [
         load_realization(path / f"realization_{i:05d}.json")
         for i in range(manifest["count"])
@@ -101,4 +109,10 @@ def load_dataset(path: str | Path) -> tuple[list[Realization], dict]:
         if r.m != manifest["m"]:
             raise ConfigError(f"dataset {path}: realization {i} has m={r.m}, "
                               f"the manifest says m={manifest['m']}")
+        got = {"topology": r.topology_seed, "fading": r.fading_seed}
+        derived = {"topology": derive_seed(master, TOPOLOGY, sid, i),
+                   "fading": derive_seed(master, FADING, sid, i)}
+        if not seeds[i] == got == derived:
+            raise ConfigError(f"dataset {path}: realization {i} has seeds {got}, the manifest "
+                              f"lists {seeds[i]}, master seed {master} derives {derived}")
     return realizations, manifest

@@ -27,7 +27,7 @@ class DegenerateNorm(RrmError):
 
 
 class NegativeDual(RrmError):
-    """A dual variable is negative."""
+    """A dual variable is negative or not finite."""
 
 
 class EmptyInput(RrmError):

@@ -7,13 +7,17 @@ constraint slack and project them back onto the nonnegative orthant:
 
     mu_{k+1} = max(0, mu_k - eta_mu * (mean_rates_window_k - f_min)).
 
-Because mu is fixed for a whole window, each window is one policy call and
-one rate call over its (n, m, m) channels, and equals the step-by-step
-computation bit for bit.  A violated constraint raises its user's dual,
-which the trained policy answers with more transmit power; satisfied
-constraints bleed the dual back toward zero.  An optional freeze step stops
-the dual updates early and is how the plain primal-dual baseline is
-realized.
+Only the duals change between windows, so the channel work is done once per
+time block of whole windows sized by ``core.block_steps``: the block is
+squared once into |h|^2, and the policy turns it once into a window function
+(for the GNN, the block's normalized edges; for full reuse and ITLinQ, which
+ignore the duals, the block's powers).  Each window then costs one policy
+call, one rate call and the dual update, and the result equals the
+step-by-step computation bit for bit.  A violated constraint raises its
+user's dual, which the trained policy answers with more transmit power;
+satisfied constraints bleed the dual back toward zero.  An optional freeze
+step stops the dual updates early and is how the plain primal-dual baseline
+is realized.
 """
 
 from __future__ import annotations
@@ -25,14 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .channel import Realization
-from .core import MetricsSummary, RrmProblemConfig, constraints_g, metrics
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    EmptyInput,
-    NegativeDual,
-    WindowLengthMismatch,
+from .core import (
+    MetricsSummary, RrmProblemConfig, block_steps, checked_duals, constraints_g, metrics,
 )
+from .errors import ConfigError, DimensionMismatch, EmptyInput, WindowLengthMismatch
 from .graph import build_graph
 from .policy import GnnParams, forward
 
@@ -82,8 +82,10 @@ class GnnPolicy:
 
     params: GnnParams
 
-    def powers(self, h: np.ndarray, mu: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
-        return forward(build_graph(h, mu, cfg), self.params, cfg.p_max)
+    def windows(self, abs_h2: np.ndarray, cfg: RrmProblemConfig):
+        """The block's edges once; each window then runs only the forward pass."""
+        graph = build_graph(abs_h2, cfg)
+        return lambda steps, mu: forward(graph[steps], mu, self.params, cfg.p_max)
 
 
 def dual_update(
@@ -93,9 +95,7 @@ def dual_update(
     problem: RrmProblemConfig,
 ) -> np.ndarray:
     """One projected dual-descent step on the window-average rates."""
-    mu_k = np.asarray(mu_k, dtype=float)
-    if np.any(mu_k < 0):
-        raise NegativeDual("dual variables must be nonnegative")
+    mu_k = checked_duals(mu_k)
     window_rates = np.asarray(window_rates, dtype=float)
     if window_rates.ndim != 2 or window_rates.shape[0] != exec_cfg.T0:
         raise WindowLengthMismatch(
@@ -118,18 +118,21 @@ def execute(
     """Run the policy over one channel episode with dual descent.
 
     ``policy`` is either trained GnnParams or any object with a
-    ``powers(h, mu, problem)`` method that maps the channels of one dual
-    window, ``h`` of shape (n, m, m) with n <= T0, and the duals ``mu`` (m,)
-    in force to powers of shape (n, m).  The dual update fires after each
-    complete window k for which ``exec_cfg.updates_after(k)`` holds; a
-    trailing partial window never triggers an update.
+    ``windows(abs_h2, problem)`` method.  It receives the squared channel
+    magnitudes of one time block, (n, m, m), made of whole dual windows
+    except possibly the episode's last, and returns a function
+    ``powers(steps, mu)`` that maps a window's slice of the block and the
+    duals ``mu`` (m,) in force to that window's powers, (len, m).  The dual
+    update fires after each complete window k for which
+    ``exec_cfg.updates_after(k)`` holds; a trailing partial window never
+    triggers an update.
     """
     exec_cfg.validate()
     from .core import rates as rates_fn
 
     policy = _as_policy(policy)
     episode = np.asarray(episode)
-    n_steps = exec_cfg.T
+    n_steps, T0 = exec_cfg.T, exec_cfg.T0
     if episode.ndim != 3 or episode.shape[0] < n_steps or episode.shape[1:] != (
         problem.m,
         problem.m,
@@ -137,24 +140,22 @@ def execute(
         raise DimensionMismatch(
             f"episode shape {episode.shape} cannot cover T={n_steps}, m={problem.m}"
         )
-    n_windows = n_steps // exec_cfg.T0
-    mu = (
-        np.zeros(problem.m)
-        if exec_cfg.mu_init is None
-        else np.asarray(exec_cfg.mu_init, dtype=float)
-    )
+    n_windows = n_steps // T0
+    mu = checked_duals(np.zeros(problem.m) if exec_cfg.mu_init is None else exec_cfg.mu_init)
     if mu.shape != (problem.m,):
         raise DimensionMismatch(f"mu_init shape {mu.shape} inconsistent with m")
-    if np.any(mu < 0):
-        raise NegativeDual("mu_init must be nonnegative")
 
     powers = np.empty((n_steps, problem.m))
     rates_t = np.empty((n_steps, problem.m))
     duals = np.empty((n_windows, problem.m))
-    for k, t0 in enumerate(range(0, n_steps, exec_cfg.T0)):
-        win = slice(t0, min(t0 + exec_cfg.T0, n_steps))
-        powers[win] = policy.powers(episode[win], mu, problem)
-        rates_t[win] = rates_fn(episode[win], powers[win], problem)
+    n_block = block_steps(8 * problem.m**2, T0)  # the (n, m, m) float64 tensors
+    for k, t0 in enumerate(range(0, n_steps, T0)):
+        if t0 % n_block == 0:
+            abs_h2 = np.abs(episode[t0 : min(t0 + n_block, n_steps)]) ** 2
+            window_powers = policy.windows(abs_h2, problem)
+        local, win = slice(t0 % n_block, t0 % n_block + T0), slice(t0, min(t0 + T0, n_steps))
+        powers[win] = window_powers(local, mu)
+        rates_t[win] = rates_fn(abs_h2[local], powers[win], problem)
         if k < n_windows:
             duals[k] = mu
             if exec_cfg.updates_after(k):

@@ -1,9 +1,11 @@
 """Graph representation of the channel consumed by the policy network.
 
 Users are nodes, the edge set is the full set of directed pairs including
-self-edges, node features are the current dual variables, and the weight of
-edge (i, j) is the log channel strength from transmitter i to receiver j,
-normalized so the weight matrix has unit Frobenius norm:
+self-edges, node features are the current dual variables, which
+``policy.forward`` takes apart from the graph because the edges do not depend
+on them, and the weight of edge (i, j) is the log channel strength from
+transmitter i to receiver j, normalized so the weight matrix has unit
+Frobenius norm:
 
     w(i, j) = log(P_max |h_ij|^2 / N) / Z,   Z = || log(P_max |H|^2 / N) ||_F
 
@@ -22,14 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RrmProblemConfig, sorted_sum
-from .errors import DegenerateNorm, DimensionMismatch, NegativeDual, ZeroChannel
+from .errors import DegenerateNorm, DimensionMismatch, ZeroChannel
 
 
 @dataclass
 class RrmGraph:
-    mu: np.ndarray  # (m,) node features, shared by every step
     edges: np.ndarray  # (..., m, m), entry (i, j) on directed edge i -> j
     in_sums: np.ndarray  # (..., m), in_sums[..., v] = sum_u edges[..., u, v]
+
+    def __getitem__(self, steps) -> "RrmGraph":
+        """The graph of a subset of the leading axis, e.g. one dual window."""
+        return RrmGraph(self.edges[steps], self.in_sums[steps])
 
 
 def edge_weights_from_gain2(
@@ -46,15 +51,11 @@ def edge_weights_from_gain2(
     return logs / z[..., None, None], z
 
 
-def build_graph(h: np.ndarray, mu: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
-    """Graph for the steps of ``h`` (..., m, m) under one dual vector: dual
-    node features, normalized log-gain edges per step."""
-    mu = np.asarray(mu, dtype=float)
-    if (mu < 0).any():
-        raise NegativeDual("dual variables must be nonnegative")
-    if h.shape[-2:] != (cfg.m, cfg.m) or mu.shape != (cfg.m,):
-        raise DimensionMismatch(
-            f"channel {h.shape} / duals {mu.shape} inconsistent with m={cfg.m}"
-        )
-    weights, _ = edge_weights_from_gain2(np.abs(h) ** 2, cfg)
-    return RrmGraph(mu=mu, edges=weights, in_sums=weights.sum(axis=-2))
+def build_graph(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
+    """Normalized log-gain edges and their in-sums for every step of the
+    squared channel magnitudes ``abs_h2`` (..., m, m).  The node features,
+    the duals, enter in ``policy.forward``."""
+    if abs_h2.shape[-2:] != (cfg.m, cfg.m):
+        raise DimensionMismatch(f"channel {abs_h2.shape} inconsistent with m={cfg.m}")
+    weights, _ = edge_weights_from_gain2(abs_h2, cfg)
+    return RrmGraph(edges=weights, in_sums=weights.sum(axis=-2))

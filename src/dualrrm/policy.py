@@ -28,6 +28,8 @@ from . import __version__
 from .atomic import atomic_open
 from .core import (
     RrmProblemConfig,
+    block_steps,
+    checked_duals,
     interference_denominators,
     lagrangian,
     lagrangian_rate_weights,
@@ -39,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteActivation,
 )
-from .graph import RrmGraph, edge_weights_from_gain2
+from .graph import RrmGraph, build_graph
 from .seeding import generator
 
 _LN2 = float(np.log(2.0))
@@ -224,10 +226,13 @@ def _backward_tensors(
     return grads
 
 
-def forward(graph: RrmGraph, params: GnnParams, p_max: float) -> np.ndarray:
+def forward(graph: RrmGraph, mu: np.ndarray, params: GnnParams, p_max: float) -> np.ndarray:
     """Transmit powers p_max * sigmoid(pre-activation), (..., m), for every
-    step of a graph."""
-    pre, _ = _forward_tensors(graph.mu[:, None], graph.edges, graph.in_sums, params)
+    step of a graph under one dual vector ``mu`` (m,), the node features."""
+    mu = checked_duals(mu)
+    if mu.shape != graph.in_sums.shape[-1:]:
+        raise DimensionMismatch(f"duals {mu.shape} inconsistent with graph {graph.edges.shape}")
+    pre, _ = _forward_tensors(mu[:, None], graph.edges, graph.in_sums, params)
     return p_max * _sigmoid(pre)
 
 
@@ -266,21 +271,8 @@ def episode_tensors(h_episode: np.ndarray, cfg: RrmProblemConfig) -> EpisodeTens
         raise DimensionMismatch(
             f"episode shape {abs_h2.shape} inconsistent with m={cfg.m}"
         )
-    edges, _ = edge_weights_from_gain2(abs_h2, cfg)
-    return EpisodeTensors(abs_h2=abs_h2, edges=edges, in_sums=edges.sum(axis=-2))
-
-
-# Byte budget of one (n, m, f) float64 temporary of a time block.  Blocks of
-# 10-25 steps at paper shape keep the forward and backward working set in
-# cache, which makes the episode gradient 30-40% faster than one call over
-# all T steps; one-step blocks are slower again, as numpy call overhead then
-# dominates, so the budget must not shrink toward a per-step loop.
-_BLOCK_BYTES = 512 * 1024
-
-
-def _block_steps(m: int, dims: GnnConfig) -> int:
-    """Steps per time block of ``episode_eval``."""
-    return max(1, _BLOCK_BYTES // (8 * m * max(dims.f1, dims.f2)))
+    graph = build_graph(abs_h2, cfg)
+    return EpisodeTensors(abs_h2=abs_h2, edges=graph.edges, in_sums=graph.in_sums)
 
 
 def episode_eval(
@@ -296,10 +288,10 @@ def episode_eval(
     the network into a channel-only policy, with the duals entering solely
     through the objective weights.
 
-    The episode is processed in time blocks of ``_block_steps`` steps.  The
-    rates of every block land in one (T, m) array, so the value and average
-    rates do not depend on the block length; the block gradients are summed
-    in block order.
+    The episode is processed in time blocks of ``core.block_steps`` steps,
+    budgeted by the (n, m, f) hidden activations.  The rates of every block
+    land in one (T, m) array, so the value and average rates do not depend
+    on the block length; the block gradients are summed in block order.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (cfg.m,):
@@ -308,7 +300,7 @@ def episode_eval(
     step_weights = lagrangian_rate_weights(mu, cfg) / n_steps
     feats = mu if node_features is None else np.asarray(node_features, dtype=float)
     y0 = feats[:, None]
-    n_block = _block_steps(cfg.m, params.dims)
+    n_block = block_steps(8 * cfg.m * max(params.dims.f1, params.dims.f2))
     f = np.empty((n_steps, cfg.m))
     grads = None
     for t0 in range(0, n_steps, n_block):

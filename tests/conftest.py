@@ -1,5 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# One profile for every property test: no per-example deadline, since the
+# examples build networks of varying size and a shared machine's timing says
+# nothing about them, and a reproduction blob printed with every failure.
+# Each test sets its own max_examples.
+settings.register_profile("dualrrm", deadline=None, print_blob=True)
+settings.load_profile("dualrrm")
 
 from dualrrm.channel import Realization, TopologyConfig, sample_topology
 from dualrrm.core import RrmProblemConfig

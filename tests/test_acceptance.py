@@ -95,20 +95,20 @@ class TestCriterion2Equivariance:
         for m in range(3, 9):
             problem = RrmProblemConfig(m=m)
             (real,) = make_realizations(m=m, count=1, seed=900 + m)
-            h = real.episode(1)[0]
+            g2 = np.abs(real.episode(1)[0]) ** 2
             mu = rng.uniform(0, 1, m)
             p = rng.uniform(0, problem.p_max, m)
-            base_powers = forward(build_graph(h, mu, problem), params, problem.p_max)
-            base_rates = rates(h, p, problem)
+            base_powers = forward(build_graph(g2, problem), mu, params, problem.p_max)
+            base_rates = rates(g2, p, problem)
             base_g = constraints_g(base_rates, problem)
             for _ in range(20):
                 perm = rng.permutation(m)
-                hp = relabel_matrix(h, perm)
-                out = forward(build_graph(hp, mu[perm], problem), params, problem.p_max)
+                g2p = relabel_matrix(g2, perm)
+                out = forward(build_graph(g2p, problem), mu[perm], params, problem.p_max)
                 worst_forward = max(
                     worst_forward, float(np.max(np.abs(out - base_powers[perm])))
                 )
-                rp = rates(hp, p[perm], problem)
+                rp = rates(g2p, p[perm], problem)
                 rates_exact &= np.array_equal(rp, base_rates[perm])
                 rates_exact &= np.array_equal(constraints_g(rp, problem), base_g[perm])
                 checks += 1
@@ -306,10 +306,10 @@ class TestCriterion9TwoUserOracle:
                 rho=1.0,  # frozen fading: the channel is static
                 topology_seed=inst,
             )
-            h = real.episode(1)[0]
+            g2 = np.abs(real.episode(1)[0]) ** 2
             best = -np.inf
             for p1 in grid:
-                f = np.array([rates(h, np.array([p1, p2]), problem) for p2 in grid])
+                f = np.array([rates(g2, np.array([p1, p2]), problem) for p2 in grid])
                 feasible = (f >= problem.f_min_bps_hz).all(axis=1)
                 if feasible.any():
                     sums = f.sum(axis=1)

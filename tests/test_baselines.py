@@ -53,28 +53,28 @@ class TestFullReuse:
         cfg = RrmProblemConfig(m=1)
         h = random_channel(rng, 1)
         best = max(
-            rates(h, np.array([p]), cfg)[0] for p in np.linspace(0, cfg.p_max, 101)
+            rates(np.abs(h) ** 2, np.array([p]), cfg)[0] for p in np.linspace(0, cfg.p_max, 101)
         )
-        assert rates(h, full_reuse(h, cfg), cfg)[0] == best
+        assert rates(np.abs(h) ** 2, full_reuse(h, cfg), cfg)[0] == best
 
 
 class TestItlinq:
     def test_single_link_always_scheduled(self, rng):
         cfg = RrmProblemConfig(m=1)
-        p = itlinq_schedule(random_channel(rng, 1), cfg, ItlinqConfig())
+        p = itlinq_schedule(np.abs(random_channel(rng, 1)) ** 2, cfg, ItlinqConfig())
         assert p[0] == cfg.p_max
 
     def test_zero_cross_gain_schedules_both(self):
         cfg = RrmProblemConfig(m=2)
         h = np.diag([1e-4, 1e-4]).astype(complex)
         h[0, 1] = h[1, 0] = 1e-300  # effectively zero interference
-        p = itlinq_schedule(h, cfg, ItlinqConfig())
+        p = itlinq_schedule(np.abs(h) ** 2, cfg, ItlinqConfig())
         assert np.array_equal(p, np.full(2, cfg.p_max))
 
     def test_binary_output(self, rng):
         cfg = RrmProblemConfig(m=6)
         for _ in range(10):
-            p = itlinq_schedule(random_channel(rng, 6), cfg, ItlinqConfig())
+            p = itlinq_schedule(np.abs(random_channel(rng, 6)) ** 2, cfg, ItlinqConfig())
             assert set(np.unique(p)).issubset({0.0, cfg.p_max})
 
     def test_greedy_set_satisfies_conditions_and_is_maximal(self, rng):
@@ -85,7 +85,7 @@ class TestItlinq:
         margin = 10 ** (icfg.m_margin_db / 10)
         for _ in range(25):
             h = random_channel(rng, 4)
-            p = itlinq_schedule(h, cfg, icfg)
+            p = itlinq_schedule(np.abs(h) ** 2, cfg, icfg)
             chosen = set(np.flatnonzero(p > 0))
             inr = cfg.p_max * np.abs(h) ** 2 / cfg.noise
             snr = np.diagonal(inr)
@@ -108,7 +108,7 @@ class TestItlinq:
     def test_by_index_ordering(self, rng):
         cfg = RrmProblemConfig(m=4)
         h = random_channel(rng, 4)
-        p = itlinq_schedule(h, cfg, ItlinqConfig(ordering="by-index"))
+        p = itlinq_schedule(np.abs(h) ** 2, cfg, ItlinqConfig(ordering="by-index"))
         inr = cfg.p_max * np.abs(h) ** 2 / cfg.noise
         snr = np.diagonal(inr)
         cap = 10 ** (25 / 10) * snr**0.7
@@ -123,16 +123,16 @@ class TestItlinq:
         icfg = ItlinqConfig(m_margin_db=300.0)
         for _ in range(5):
             h = random_channel(rng, 6)
-            assert np.array_equal(itlinq_schedule(h, cfg, icfg), full_reuse(h, cfg))
+            assert np.array_equal(itlinq_schedule(np.abs(h) ** 2, cfg, icfg), full_reuse(h, cfg))
 
     def test_permutation_equivariant_with_snr_order(self, rng):
         cfg = RrmProblemConfig(m=5)
         icfg = ItlinqConfig()
         h = random_channel(rng, 5)
-        p = itlinq_schedule(h, cfg, icfg)
+        p = itlinq_schedule(np.abs(h) ** 2, cfg, icfg)
         for _ in range(10):
             perm = rng.permutation(5)
-            pp = itlinq_schedule(relabel_matrix(h, perm), cfg, icfg)
+            pp = itlinq_schedule(np.abs(relabel_matrix(h, perm)) ** 2, cfg, icfg)
             assert np.array_equal(pp, p[perm])
 
     @pytest.mark.parametrize("ordering", ["by-SNR-desc", "by-index"])
@@ -145,7 +145,7 @@ class TestItlinq:
                 h = np.sqrt(random_gains(rng, 1, m)[0]).astype(complex)
                 if m > 1 and rng.random() < 0.3:
                     h[1, 1] = h[0, 0]  # tied direct SNRs
-                p = itlinq_schedule(h, problem, icfg)
+                p = itlinq_schedule(np.abs(h) ** 2, problem, icfg)
                 assert np.array_equal(p, itlinq_oracle(h, problem, icfg))
                 shares.append(np.count_nonzero(p) / m)
         # the instances both admit and reject links
@@ -186,12 +186,15 @@ class TestEarlyStoppedBaseline:
             assert np.array_equal(trace.duals, np.zeros_like(trace.duals))
 
     def test_policy_wrappers_ignore_duals(self, rng):
-        # a dual window (n, m, m) in, one power vector per step out
+        # a block's |h|^2 (n, m, m) in, one power vector per step out
         cfg = RrmProblemConfig(m=3)
-        window = np.stack([random_channel(rng, 3, scale=s) for s in (1e-5, 1e-6, 3e-5, 1e-5)])
+        block = np.stack([random_channel(rng, 3, scale=s) for s in (1e-5, 1e-6, 3e-5, 1e-5)])
+        g2 = np.abs(block) ** 2
         for policy in (FullReusePolicy(), ItlinqPolicy(ItlinqConfig())):
-            p = policy.powers(window, np.zeros(3), cfg)
+            window_powers = policy.windows(g2, cfg)
+            p = window_powers(slice(0, 4), np.zeros(3))
             assert p.shape == (4, 3)
-            assert np.array_equal(p, policy.powers(window, np.ones(3), cfg))
+            assert np.array_equal(p, window_powers(slice(0, 4), np.ones(3)))
+            assert np.array_equal(p[1:3], window_powers(slice(1, 3), np.ones(3)))
             for t in range(4):
-                assert np.array_equal(p[t], policy.powers(window[t], np.ones(3), cfg))
+                assert np.array_equal(p[t], policy.windows(g2[t], cfg)(..., np.ones(3)))

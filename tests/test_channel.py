@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from dualrrm import core
 from dualrrm.channel import (
     LinkGainMatrix,
     PathlossConfig,
@@ -212,13 +214,39 @@ class TestRealizationIO:
 
     def test_episode_matches_manual_stepping(self):
         (real,) = make_realizations(m=3, count=1, seed=8)
-        ep = real.episode(4)
-        # the recurrence slot by slot: c_0 from slot 0, then w_t from slot t
-        sqrt_gain = np.sqrt(real.large.gains_linear)
-        c = complex_normal_at(real.fading_seed, 0, 3)
-        manual = [sqrt_gain * c]
-        for t in range(1, 4):
-            w = complex_normal_at(real.fading_seed, t, 3)
-            c = real.rho * c + math.sqrt(1.0 - real.rho**2) * w
-            manual.append(sqrt_gain * c)
-        assert np.array_equal(ep, np.stack(manual))
+        assert np.array_equal(real.episode(4), manual_episode(real, 4))
+
+
+def manual_episode(real, n_steps):
+    """The recurrence slot by slot: c_0 from slot 0, then w_t from slot t."""
+    sqrt_gain = np.sqrt(real.large.gains_linear)
+    c = complex_normal_at(real.fading_seed, 0, real.m)
+    manual = [sqrt_gain * c]
+    for t in range(1, n_steps):
+        w = complex_normal_at(real.fading_seed, t, real.m)
+        c = real.rho * c + math.sqrt(1.0 - real.rho**2) * w
+        manual.append(sqrt_gain * c)
+    return np.stack(manual)
+
+
+class TestSynthesisBlocks:
+    @settings(max_examples=40)
+    @given(
+        m=st.integers(1, 8),
+        n_steps=st.integers(1, 40),
+        rho=st.sampled_from([0.0, 0.956, 1.0]),
+        split=st.sampled_from(["one", "two", "uneven", "whole"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(m=1, n_steps=7, rho=0.0, split="two", seed=3)
+    @example(m=1, n_steps=7, rho=1.0, split="uneven", seed=3)
+    def test_blocks_match_slot_by_slot(self, m, n_steps, rho, split, seed):
+        # the recurrence must carry c across every block edge unchanged
+        (real,) = make_realizations(m=m, count=1, seed=seed, area=1000.0, rho=rho)
+        # "uneven": a block longer than half the episode, then a shorter one
+        n = {"one": 1, "two": 2, "uneven": n_steps // 2 + 1, "whole": n_steps}[split]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_BYTES", n * 16 * m * m)
+            assert core.block_steps(16 * m * m) == n
+            episode = real.episode(n_steps)
+        assert np.array_equal(episode, manual_episode(real, n_steps))

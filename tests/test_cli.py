@@ -405,12 +405,22 @@ class TestMalformedCheckpoint:
         assert err.startswith("config error: checkpoint") and "Traceback" not in err
 
 
+def _rewrite(name, mutate):
+    """A dataset mutation that rewrites one file's bytes."""
+
+    def apply(dataset):
+        target = dataset / name
+        target.write_bytes(mutate(target.read_bytes()))
+
+    return apply
+
+
 def _manifest(change):
-    return "manifest.json", _edit(change)
+    return _rewrite("manifest.json", _edit(change))
 
 
 def _realization(change):
-    return "realization_00001.json", _edit(change)
+    return _rewrite("realization_00001.json", _edit(change))
 
 
 def _first_gain(value):
@@ -420,14 +430,25 @@ def _first_gain(value):
     return _realization(change)
 
 
+def _swap_realizations(dataset):
+    first, second = dataset / "realization_00000.json", dataset / "realization_00001.json"
+    raw = first.read_bytes()
+    first.write_bytes(second.read_bytes())
+    second.write_bytes(raw)
+
+
+def _bump_seed(entry, key):
+    entry[key] += 1
+
+
 DATASET_MUTATIONS = {
-    "manifest_truncated": ("manifest.json", lambda raw: raw[: len(raw) // 2]),
-    "manifest_not_an_object": ("manifest.json", lambda raw: b"[1, 2]"),
+    "manifest_truncated": _rewrite("manifest.json", lambda raw: raw[: len(raw) // 2]),
+    "manifest_not_an_object": _rewrite("manifest.json", lambda raw: b"[1, 2]"),
     "manifest_count_missing": _manifest(lambda d: d.pop("count")),
     "manifest_count_string": _manifest(lambda d: d.update(count="2")),
     "manifest_m_disagrees": _manifest(lambda d: d.update(m=d["m"] + 1)),
-    "realization_truncated": ("realization_00001.json", lambda raw: raw[: len(raw) // 2]),
-    "realization_not_an_object": ("realization_00001.json", lambda raw: b"null"),
+    "realization_truncated": _rewrite("realization_00001.json", lambda raw: raw[: len(raw) // 2]),
+    "realization_not_an_object": _rewrite("realization_00001.json", lambda raw: b"null"),
     "fading_seed_missing": _realization(lambda d: d.pop("fading_seed")),
     "fading_seed_float": _realization(lambda d: d.update(fading_seed=1.5)),
     "rho_string": _realization(lambda d: d.update(rho="0.9")),
@@ -436,6 +457,12 @@ DATASET_MUTATIONS = {
     "gains_disagree_with_m": _realization(lambda d: d["gains_linear"].pop()),
     "gain_negative": _first_gain(-1.0),
     "gain_nan": _first_gain(float("nan")),
+    # seeds: files, manifest and master seed must agree
+    "realizations_swapped": _swap_realizations,
+    "fading_seed_edited": _realization(lambda d: _bump_seed(d, "fading_seed")),
+    "manifest_seed_edited": _manifest(lambda d: _bump_seed(d["seeds"][1], "topology")),
+    "manifest_seeds_short": _manifest(lambda d: d["seeds"].pop()),
+    "master_seed_edited": _manifest(lambda d: _bump_seed(d, "master_seed")),
 }
 
 
@@ -445,9 +472,7 @@ class TestMalformedDataset:
         _, cfg_path, run, _ = workspace
         out = tmp_path / "out"
         shutil.copytree(run / "datasets" / "test", out / "datasets" / "test")
-        name, mutate = DATASET_MUTATIONS[case]
-        target = out / "datasets" / "test" / name
-        target.write_bytes(mutate(target.read_bytes()))
+        DATASET_MUTATIONS[case](out / "datasets" / "test")
         capsys.readouterr()
         code = main(["eval", "--config", str(cfg_path), "--policy", "full_reuse",
                      "--out", str(out)])

@@ -12,7 +12,6 @@ from dualrrm.core import (
     lagrangian_rate_weights,
     metrics,
     rates,
-    rates_from_gain2,
     utility_sum,
 )
 from dualrrm.errors import DimensionMismatch, EmptyInput, NegativeDual
@@ -34,13 +33,13 @@ class TestRates:
     def test_zero_power_zero_rate(self, rng):
         cfg = RrmProblemConfig(m=4)
         h = random_channel(rng, 4)
-        assert np.array_equal(rates(h, np.zeros(4), cfg), np.zeros(4))
+        assert np.array_equal(rates(np.abs(h) ** 2, np.zeros(4), cfg), np.zeros(4))
 
     def test_unit_sinr_gives_one(self):
         cfg = RrmProblemConfig(m=1)
         # pick |h|^2 so that p_max |h|^2 equals the noise power exactly
         h = np.array([[math.sqrt(cfg.noise / cfg.p_max)]], dtype=complex)
-        f = rates(h, np.array([cfg.p_max]), cfg)
+        f = rates(np.abs(h) ** 2, np.array([cfg.p_max]), cfg)
         assert f[0] == 1.0
 
     def test_two_user_symmetric_closed_form(self):
@@ -49,7 +48,7 @@ class TestRates:
         h = np.sqrt(np.array([[a, b], [b, a]], dtype=complex))
         p = np.full(2, cfg.p_max)
         expected = math.log2(1 + cfg.p_max * a / (cfg.noise + cfg.p_max * b))
-        f = rates(h, p, cfg)
+        f = rates(np.abs(h) ** 2, p, cfg)
         assert f[0] == pytest.approx(expected, rel=1e-12)
         assert f[1] == pytest.approx(expected, rel=1e-12)
 
@@ -64,7 +63,7 @@ class TestRates:
                 [cfg.noise] + [p[j] * g2[j, i] for j in range(5) if j != i]
             )
             oracle = math.log2(1.0 + p[i] * g2[i, i] / denom)
-            assert rates(h, p, cfg)[i] == pytest.approx(oracle, rel=1e-15)
+            assert rates(g2, p, cfg)[i] == pytest.approx(oracle, rel=1e-15)
 
     def test_monotone_in_own_and_cross_power(self, rng):
         cfg = RrmProblemConfig(m=4)
@@ -74,7 +73,8 @@ class TestRates:
             i = trial % 4
             bumped = p.copy()
             bumped[i] = min(cfg.p_max, p[i] + 0.5)
-            f0, f1 = rates(h, p, cfg), rates(h, bumped, cfg)
+            g2 = np.abs(h) ** 2
+            f0, f1 = rates(g2, p, cfg), rates(g2, bumped, cfg)
             assert f1[i] >= f0[i]
             others = np.arange(4) != i
             assert np.all(f1[others] <= f0[others])
@@ -83,16 +83,17 @@ class TestRates:
         cfg = RrmProblemConfig(m=6)
         h = random_channel(rng, 6)
         p = rng.uniform(0, cfg.p_max, 6)
-        f = rates(h, p, cfg)
+        g2 = np.abs(h) ** 2
+        f = rates(g2, p, cfg)
         for _ in range(10):
             perm = rng.permutation(6)
-            f_perm = rates(relabel_matrix(h, perm), p[perm], cfg)
+            f_perm = rates(relabel_matrix(g2, perm), p[perm], cfg)
             assert np.array_equal(f_perm, f[perm])
 
     def test_dimension_mismatch(self, rng):
         cfg = RrmProblemConfig(m=3)
         with pytest.raises(DimensionMismatch):
-            rates(random_channel(rng, 4), np.zeros(4), cfg)
+            rates(np.abs(random_channel(rng, 4)) ** 2, np.zeros(4), cfg)
 
 
 class TestBatchedDenominators:
@@ -123,12 +124,12 @@ class TestBatchedDenominators:
         g2 = random_gains(rng, 5, m)
         p = rng.uniform(0, cfg.p_max, (5, m))
         d = interference_denominators(g2, p, cfg.noise)
-        f = rates_from_gain2(g2, p, cfg)
+        f = rates(g2, p, cfg)
         for t in range(5):
             assert np.array_equal(d[t], interference_denominators(g2[t], p[t], cfg.noise))
-            assert np.array_equal(f[t], rates_from_gain2(g2[t], p[t], cfg))
+            assert np.array_equal(f[t], rates(g2[t], p[t], cfg))
         # extra leading axes reduce the same way
-        f2 = rates_from_gain2(np.stack([g2, g2[::-1]]), np.stack([p, p[::-1]]), cfg)
+        f2 = rates(np.stack([g2, g2[::-1]]), np.stack([p, p[::-1]]), cfg)
         assert np.array_equal(f2[0], f) and np.array_equal(f2[1], f[::-1])
 
 
@@ -185,6 +186,14 @@ class TestLagrangian:
         cfg = RrmProblemConfig(m=2)
         with pytest.raises(NegativeDual):
             lagrangian(np.ones(2), np.array([0.1, -0.1]), cfg)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_dual_rejected(self, bad):
+        cfg = RrmProblemConfig(m=2)
+        with pytest.raises(NegativeDual):
+            lagrangian(np.ones(2), np.array([0.1, bad]), cfg)
+        with pytest.raises(NegativeDual):
+            lagrangian_rate_weights(np.array([bad, 0.0]), cfg)
 
     def test_affine_in_mu_with_gradient_g(self, rng):
         cfg = RrmProblemConfig(m=4)

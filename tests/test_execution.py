@@ -1,9 +1,12 @@
 from dataclasses import replace
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dualrrm import execution
+from dualrrm import core, execution
 from dualrrm.core import RrmProblemConfig, metrics, rates
 from dualrrm.errors import (
     DimensionMismatch,
@@ -65,6 +68,45 @@ class TestDualUpdate:
         problem = RrmProblemConfig(m=2)
         with pytest.raises(NegativeDual):
             dual_update(np.array([-0.1, 0.0]), np.zeros((5, 2)), exec_cfg(), problem)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_dual_rejected(self, bad):
+        # a NaN fails every comparison, so a bare "mu < 0" test lets it through
+        problem = RrmProblemConfig(m=3)
+        with pytest.raises(NegativeDual):
+            dual_update(np.array([0.0, bad, 1.0]), np.zeros((5, 3)), exec_cfg(), problem)
+        (real,) = make_realizations(m=3, count=1, seed=32, area=400.0)
+        cfg = ExecConfig(T=5, T0=5, mu_init=(0.0, bad, 1.0))
+        with pytest.raises(NegativeDual):
+            execute(FullReusePolicy(), real.episode(5), cfg, problem)
+
+    @settings(max_examples=40)
+    @given(
+        m=st.integers(1, 12),
+        T0=st.integers(1, 7),
+        eta=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_projection_laws(self, m, T0, eta, seed):
+        rng = np.random.default_rng(seed)
+        problem = RrmProblemConfig(m=m)
+        cfg = ExecConfig(T=T0, T0=T0, eta_mu=eta)
+        mu = rng.uniform(0, 5, m) * (rng.random(m) < 0.7)  # some duals at zero
+        window = rng.uniform(0, 2, (T0, m))
+        out = dual_update(mu, window, cfg, problem)
+        slack = window.mean(axis=0) - problem.f_min_bps_hz
+        assert np.all(out >= 0)
+        assert np.array_equal(out, np.maximum(0.0, mu - eta * slack))
+        # identical columns make every user's window mean the same float,
+        # so that mean can serve as an f_min the window meets exactly
+        balanced = np.repeat(window[:, :1], m, axis=1)
+        exact = RrmProblemConfig(m=m, f_min_bps_hz=float(balanced.mean(axis=0)[0]))
+        assert np.array_equal(dual_update(mu, balanced, cfg, exact), mu)
+        # raising one user's window rates never raises that user's dual
+        i = int(rng.integers(m))
+        raised = window.copy()
+        raised[:, i] += rng.uniform(0, 1, T0)
+        assert dual_update(mu, raised, cfg, problem)[i] <= out[i]
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +279,8 @@ class TestTraceBatteryCatches:
 
 def stepwise_reference(policy, episode, cfg, problem):
     """The online algorithm one step at a time: powers and rates per step,
-    the dual update after each complete window that ends before t_stop."""
+    the dual update after each complete window that ends before t_stop.
+    Each step is a block of its own, (m, m) with no time axis."""
     mu = np.zeros(problem.m) if cfg.mu_init is None else np.array(cfg.mu_init, dtype=float)
     powers = np.empty((cfg.T, problem.m))
     rates_t = np.empty((cfg.T, problem.m))
@@ -245,8 +288,9 @@ def stepwise_reference(policy, episode, cfg, problem):
     for t in range(cfg.T):
         if t % cfg.T0 == 0 and t // cfg.T0 < cfg.T // cfg.T0:
             duals.append(mu)
-        powers[t] = policy.powers(episode[t], mu, problem)
-        rates_t[t] = rates(episode[t], powers[t], problem)
+        g2 = np.abs(episode[t]) ** 2
+        powers[t] = policy.windows(g2, problem)(..., mu)
+        rates_t[t] = rates(g2, powers[t], problem)
         if (t + 1) % cfg.T0 == 0 and (cfg.t_stop is None or t < cfg.t_stop):
             mu = dual_update(mu, rates_t[t + 1 - cfg.T0 : t + 1], cfg, problem)
     return powers, rates_t, np.array(duals), mu
@@ -289,6 +333,50 @@ class TestWindowedExecution:
         assert np.array_equal(trace.final_dual, final)
 
 
+POLICIES = {
+    "gnn": lambda params: GnnPolicy(params),
+    "full_reuse": lambda params: FullReusePolicy(),
+    "itlinq_snr": lambda params: ItlinqPolicy(ItlinqConfig()),
+    "itlinq_index": lambda params: ItlinqPolicy(ItlinqConfig(ordering="by-index")),
+}
+
+
+class TestExecutionBlocks:
+    @settings(max_examples=40)
+    @given(
+        m=st.integers(1, 12),
+        T0=st.integers(1, 7),
+        T=st.integers(1, 60),
+        t_stop=st.one_of(st.none(), st.integers(0, 60)),
+        policy_name=st.sampled_from(sorted(POLICIES)),
+        blocks=st.sampled_from(["one", "two", "whole"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(m=3, T0=5, T=23, t_stop=10, policy_name="gnn", blocks="two", seed=7)
+    @example(m=3, T0=5, T=23, t_stop=12, policy_name="gnn", blocks="two", seed=7)
+    def test_blocks_equal_stepwise_reference(self, m, T0, T, t_stop, policy_name, blocks, seed):
+        # blocks of one window, two windows or the whole episode: the duals
+        # must cross a block edge exactly as they cross a window edge inside
+        # a block, with t_stop on a window edge or inside a window
+        T = max(T, T0)
+        rng = np.random.default_rng(seed)
+        problem = RrmProblemConfig(m=m)
+        (real,) = make_realizations(m=m, count=1, seed=seed, area=1000.0)
+        policy = POLICIES[policy_name](init_params(GnnConfig(f1=8, f2=8), seed))
+        cfg = ExecConfig(T=T, T0=T0, t_stop=t_stop, mu_init=tuple(rng.uniform(0, 3, m)))
+        episode = real.episode(T)
+        n_windows = {"one": 1, "two": 2, "whole": -(-T // T0)}[blocks]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_BYTES", n_windows * T0 * 8 * m * m)
+            assert core.block_steps(8 * m * m, T0) == n_windows * T0
+            trace = execute(policy, episode, cfg, problem)
+        powers, rates_t, duals, final = stepwise_reference(policy, episode, cfg, problem)
+        assert np.array_equal(trace.powers, powers)
+        assert np.array_equal(trace.rates, rates_t)
+        assert np.array_equal(trace.duals, duals)
+        assert np.array_equal(trace.final_dual, final)
+
+
 def replay_final(trace: EpisodeTrace, problem) -> np.ndarray:
     cfg = exec_cfg(T=trace.rates.shape[0])
     mu = trace.duals[0].copy()
@@ -322,7 +410,9 @@ class TestEvaluateSuite:
         summary, traces = evaluate_suite(FullReusePolicy(), test_set[:1], cfg, problem)
         episode = test_set[0].episode(20)
         p_full = np.full(problem.m, problem.p_max)
-        direct = np.mean([rates(episode[t], p_full, problem) for t in range(20)], axis=0)
+        direct = np.mean(
+            [rates(np.abs(episode[t]) ** 2, p_full, problem) for t in range(20)], axis=0
+        )
         assert np.allclose(traces[0].final_ergodic, direct, atol=1e-12)
         assert summary == metrics(direct, problem)
 

@@ -6,7 +6,7 @@ import pytest
 from dualrrm.core import RrmProblemConfig
 from dualrrm.errors import DegenerateNorm, DimensionMismatch, NegativeDual, ZeroChannel
 from dualrrm.graph import build_graph, edge_weights_from_gain2
-from dualrrm.policy import episode_tensors
+from dualrrm.policy import GnnConfig, episode_tensors, forward, init_params
 
 from conftest import relabel_matrix
 
@@ -64,60 +64,67 @@ class TestEdgeNormalizer:
 
 class TestBuildGraph:
     def test_zero_duals_zero_features(self, rng):
+        # zero duals feed zero node features: with zero biases the network
+        # output is sigmoid(0) whatever the channel and the weights
         cfg = RrmProblemConfig(m=3)
         h = 1e-8 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        g = build_graph(h, np.zeros(3), cfg)
-        assert np.array_equal(g.mu, np.zeros(3))
+        params = init_params(GnnConfig(f1=4, f2=4), 1)
+        g = build_graph(np.abs(h) ** 2, cfg)
+        powers = forward(g, np.zeros(3), params, cfg.p_max)
+        assert np.array_equal(powers, np.full(3, cfg.p_max / 2))
 
     def test_unit_frobenius_norm(self, rng):
         cfg = RrmProblemConfig(m=4)
         h = 1e-8 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        g = build_graph(h, np.zeros(4), cfg)
+        g = build_graph(np.abs(h) ** 2, cfg)
         assert np.linalg.norm(g.edges) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_weights_preserved(self):
         cfg = RrmProblemConfig(m=2)
         h = channel_with_strength_ratio(cfg, math.e)
         h[0, 1] = h[0, 1] * 1e-4  # much weaker link -> negative log strength
-        g = build_graph(h, np.zeros(2), cfg)
+        g = build_graph(np.abs(h) ** 2, cfg)
         assert g.edges[0, 1] < 0
 
     def test_permutation_relabeling(self, rng):
         cfg = RrmProblemConfig(m=4)
         h = 1e-8 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        mu = rng.uniform(0, 1, 4)
-        g = build_graph(h, mu, cfg)
+        g = build_graph(np.abs(h) ** 2, cfg)
         perm = rng.permutation(4)
-        gp = build_graph(relabel_matrix(h, perm), mu[perm], cfg)
+        gp = build_graph(np.abs(relabel_matrix(h, perm)) ** 2, cfg)
         assert np.max(np.abs(gp.edges - relabel_matrix(g.edges, perm))) < 1e-12
-        assert np.array_equal(gp.mu, g.mu[perm])
         assert edge_normalizer(relabel_matrix(h, perm), cfg) == edge_normalizer(h, cfg)
 
     def test_negative_dual_rejected(self, rng):
+        # the duals enter as node features; NaN and inf are refused like -0.2
         cfg = RrmProblemConfig(m=2)
-        h = channel_with_strength_ratio(cfg, math.e)
-        with pytest.raises(NegativeDual):
-            build_graph(h, np.array([0.1, -0.2]), cfg)
+        g = build_graph(np.abs(channel_with_strength_ratio(cfg, math.e)) ** 2, cfg)
+        params = init_params(GnnConfig(f1=2, f2=2), 0)
+        for bad in (-0.2, math.nan, math.inf):
+            with pytest.raises(NegativeDual):
+                forward(g, np.array([0.1, bad]), params, cfg.p_max)
 
     def test_dimension_mismatch(self, rng):
         cfg = RrmProblemConfig(m=3)
-        h = channel_with_strength_ratio(cfg, math.e)
+        g2 = np.abs(channel_with_strength_ratio(cfg, math.e)) ** 2
         with pytest.raises(DimensionMismatch):
-            build_graph(h, np.zeros(4), cfg)
+            build_graph(g2, RrmProblemConfig(m=4))
+        params = init_params(GnnConfig(f1=2, f2=2), 0)
+        with pytest.raises(DimensionMismatch):
+            forward(build_graph(g2, cfg), np.zeros(4), params, cfg.p_max)
 
     def test_window_graph_matches_single_steps(self, rng):
         cfg = RrmProblemConfig(m=3)
         window = 1e-8 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
-        mu = rng.uniform(0, 1, 3)
-        g = build_graph(window, mu, cfg)
+        g = build_graph(np.abs(window) ** 2, cfg)
         z = edge_normalizer(window, cfg)
         assert g.edges.shape == (4, 3, 3) and g.in_sums.shape == (4, 3) and z.shape == (4,)
         for t in range(4):
-            step = build_graph(window[t], mu, cfg)
+            step = build_graph(np.abs(window[t]) ** 2, cfg)
             assert np.array_equal(g.edges[t], step.edges)
             assert np.array_equal(g.in_sums[t], step.in_sums)
             assert z[t] == edge_normalizer(window[t], cfg)
-            assert np.array_equal(g.mu, step.mu)
+            assert np.array_equal(g[1:3].edges, g.edges[1:3])
 
     def test_batched_weights_match_single_step(self, rng):
         cfg = RrmProblemConfig(m=3)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualrrm import policy
-from dualrrm.core import RrmProblemConfig, rates, rates_from_gain2
+from dualrrm import core
+from dualrrm.core import RrmProblemConfig, block_steps, rates
 from dualrrm.errors import (
     CheckpointDimMismatch,
     DimensionMismatch,
@@ -18,7 +18,6 @@ from dualrrm.graph import RrmGraph, build_graph
 from dualrrm.policy import (
     Checkpoint,
     GnnConfig,
-    _block_steps,
     _d_lagrangian_d_powers,
     _forward_tensors,
     apply_update,
@@ -44,7 +43,7 @@ def random_graph(rng, cfg, mu=None):
     h = 1e-8 * (rng.standard_normal((cfg.m, cfg.m)) + 1j * rng.standard_normal((cfg.m, cfg.m)))
     if mu is None:
         mu = rng.uniform(0, 1, cfg.m)
-    return build_graph(h, mu, cfg), h, mu
+    return build_graph(np.abs(h) ** 2, cfg), h, mu
 
 
 class TestInit:
@@ -74,34 +73,34 @@ class TestInit:
         outputs = {}
         for m in (4, 16, 64):
             cfg = small_problem(m)
-            g, _, _ = random_graph(rng, cfg)
-            outputs[m] = forward(g, p, cfg.p_max)
+            g, _, mu = random_graph(rng, cfg)
+            outputs[m] = forward(g, mu, p, cfg.p_max)
             assert p.flat.size == size
             assert outputs[m].shape == (m,)
 
 
-def pre_activation(graph, params):
-    return _forward_tensors(graph.mu[:, None], graph.edges, graph.in_sums, params)[0]
+def pre_activation(graph, mu, params):
+    return _forward_tensors(mu[:, None], graph.edges, graph.in_sums, params)[0]
 
 
 class TestForward:
     def test_zero_params_give_half_power(self, rng):
         cfg = small_problem(5)
         p = init_params(GnnConfig(f1=8, f2=8), 0).zeros_like()
-        g, _, _ = random_graph(rng, cfg)
-        assert np.array_equal(forward(g, p, cfg.p_max), np.full(5, cfg.p_max / 2))
-        assert np.array_equal(pre_activation(g, p), np.zeros(5))
+        g, _, mu = random_graph(rng, cfg)
+        assert np.array_equal(forward(g, mu, p, cfg.p_max), np.full(5, cfg.p_max / 2))
+        assert np.array_equal(pre_activation(g, mu, p), np.zeros(5))
 
     @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
     def test_permutation_equivariance(self, m, rng):
         cfg = small_problem(m)
         params = init_params(GnnConfig(f1=16, f2=16), 7)
         g, h, mu = random_graph(rng, cfg)
-        base = forward(g, params, cfg.p_max)
+        base = forward(g, mu, params, cfg.p_max)
         for _ in range(5):
             perm = rng.permutation(m)
-            gp = build_graph(relabel_matrix(h, perm), mu[perm], cfg)
-            permuted = forward(gp, params, cfg.p_max)
+            gp = build_graph(np.abs(relabel_matrix(h, perm)) ** 2, cfg)
+            permuted = forward(gp, mu[perm], params, cfg.p_max)
             assert np.max(np.abs(permuted - base[perm])) < 1e-9
 
     def test_two_node_hand_trace(self):
@@ -127,15 +126,15 @@ class TestForward:
         expected_pre = y * 1.3 + 0.11
         expected_powers = cfg.p_max / (1 + np.exp(-expected_pre))
 
-        g = RrmGraph(mu=mu, edges=edges, in_sums=edges.sum(axis=0))
-        assert np.allclose(pre_activation(g, params), expected_pre, atol=1e-12)
-        assert np.allclose(forward(g, params, cfg.p_max), expected_powers, atol=1e-12)
+        g = RrmGraph(edges=edges, in_sums=edges.sum(axis=0))
+        assert np.allclose(pre_activation(g, mu, params), expected_pre, atol=1e-12)
+        assert np.allclose(forward(g, mu, params, cfg.p_max), expected_powers, atol=1e-12)
 
     def test_powers_strictly_inside_box(self, rng):
         cfg = small_problem(6)
         params = init_params(GnnConfig(f1=16, f2=16), 2)
-        g, _, _ = random_graph(rng, cfg)
-        powers = forward(g, params, cfg.p_max)
+        g, _, mu = random_graph(rng, cfg)
+        powers = forward(g, mu, params, cfg.p_max)
         assert np.all(powers > 0) and np.all(powers < cfg.p_max)
         # serialization round trip stays in the closed box
         back = np.array(json.loads(json.dumps(powers.tolist())))
@@ -145,9 +144,9 @@ class TestForward:
         cfg = small_problem(3)
         params = init_params(GnnConfig(f1=8, f2=8), 0)
         params.w_out[0, 0] = np.inf
-        g, _, _ = random_graph(rng, cfg)
+        g, _, mu = random_graph(rng, cfg)
         with pytest.raises(NonFiniteActivation):
-            forward(g, params, cfg.p_max)
+            forward(g, mu, params, cfg.p_max)
 
     def test_use_bias_off_keeps_bias_inert(self, rng):
         cfg = small_problem(3)
@@ -169,8 +168,9 @@ class TestEpisodeObjective:
         episode = real.episode(6)
         value, _, _ = episode_eval(episode_tensors(episode, cfg), np.zeros(4), params, cfg)
         # independent path: the policy over the whole episode, then plain rates
-        powers = forward(build_graph(episode, np.zeros(4), cfg), params, cfg.p_max)
-        avg = rates(episode, powers, cfg).mean(axis=0)
+        g2 = np.abs(episode) ** 2
+        powers = forward(build_graph(g2, cfg), np.zeros(4), params, cfg.p_max)
+        avg = rates(g2, powers, cfg).mean(axis=0)
         assert value == pytest.approx(float(avg.sum()), abs=1e-12)
 
     def test_value_matches_direct_rate_computation(self):
@@ -183,9 +183,9 @@ class TestEpisodeObjective:
         # independent path: forward per step, rates per step, closed form
         f = []
         for t in range(5):
-            g = build_graph(episode[t], mu, cfg)
-            p = forward(g, params, cfg.p_max)
-            f.append(rates(episode[t], p, cfg))
+            g2 = np.abs(episode[t]) ** 2
+            p = forward(build_graph(g2, cfg), mu, params, cfg.p_max)
+            f.append(rates(g2, p, cfg))
         avg = np.mean(f, axis=0)
         closed = float(((1 + mu) * avg).sum() - cfg.f_min_bps_hz * mu.sum())
         assert value == pytest.approx(closed, abs=1e-10)
@@ -232,14 +232,19 @@ class TestEpisodeObjective:
         assert np.max(np.abs(g2.flat - (ga.flat + gb.flat))) < 1e-10
 
 
+def gradient_block_steps(m, dims):
+    """Steps per time block of ``episode_eval``."""
+    return block_steps(8 * m * max(dims.f1, dims.f2))
+
+
 def force_block_steps(mp, n, m, dims):
     """Make ``episode_eval`` run time blocks of exactly ``n`` steps."""
-    mp.setattr(policy, "_BLOCK_BYTES", n * 8 * m * max(dims.f1, dims.f2))
-    assert _block_steps(m, dims) == n
+    mp.setattr(core, "_BLOCK_BYTES", n * 8 * m * max(dims.f1, dims.f2))
+    assert gradient_block_steps(m, dims) == n
 
 
 class TestTimeBlocks:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         m=st.integers(1, 12),
         n_steps=st.integers(1, 40),
@@ -275,13 +280,19 @@ class TestTimeBlocks:
         assert report.passed(1e-4), f"max rel err {report.max_rel_err}"
 
     def test_block_rule(self):
-        assert _block_steps(50, GnnConfig(f1=64, f2=64)) == 20  # paper shape
+        assert gradient_block_steps(50, GnnConfig(f1=64, f2=64)) == 20  # paper shape
         # one block at the desk acceptance shape (m=6, f=64, T=50) and the
         # golden-run shapes (m=6 and 20, f=16, T=20)
-        assert _block_steps(6, GnnConfig()) >= 50
-        assert _block_steps(6, GnnConfig(f1=16, f2=16)) >= 20
-        assert _block_steps(20, GnnConfig(f1=16, f2=16)) >= 20
-        assert _block_steps(10**6, GnnConfig()) == 1
+        assert gradient_block_steps(6, GnnConfig()) >= 50
+        assert gradient_block_steps(6, GnnConfig(f1=16, f2=16)) >= 20
+        assert gradient_block_steps(20, GnnConfig(f1=16, f2=16)) >= 20
+        assert gradient_block_steps(10**6, GnnConfig()) == 1
+        # execution: whole T0-windows of (n, m, m) tensors, the whole desk
+        # episode at m=6 and 25 steps at m=50; synthesis: 13 steps at m=50
+        assert block_steps(8 * 6 * 6, 5) >= 400
+        assert block_steps(8 * 50 * 50, 5) == 25
+        assert block_steps(16 * 50 * 50) == 13
+        assert block_steps(10**9, 5) == 5
 
 
 def random_kernel_inputs(rng, cfg, n_steps):
@@ -296,7 +307,7 @@ class TestRatesAndGradientKernel:
         cfg = small_problem(m)
         g2, p, w = random_kernel_inputs(rng, cfg, 5)
         f, dldp = _d_lagrangian_d_powers(g2, p, w, cfg)
-        assert np.array_equal(f, rates_from_gain2(g2, p, cfg))
+        assert np.array_equal(f, rates(g2, p, cfg))
         for t in range(5):
             f_t, dldp_t = _d_lagrangian_d_powers(g2[t], p[t], w, cfg)
             assert np.array_equal(f_t, f[t]) and np.array_equal(dldp_t, dldp[t])
@@ -327,7 +338,7 @@ class TestRatesAndGradientKernel:
             up, down = p.copy(), p.copy()
             up[:, j] += step  # steps are independent, so all move at once
             down[:, j] -= step
-            diff = rates_from_gain2(g2, up, cfg) - rates_from_gain2(g2, down, cfg)
+            diff = rates(g2, up, cfg) - rates(g2, down, cfg)
             fd[..., j] = diff / (2 * step)
         # central differences carry ~ulp(f)/step of rounding noise, so the
         # relative bound only applies to entries that rise above that floor
@@ -366,7 +377,7 @@ class TestApplyUpdate:
 class TestFlatParams:
     NAMES = [f"layer{l}.{k}" for l in (1, 2) for k in ("w1", "w2", "w3", "b")] + ["out.w", "out.b"]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         f1=st.integers(1, 16),
         f2=st.integers(1, 16),

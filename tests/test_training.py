@@ -170,8 +170,9 @@ class TestTrainLoop:
         for real in dataset:
             episode = real.episode(10)
             for t in range(10):
-                g = build_graph(episode[t], np.array([0.5]), problem)
-                ratios.append(forward(g, params, problem.p_max)[0] / problem.p_max)
+                g = build_graph(np.abs(episode[t]) ** 2, problem)
+                p = forward(g, np.array([0.5]), params, problem.p_max)
+                ratios.append(p[0] / problem.p_max)
         assert np.mean(ratios) > 0.95
 
     def test_fixed_mu_trend_mostly_nondecreasing(self):
@@ -247,16 +248,14 @@ class TestPerMuOracle:
 
     def test_oracle_ignores_dual_input(self):
         # constant node features: the trained oracle computes the same powers
-        # whatever dual vector the graph carries
+        # whatever dual vector the execution is under, since it is run with
+        # the constant features it was trained on
         dataset = make_realizations(m=3, count=1, seed=8)
         problem = RrmProblemConfig(m=3)
         dims = GnnConfig(f1=8, f2=8)
         mu = np.array([0.2, 0.7, 0.3])
         oracle = train_per_mu_oracle(mu, tiny_cfg(n_iters=3), problem, dims, dataset)
-        episode = dataset[0].episode(2)
-        g_a = build_graph(episode[0], np.zeros(3), problem)
-        g_b = build_graph(episode[0], np.array([0.9, 0.1, 0.5]), problem)
-        g_a.mu = g_b.mu = np.ones(3)
-        pa = forward(g_a, oracle, problem.p_max)
-        pb = forward(g_b, oracle, problem.p_max)
+        g2 = np.abs(dataset[0].episode(2)[0]) ** 2
+        pa = forward(build_graph(g2, problem), np.ones(3), oracle, problem.p_max)
+        pb = forward(build_graph(g2.copy(), problem), np.ones(3), oracle, problem.p_max)
         assert np.array_equal(pa, pb)
