@@ -48,29 +48,29 @@ def itlinq_schedule(
     SNR, ties broken by lower index).  Candidate j joins the scheduled set S
     when for every i in S both INR(i -> j) <= M * SNR_i**eta and
     INR(j -> i) <= M * SNR_j**eta, with SNRs and INRs measured against the
-    noise floor at maximum power.  Everything but the greedy scan is
-    computed for all steps at once.
+    noise floor at maximum power.  The greedy scan runs once per rank k
+    over every step at once: each step's k-th candidate is admitted where
+    its conflict row hits none of that step's scheduled links.
     """
     cfg.validate()
+    m = problem.m
     inr = problem.p_max * abs_h2 / problem.noise  # (..., i, j): tx i at rx j
     snr = inr.diagonal(0, -2, -1)
     margin = 10.0 ** (cfg.m_margin_db / 10.0)
     cap = margin * snr**cfg.eta_exponent
     ok = inr <= cap[..., None]  # (..., i, j): INR(i -> j) within i's cap
-    compat = (ok & ok.swapaxes(-1, -2)).reshape(-1, problem.m, problem.m).tolist()
+    conflict = ~(ok & ok.swapaxes(-1, -2)).reshape(-1, m, m)  # [s, j, i]: i, j may not coexist
+    scheduled = np.zeros(conflict.shape[:2], dtype=bool)
     if cfg.ordering == "by-SNR-desc":
-        orders = np.argsort(-snr, axis=-1, kind="stable").reshape(-1, problem.m).tolist()
+        orders = np.argsort(-snr, axis=-1, kind="stable").reshape(-1, m)
     else:
-        orders = [range(problem.m)] * len(compat)
-    powers = np.zeros((len(compat), problem.m))
-    for p, rows, order in zip(powers, compat, orders):  # [j][i]: i and j may coexist
-        scheduled: list[int] = []
-        for j in order:
-            row = rows[j]
-            if all(row[i] for i in scheduled):
-                scheduled.append(j)
-        p[scheduled] = problem.p_max
-    return powers.reshape(abs_h2.shape[:-1])
+        orders = np.broadcast_to(np.arange(m), scheduled.shape)
+    steps = np.arange(len(scheduled))
+    # every step's candidate of the same rank; j itself is not yet
+    # scheduled, so its own diagonal entry never counts against it
+    for j in orders.T:
+        scheduled[steps, j] = ~(conflict[steps, j] & scheduled).any(axis=-1)
+    return np.where(scheduled, problem.p_max, 0.0).reshape(abs_h2.shape[:-1])
 
 
 @dataclass

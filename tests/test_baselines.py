@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualrrm.baselines import (
     FullReusePolicy,
@@ -150,6 +151,39 @@ class TestItlinq:
                 shares.append(np.count_nonzero(p) / m)
         # the instances both admit and reject links
         assert any(0.0 < share < 1.0 for share in shares)
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 12),
+        margin_db=st.floats(-10.0, 30.0),
+        ordering=st.sampled_from(["by-SNR-desc", "by-index"]),
+        ties=st.booleans(),
+        repeats=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_block_matches_pairwise_oracle_per_step(
+        self, n, m, margin_db, ordering, ties, repeats, seed
+    ):
+        # one call decides every step of an (n, m, m) block; each step must
+        # be the schedule the oracle gives for that step alone
+        rng = np.random.default_rng(seed)
+        problem = RrmProblemConfig(m=m)
+        icfg = ItlinqConfig(m_margin_db=margin_db, ordering=ordering)
+        gains = random_gains(rng, n, m)
+        if ties:  # a random subset of each step's links share one direct gain
+            for g in gains:
+                tied = np.flatnonzero(rng.random(m) < 0.5)
+                g[tied, tied] = g[0, 0]
+        if repeats:  # some steps repeat an earlier step of the block
+            for s in range(1, n):
+                if rng.random() < 0.5:
+                    gains[s] = gains[rng.integers(s)]
+        h = np.sqrt(gains).astype(complex)
+        p = itlinq_schedule(np.abs(h) ** 2, problem, icfg)
+        assert p.shape == (n, m)
+        for s in range(n):
+            assert np.array_equal(p[s], itlinq_oracle(h[s], problem, icfg))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -1,15 +1,17 @@
 """Golden-run check: the CLI pipeline's outputs, compared byte for byte.
 
 A pure refactor must leave every default output byte-identical.  ``run``
-drives the CLI of this checkout's ``src`` through a fixed pipeline at m=6
-and m=20 (generate, train with intermediate checkpoints, eval with CDF and
-trace exports, early-stop eval, baselines, gradcheck, theorem-suite) and
-keeps every file it writes plus the stdout and exit code of each step.
+drives the CLI of this checkout's ``src`` (or of ``--src DIR``) through a
+fixed pipeline at m=6 and m=20 (generate, train with intermediate
+checkpoints, eval with CDF and trace exports, early-stop eval, baselines,
+ITLinQ eval under a config copy with the by-index ordering, gradcheck,
+theorem-suite) and keeps every file it writes plus the stdout and exit code
+of each step.
 ``compare`` lists every file that is missing from either tree or differs,
 and exits nonzero if there is any.
 
-    python3 tools/golden.py run /tmp/golden_old      # in the old checkout
-    python3 tools/golden.py run /tmp/golden_new      # in the new checkout
+    python3 tools/golden.py run /tmp/golden_old --src /path/to/old/src
+    python3 tools/golden.py run /tmp/golden_new      # this checkout's src
     python3 tools/golden.py compare /tmp/golden_old /tmp/golden_new
 
 Wall-clock outputs (``train --timing``, ``--export-timing``) are left out,
@@ -45,35 +47,38 @@ def _config(m: int) -> dict:
     }
 
 
-def _steps(m: int) -> list[tuple[str, list[str]]]:
-    ckpt = f"m{m}/{CKPT}"
+def _steps(m: int) -> list[tuple[str, str, list[str]]]:
+    """(name, config file, argv) of each CLI call."""
+    cfg, by_index, ckpt = f"m{m}.json", f"m{m}_by_index.json", f"m{m}/{CKPT}"
     return [
-        ("generate_train", ["generate", "--split", "train"]),
-        ("generate_test", ["generate", "--split", "test"]),
-        ("train", ["train"]),
-        ("eval", ["eval", "--checkpoint", ckpt, "--export-cdf", "--export-trace", "2"]),
-        ("eval_early_stop", ["eval", "--policy", "early_stop", "--t-stop", "37",
-                             "--checkpoint", ckpt]),
-        ("baselines", ["baselines", "--checkpoint", ckpt, "--export-cdf"]),
-        ("gradcheck", ["gradcheck", "--m", str(m), "--steps", "5", "--coords", "20"]),
-        ("theorem_suite", ["theorem-suite", "--checkpoint", ckpt, "--realizations", "4"]),
+        ("generate_train", cfg, ["generate", "--split", "train"]),
+        ("generate_test", cfg, ["generate", "--split", "test"]),
+        ("train", cfg, ["train"]),
+        ("eval", cfg, ["eval", "--checkpoint", ckpt, "--export-cdf", "--export-trace", "2"]),
+        ("eval_early_stop", cfg, ["eval", "--policy", "early_stop", "--t-stop", "37",
+                                  "--checkpoint", ckpt]),
+        ("baselines", cfg, ["baselines", "--checkpoint", ckpt, "--export-cdf"]),
+        ("eval_itlinq_by_index", by_index, ["eval", "--policy", "itlinq"]),
+        ("gradcheck", cfg, ["gradcheck", "--m", str(m), "--steps", "5", "--coords", "20"]),
+        ("theorem_suite", cfg, ["theorem-suite", "--checkpoint", ckpt, "--realizations", "4"]),
     ]
 
 
-def run(out: Path) -> int:
+def run(out: Path, src: Path) -> int:
     if out.exists() and any(out.iterdir()):
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     out.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     failed = 0
     for m in AREA_M:
-        cfg = f"m{m}.json"
-        (out / cfg).write_text(json.dumps(_config(m), sort_keys=True))
+        (out / f"m{m}.json").write_text(json.dumps(_config(m), sort_keys=True))
+        by_index = dict(_config(m), itlinq={"ordering": "by-index"})
+        (out / f"m{m}_by_index.json").write_text(json.dumps(by_index, sort_keys=True))
         logs = out / f"m{m}" / "stdout"
         logs.mkdir(parents=True)
-        for name, argv in _steps(m):
+        for name, cfg, argv in _steps(m):
             proc = subprocess.run(
                 [sys.executable, "-m", "dualrrm.cli", *argv, "--config", cfg],
                 cwd=out, env=env, capture_output=True, text=True,
@@ -114,12 +119,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("run", help="run the pipeline into an empty directory")
     p.add_argument("out", type=Path)
+    p.add_argument("--src", type=Path, default=SRC,
+                   help="package sources to run (default: this checkout's src)")
     p = sub.add_parser("compare", help="compare two run directories byte for byte")
     p.add_argument("a", type=Path)
     p.add_argument("b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.out)
+        return run(args.out, args.src)
     return compare(args.a, args.b)
 
 
