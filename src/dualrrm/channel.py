@@ -9,7 +9,9 @@ process.  The channel matrix at time t is
     h[i, j] = sqrt(G[i, j]) * c[i, j],
 
 where G holds the large-scale power gains (transmitter i to receiver j,
-linear scale) and c the unit-power complex fading coefficients at t.
+linear scale) and c the unit-power complex fading coefficients at t.  Every
+consumer reads only the gains |h|^2 = G |c|^2, so an episode is synthesized
+straight into them; the complex coefficients never leave this module.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ class Realization:
         return self.large.m
 
     def episode(self, n_steps: int) -> np.ndarray:
-        """Channels for steps 0..n_steps-1 as a (T, m, m) complex array.
+        """Gains |h_t|^2 = G |c_t|^2 for steps 0..n_steps-1, (T, m, m) float64.
 
         The fading starts from the stationary law, c_0 ~ CN(0, 1), and
         follows c_t = rho * c_{t-1} + sqrt(1 - rho^2) * w_t with w_t ~ CN(0, 1)
@@ -192,7 +194,7 @@ class Realization:
         ``fading_seed`` (the real parts, then the imaginary parts), so any
         episode replays from the seed alone.  The steps are synthesized in
         time blocks sized by ``core.block_steps``: the normal draws, the
-        complex innovations and the sqrt(G) scaling take a few calls per
+        complex innovations and the gains |sqrt(G) c|^2 take a few calls per
         block, and the recurrence one multiply-add per step.
         """
         if not 0.0 <= self.rho <= 1.0:
@@ -202,13 +204,13 @@ class Realization:
         innovation = math.sqrt(1.0 - self.rho**2)
         n_block = min(block_steps(16 * m * m), max(n_steps, 1))  # the (n, 2, m, m) draws
         planes = np.empty((n_block, 2, m, m))
-        out = np.empty((n_steps, m, m), dtype=complex)
+        coeffs = np.empty((n_block, m, m), dtype=complex)
+        out = np.empty((n_steps, m, m))
         for t0 in range(0, n_steps, n_block):
             n = min(n_block, n_steps - t0)
             for i in range(n):
                 slots.at(t0 + i).standard_normal(out=planes[i])
-            # c is built in the output, so no block-sized temporary is left
-            c = np.multiply(1j, planes[:n, 1], out=out[t0 : t0 + n])
+            c = np.multiply(1j, planes[:n, 1], out=coeffs[:n])
             c += planes[:n, 0]
             c /= math.sqrt(2.0)
             first = int(t0 == 0)  # c_0 is the first draw itself
@@ -217,6 +219,8 @@ class Realization:
                 c[i] += self.rho * (c[i - 1] if i else last)
             last = c[-1].copy()
             c *= sqrt_gain
+            gain = np.abs(c, out=out[t0 : t0 + n])
+            gain **= 2
         return out
 
 

@@ -8,16 +8,15 @@ constraint slack and project them back onto the nonnegative orthant:
     mu_{k+1} = max(0, mu_k - eta_mu * (mean_rates_window_k - f_min)).
 
 Only the duals change between windows, so the channel work is done once per
-time block of whole windows sized by ``core.block_steps``: the block is
-squared once into |h|^2, and the policy turns it once into a window function
-(for the GNN, the block's normalized edges; for full reuse and ITLinQ, which
-ignore the duals, the block's powers).  Each window then costs one policy
-call, one rate call and the dual update, and the result equals the
-step-by-step computation bit for bit.  A violated constraint raises its
-user's dual, which the trained policy answers with more transmit power;
-satisfied constraints bleed the dual back toward zero.  An optional freeze
-step stops the dual updates early and is how the plain primal-dual baseline
-is realized.
+time block of whole windows sized by ``core.block_steps``: the policy turns
+the block's gains |h|^2 once into a window function (for the GNN, the
+block's normalized edges; for full reuse and ITLinQ, which ignore the duals,
+the block's powers).  Each window then costs one policy call, one rate call
+and the dual update, and the result equals the step-by-step computation bit
+for bit.  A violated constraint raises its user's dual, which the trained
+policy answers with more transmit power; satisfied constraints bleed the dual
+back toward zero.  An optional freeze step stops the dual updates early and
+is how the plain primal-dual baseline is realized.
 """
 
 from __future__ import annotations
@@ -28,12 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
+# core.rates is looked up at call time, so a patched core.rates takes effect
+from . import core
 from .channel import Realization
 from .core import (
     MetricsSummary, RrmProblemConfig, block_steps, checked_duals, constraints_g, metrics,
 )
 from .errors import ConfigError, DimensionMismatch, EmptyInput, WindowLengthMismatch
-from .graph import build_graph
+from .graph import _checked_gain_episode, build_graph
 from .policy import GnnParams, forward
 
 DEFAULT_ETA_MU = 20.0
@@ -115,12 +116,14 @@ def execute(
     exec_cfg: ExecConfig,
     problem: RrmProblemConfig,
 ) -> EpisodeTrace:
-    """Run the policy over one channel episode with dual descent.
+    """Run the policy over one gain episode with dual descent.
 
-    ``policy`` is either trained GnnParams or any object with a
-    ``windows(abs_h2, problem)`` method.  It receives the squared channel
-    magnitudes of one time block, (n, m, m), made of whole dual windows
-    except possibly the episode's last, and returns a function
+    ``episode`` holds the gains |h|^2 of at least ``exec_cfg.T`` steps,
+    (T, m, m), as ``Realization.episode`` returns them; complex channels are
+    refused.  ``policy`` is either trained GnnParams or any object with a
+    ``windows(abs_h2, problem)`` method.  It receives the gains of one time
+    block, (n, m, m), made of whole dual windows except possibly the
+    episode's last, and returns a function
     ``powers(steps, mu)`` that maps a window's slice of the block and the
     duals ``mu`` (m,) in force to that window's powers, (len, m).  The dual
     update fires after each complete window k for which
@@ -128,18 +131,9 @@ def execute(
     triggers an update.
     """
     exec_cfg.validate()
-    from .core import rates as rates_fn
-
     policy = _as_policy(policy)
-    episode = np.asarray(episode)
     n_steps, T0 = exec_cfg.T, exec_cfg.T0
-    if episode.ndim != 3 or episode.shape[0] < n_steps or episode.shape[1:] != (
-        problem.m,
-        problem.m,
-    ):
-        raise DimensionMismatch(
-            f"episode shape {episode.shape} cannot cover T={n_steps}, m={problem.m}"
-        )
+    episode = _checked_gain_episode(episode, n_steps, problem.m)
     n_windows = n_steps // T0
     mu = checked_duals(np.zeros(problem.m) if exec_cfg.mu_init is None else exec_cfg.mu_init)
     if mu.shape != (problem.m,):
@@ -151,11 +145,11 @@ def execute(
     n_block = block_steps(8 * problem.m**2, T0)  # the (n, m, m) float64 tensors
     for k, t0 in enumerate(range(0, n_steps, T0)):
         if t0 % n_block == 0:
-            abs_h2 = np.abs(episode[t0 : min(t0 + n_block, n_steps)]) ** 2
+            abs_h2 = episode[t0 : min(t0 + n_block, n_steps)]
             window_powers = policy.windows(abs_h2, problem)
         local, win = slice(t0 % n_block, t0 % n_block + T0), slice(t0, min(t0 + T0, n_steps))
         powers[win] = window_powers(local, mu)
-        rates_t[win] = rates_fn(abs_h2[local], powers[win], problem)
+        rates_t[win] = core.rates(abs_h2[local], powers[win], problem)
         if k < n_windows:
             duals[k] = mu
             if exec_cfg.updates_after(k):

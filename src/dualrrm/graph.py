@@ -1,11 +1,12 @@
 """Graph representation of the channel consumed by the policy network.
 
-Users are nodes, the edge set is the full set of directed pairs including
-self-edges, node features are the current dual variables, which
-``policy.forward`` takes apart from the graph because the edges do not depend
-on them, and the weight of edge (i, j) is the log channel strength from
-transmitter i to receiver j, normalized so the weight matrix has unit
-Frobenius norm:
+A graph carries the gains |h|^2 it was built from, which the rates read, and
+the edge tensors derived from them.  Users are nodes, the edge set is the
+full set of directed pairs including self-edges, node features are the
+current dual variables, which ``policy.forward`` takes apart from the graph
+because the edges do not depend on them, and the weight of edge (i, j) is
+the log channel strength from transmitter i to receiver j, normalized so the
+weight matrix has unit Frobenius norm:
 
     w(i, j) = log(P_max |h_ij|^2 / N) / Z,   Z = || log(P_max |H|^2 / N) ||_F
 
@@ -29,33 +30,37 @@ from .errors import DegenerateNorm, DimensionMismatch, ZeroChannel
 
 @dataclass
 class RrmGraph:
+    gain: np.ndarray  # (..., m, m) |h|^2, entry (i, j): transmitter i -> receiver j
     edges: np.ndarray  # (..., m, m), entry (i, j) on directed edge i -> j
     in_sums: np.ndarray  # (..., m), in_sums[..., v] = sum_u edges[..., u, v]
 
     def __getitem__(self, steps) -> "RrmGraph":
         """The graph of a subset of the leading axis, e.g. one dual window."""
-        return RrmGraph(self.edges[steps], self.in_sums[steps])
+        return RrmGraph(self.gain[steps], self.edges[steps], self.in_sums[steps])
 
 
-def edge_weights_from_gain2(
-    abs_h2: np.ndarray, cfg: RrmProblemConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized edge weights and their normalizers from |h|^2 (..., m, m);
-    the normalizers have the leading shape."""
+def _checked_gain_episode(gain: np.ndarray, n_steps: int, m: int) -> np.ndarray:
+    """``gain`` as an array, if it is a real (T, m, m) gain episode |h|^2 of
+    at least ``n_steps`` steps."""
+    gain = np.asarray(gain)
+    if np.iscomplexobj(gain):
+        raise DimensionMismatch("the episode holds complex channels; pass the gains |h|^2")
+    if gain.ndim != 3 or gain.shape[0] < n_steps or gain.shape[1:] != (m, m):
+        raise DimensionMismatch(f"episode shape {gain.shape} cannot cover T={n_steps}, m={m}")
+    return gain
+
+
+def build_graph(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
+    """The gains ``abs_h2`` (..., m, m) with their normalized log-gain edges
+    and in-sums for every step.  The node features, the duals, enter in
+    ``policy.forward``."""
+    if abs_h2.shape[-2:] != (cfg.m, cfg.m):
+        raise DimensionMismatch(f"channel {abs_h2.shape} inconsistent with m={cfg.m}")
     if not abs_h2.all():
         raise ZeroChannel("channel magnitude is zero on at least one link")
     logs = np.log(cfg.p_max * abs_h2 / cfg.noise)
     z = np.sqrt(sorted_sum((logs**2).reshape(logs.shape[:-2] + (-1,))))
     if not z.all():
         raise DegenerateNorm("all log channel strengths are zero")
-    return logs / z[..., None, None], z
-
-
-def build_graph(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
-    """Normalized log-gain edges and their in-sums for every step of the
-    squared channel magnitudes ``abs_h2`` (..., m, m).  The node features,
-    the duals, enter in ``policy.forward``."""
-    if abs_h2.shape[-2:] != (cfg.m, cfg.m):
-        raise DimensionMismatch(f"channel {abs_h2.shape} inconsistent with m={cfg.m}")
-    weights, _ = edge_weights_from_gain2(abs_h2, cfg)
-    return RrmGraph(edges=weights, in_sums=weights.sum(axis=-2))
+    weights = logs / z[..., None, None]
+    return RrmGraph(gain=abs_h2, edges=weights, in_sums=weights.sum(axis=-2))

@@ -41,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteActivation,
 )
-from .graph import RrmGraph, build_graph
+from .graph import RrmGraph, _checked_gain_episode, build_graph
 from .seeding import generator
 
 _LN2 = float(np.log(2.0))
@@ -256,27 +256,14 @@ def _d_lagrangian_d_powers(
     return f, beta * a - sorted_sum(cross)
 
 
-@dataclass
-class EpisodeTensors:
-    """Channel-derived arrays reused across every evaluation of an episode."""
-
-    abs_h2: np.ndarray  # (T, m, m)
-    edges: np.ndarray  # (T, m, m)
-    in_sums: np.ndarray  # (T, m)
-
-
-def episode_tensors(h_episode: np.ndarray, cfg: RrmProblemConfig) -> EpisodeTensors:
-    abs_h2 = np.abs(np.asarray(h_episode)) ** 2
-    if abs_h2.ndim != 3 or abs_h2.shape[0] < 1 or abs_h2.shape[1:] != (cfg.m, cfg.m):
-        raise DimensionMismatch(
-            f"episode shape {abs_h2.shape} inconsistent with m={cfg.m}"
-        )
-    graph = build_graph(abs_h2, cfg)
-    return EpisodeTensors(abs_h2=abs_h2, edges=graph.edges, in_sums=graph.in_sums)
+def episode_tensors(gain: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
+    """The graph of a gain episode |h|^2 (T, m, m), T >= 1, reused across
+    every evaluation of the episode."""
+    return build_graph(_checked_gain_episode(gain, 1, cfg.m), cfg)
 
 
 def episode_eval(
-    tensors: EpisodeTensors,
+    graph: RrmGraph,
     mu: np.ndarray,
     params: GnnParams,
     cfg: RrmProblemConfig,
@@ -296,7 +283,7 @@ def episode_eval(
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (cfg.m,):
         raise DimensionMismatch(f"duals {mu.shape} inconsistent with m={cfg.m}")
-    n_steps = tensors.abs_h2.shape[0]
+    n_steps = graph.gain.shape[0]
     step_weights = lagrangian_rate_weights(mu, cfg) / n_steps
     feats = mu if node_features is None else np.asarray(node_features, dtype=float)
     y0 = feats[:, None]
@@ -305,14 +292,12 @@ def episode_eval(
     grads = None
     for t0 in range(0, n_steps, n_block):
         win = slice(t0, t0 + n_block)
-        edges, in_sums = tensors.edges[win], tensors.in_sums[win]
-        pre, cache = _forward_tensors(y0, edges, in_sums, params)
+        block = graph[win]
+        pre, cache = _forward_tensors(y0, block.edges, block.in_sums, params)
         sig = _sigmoid(pre)
-        f[win], dldp = _d_lagrangian_d_powers(
-            tensors.abs_h2[win], cfg.p_max * sig, step_weights, cfg
-        )
+        f[win], dldp = _d_lagrangian_d_powers(block.gain, cfg.p_max * sig, step_weights, cfg)
         d_pre = dldp * cfg.p_max * sig * (1.0 - sig)
-        block_grads = _backward_tensors(d_pre, cache, edges, in_sums, params)
+        block_grads = _backward_tensors(d_pre, cache, block.edges, block.in_sums, params)
         if grads is None:
             grads = block_grads
         else:

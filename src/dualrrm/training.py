@@ -29,8 +29,8 @@ from .errors import (
     SizeLimitExceeded,
     UnsupportedDistribution,
 )
+from .graph import RrmGraph
 from .policy import (
-    EpisodeTensors,
     GnnConfig,
     GnnParams,
     apply_update,
@@ -124,20 +124,20 @@ def _sample_index(global_sample: int, dataset_size: int, seed: int, perm_cache: 
 
 
 def _episode_task(payload) -> tuple[float, GnnParams, np.ndarray]:
-    tensors, mu, params, cfg, node_features = payload
-    return episode_eval(tensors, mu, params, cfg, node_features=node_features)
+    graph, mu, params, cfg, node_features = payload
+    return episode_eval(graph, mu, params, cfg, node_features=node_features)
 
 
 class _TensorCache:
-    """Lazily materialized per-realization episode tensors."""
+    """Lazily materialized per-realization episode graphs."""
 
     def __init__(self, dataset: Sequence[Realization], n_steps: int, cfg: RrmProblemConfig):
         self._dataset = dataset
         self._n_steps = n_steps
         self._cfg = cfg
-        self._cache: dict[int, EpisodeTensors] = {}
+        self._cache: dict[int, RrmGraph] = {}
 
-    def get(self, idx: int) -> EpisodeTensors:
+    def get(self, idx: int) -> RrmGraph:
         if idx not in self._cache:
             self._cache[idx] = episode_tensors(
                 self._dataset[idx].episode(self._n_steps), self._cfg

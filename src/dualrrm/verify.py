@@ -73,11 +73,11 @@ def finite_difference_check(
     if topology.m != problem.m:
         raise ConfigError("topology and problem disagree on m")
     large = sample_topology(topology, seed)
-    episode = Realization(large, seed + 1, DEFAULT_FADING_RHO, seed).episode(n_steps)
-    tensors = episode_tensors(episode, problem)
+    gain = Realization(large, seed + 1, DEFAULT_FADING_RHO, seed).episode(n_steps)
+    graph = episode_tensors(gain, problem)
     mu = sample_duals(problem.m, 1, ("uniform", 0.0, 1.0), seed + 2)[0]
     params = init_params(dims, seed + 3)
-    _, grads, _ = episode_eval(tensors, mu, params, problem)
+    _, grads, _ = episode_eval(graph, mu, params, problem)
 
     named = params.named_arrays()
     grad_named = dict(grads.named_arrays())
@@ -98,9 +98,9 @@ def finite_difference_check(
         target = dict(shifted.named_arrays())[name]
         original = target[index]
         target[index] = original + step
-        up, _, _ = episode_eval(tensors, mu, shifted, problem)
+        up, _, _ = episode_eval(graph, mu, shifted, problem)
         target[index] = original - step
-        down, _, _ = episode_eval(tensors, mu, shifted, problem)
+        down, _, _ = episode_eval(graph, mu, shifted, problem)
         target[index] = original
         numeric = (up - down) / (2.0 * step)
         analytic = float(grad_named[name][index])

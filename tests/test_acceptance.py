@@ -95,7 +95,7 @@ class TestCriterion2Equivariance:
         for m in range(3, 9):
             problem = RrmProblemConfig(m=m)
             (real,) = make_realizations(m=m, count=1, seed=900 + m)
-            g2 = np.abs(real.episode(1)[0]) ** 2
+            g2 = real.episode(1)[0]
             mu = rng.uniform(0, 1, m)
             p = rng.uniform(0, problem.p_max, m)
             base_powers = forward(build_graph(g2, problem), mu, params, problem.p_max)
@@ -306,7 +306,7 @@ class TestCriterion9TwoUserOracle:
                 rho=1.0,  # frozen fading: the channel is static
                 topology_seed=inst,
             )
-            g2 = np.abs(real.episode(1)[0]) ** 2
+            g2 = real.episode(1)[0]
             best = -np.inf
             for p1 in grid:
                 f = np.array([rates(g2, np.array([p1, p2]), problem) for p2 in grid])

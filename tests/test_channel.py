@@ -103,7 +103,7 @@ class TestTopology:
 
 def realization(m, rho, seed, gain=1.0):
     """A realization with every large-scale gain equal to ``gain``, so its
-    channels are sqrt(gain) times the fading coefficients."""
+    episode is ``gain`` times the fading powers |c|^2."""
     large = LinkGainMatrix(
         gains_linear=np.full((m, m), gain), tx_positions=np.zeros((m, 2)),
         rx_positions=np.zeros((m, 2)),
@@ -120,6 +120,10 @@ def complex_normal_at(seed, slot, m):
     return (re + 1j * im) / math.sqrt(2.0)
 
 
+def lag1_correlation(x):
+    return np.corrcoef(x[1:], x[:-1])[0, 1]
+
+
 class TestFading:
     def test_rho_one_never_changes(self):
         ep = realization(4, 1.0, 9).episode(3)
@@ -129,36 +133,37 @@ class TestFading:
         # with rho = 0 each step is its own slot's innovation, whatever came before
         ep = realization(3, 0.0, 11).episode(3)
         for t in range(3):
-            assert np.array_equal(ep[t], complex_normal_at(11, t, 3))
+            assert np.array_equal(ep[t], np.abs(complex_normal_at(11, t, 3)) ** 2)
 
     def test_unit_mean_power(self):
         # 10^5 i.i.d. stationary draws
-        c0 = realization(317, 0.956, 123).episode(1)[0]
-        mean_power = np.mean(np.abs(c0) ** 2)
+        mean_power = np.mean(realization(317, 0.956, 123).episode(1)[0])
         assert 0.98 <= mean_power <= 1.02
+
+    # The powers of a complex Gauss-Markov process have lag-1 correlation
+    # rho^2.  Over 10^5 steps its estimate has a standard error of about
+    # 0.0034 at rho = 0 and 0.0022 at rho = 0.956 (400 simulated runs each),
+    # so both bounds sit 6-9 standard errors out.
 
     def test_lag1_autocorrelation_rho_zero(self):
         n = 100_000
-        trace = realization(1, 0.0, 77).episode(n)[:, 0, 0]
-        corr = np.mean(trace[1:] * np.conj(trace[:-1])).real
-        assert abs(corr) < 0.02
+        power = realization(1, 0.0, 77).episode(n)[:, 0, 0]
+        assert abs(lag1_correlation(power)) < 0.02
 
     def test_lag1_autocorrelation_default_rho(self):
         n = 100_000
         rho = 0.956
-        trace = realization(1, rho, 31).episode(n)[:, 0, 0]
-        num = np.mean(trace[1:] * np.conj(trace[:-1])).real
-        den = np.mean(np.abs(trace) ** 2)
-        assert num / den == pytest.approx(rho, abs=0.01)
+        power = realization(1, rho, 31).episode(n)[:, 0, 0]
+        assert lag1_correlation(power) == pytest.approx(rho**2, abs=0.02)
 
     def test_stationarity_after_thousand_steps(self):
         # 10^5 entries pooled over independent streams, stepped 1000 times
         total = 0.0
         count = 0
         for seed in range(10):
-            c = realization(100, 0.956, 400 + seed).episode(1001)[-1]
-            total += np.sum(np.abs(c) ** 2)
-            count += c.size
+            power = realization(100, 0.956, 400 + seed).episode(1001)[-1]
+            total += np.sum(power)
+            count += power.size
         assert count == 100_000
         assert total / count == pytest.approx(1.0, abs=0.02)
 
@@ -174,22 +179,22 @@ class TestFading:
 
 
 class TestChannelAt:
-    """The channel at step t is sqrt(large-scale gain) * fading coefficient."""
+    """The gain at step t is |sqrt(large-scale gain) * fading coefficient|^2."""
 
     def test_unit_everything(self):
-        # unit gains leave the fading coefficients untouched
+        # unit gains leave the fading powers untouched
         ep = realization(2, 0.0, 4).episode(2)
-        assert np.array_equal(ep[1], complex_normal_at(4, 1, 2))
+        assert np.array_equal(ep[1], np.abs(complex_normal_at(4, 1, 2)) ** 2)
 
     def test_scalar_arithmetic(self):
         four = realization(1, 0.956, 6, gain=4.0).episode(5)
         one = realization(1, 0.956, 6).episode(5)
-        assert np.array_equal(four, 2.0 * one)
+        assert np.array_equal(four, 4.0 * one)
 
     def test_second_moment_matches_gain(self):
         m = 317  # 100489 > 10^5 samples in one draw
-        h = realization(m, 0.956, 9, gain=4.0).episode(1)[0]
-        assert np.mean(np.abs(h) ** 2) == pytest.approx(4.0, rel=0.02)
+        gain = realization(m, 0.956, 9, gain=4.0).episode(1)[0]
+        assert np.mean(gain) == pytest.approx(4.0, rel=0.02)
 
 
 class TestRealizationIO:
@@ -218,7 +223,8 @@ class TestRealizationIO:
 
 
 def manual_episode(real, n_steps):
-    """The recurrence slot by slot: c_0 from slot 0, then w_t from slot t."""
+    """The complex recurrence slot by slot, c_0 from slot 0 and then w_t from
+    slot t, squared at each step into |sqrt(G) c_t|^2."""
     sqrt_gain = np.sqrt(real.large.gains_linear)
     c = complex_normal_at(real.fading_seed, 0, real.m)
     manual = [sqrt_gain * c]
@@ -226,7 +232,7 @@ def manual_episode(real, n_steps):
         w = complex_normal_at(real.fading_seed, t, real.m)
         c = real.rho * c + math.sqrt(1.0 - real.rho**2) * w
         manual.append(sqrt_gain * c)
-    return np.stack(manual)
+    return np.abs(np.stack(manual)) ** 2
 
 
 class TestSynthesisBlocks:

@@ -189,6 +189,14 @@ class TestExecute:
         with pytest.raises(DimensionMismatch):
             execute(params, test_set[0].episode(10), exec_cfg(T=20), problem)
 
+    def test_complex_episode_rejected(self, small_run):
+        # the episode holds the gains |h|^2; complex channels are refused
+        # rather than cast to their real parts
+        problem, params, test_set = small_run
+        channels = np.sqrt(test_set[0].episode(20)).astype(complex)
+        with pytest.raises(DimensionMismatch):
+            execute(params, channels, exec_cfg(T=20), problem)
+
     def test_runs_on_unseen_network_size(self):
         # parameters trained at one size execute at another unchanged
         params = init_params(GnnConfig(f1=8, f2=8), 3)
@@ -288,7 +296,7 @@ def stepwise_reference(policy, episode, cfg, problem):
     for t in range(cfg.T):
         if t % cfg.T0 == 0 and t // cfg.T0 < cfg.T // cfg.T0:
             duals.append(mu)
-        g2 = np.abs(episode[t]) ** 2
+        g2 = episode[t]
         powers[t] = policy.windows(g2, problem)(..., mu)
         rates_t[t] = rates(g2, powers[t], problem)
         if (t + 1) % cfg.T0 == 0 and (cfg.t_stop is None or t < cfg.t_stop):
@@ -411,7 +419,7 @@ class TestEvaluateSuite:
         episode = test_set[0].episode(20)
         p_full = np.full(problem.m, problem.p_max)
         direct = np.mean(
-            [rates(np.abs(episode[t]) ** 2, p_full, problem) for t in range(20)], axis=0
+            [rates(episode[t], p_full, problem) for t in range(20)], axis=0
         )
         assert np.allclose(traces[0].final_ergodic, direct, atol=1e-12)
         assert summary == metrics(direct, problem)

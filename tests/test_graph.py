@@ -5,7 +5,7 @@ import pytest
 
 from dualrrm.core import RrmProblemConfig
 from dualrrm.errors import DegenerateNorm, DimensionMismatch, NegativeDual, ZeroChannel
-from dualrrm.graph import build_graph, edge_weights_from_gain2
+from dualrrm.graph import build_graph
 from dualrrm.policy import GnnConfig, episode_tensors, forward, init_params
 
 from conftest import relabel_matrix
@@ -17,49 +17,55 @@ def channel_with_strength_ratio(cfg, ratio):
     return np.full((cfg.m, cfg.m), mag, dtype=complex)
 
 
-def edge_normalizer(h, cfg):
-    """Frobenius norm of the elementwise log channel strengths."""
-    return edge_weights_from_gain2(np.abs(h) ** 2, cfg)[1]
+def edges_of(h, cfg):
+    return build_graph(np.abs(h) ** 2, cfg).edges
 
 
 class TestEdgeNormalizer:
+    """Every edge is its log strength over Z, the Frobenius norm of all of them."""
+
     def test_all_entries_at_e(self):
+        # every log strength is 1, so Z = 4 and every edge 1/4
         cfg = RrmProblemConfig(m=4)
         h = channel_with_strength_ratio(cfg, math.e)
-        assert edge_normalizer(h, cfg) == pytest.approx(4.0, rel=1e-12)
+        assert np.allclose(edges_of(h, cfg), 0.25, rtol=1e-12, atol=0.0)
 
     def test_single_entry_e_squared(self):
+        # the log strength 2 is its own norm
         cfg = RrmProblemConfig(m=1)
         h = channel_with_strength_ratio(cfg, math.e**2)
-        assert edge_normalizer(h, cfg) == pytest.approx(2.0, rel=1e-12)
+        assert edges_of(h, cfg)[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_random_vs_independent_oracle(self, rng):
         cfg = RrmProblemConfig(m=3)
         h = 1e-8 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        oracle = np.linalg.norm(np.log(cfg.p_max * np.abs(h) ** 2 / cfg.noise))
-        assert edge_normalizer(h, cfg) == pytest.approx(oracle, rel=1e-12)
+        logs = np.log(cfg.p_max * np.abs(h) ** 2 / cfg.noise)
+        oracle = logs / np.linalg.norm(logs)
+        assert np.allclose(edges_of(h, cfg), oracle, rtol=1e-12, atol=0.0)
 
     def test_zero_channel_rejected(self):
         cfg = RrmProblemConfig(m=2)
         h = channel_with_strength_ratio(cfg, math.e)
         h[0, 1] = 0.0
         with pytest.raises(ZeroChannel):
-            edge_normalizer(h, cfg)
+            edges_of(h, cfg)
 
     def test_degenerate_norm_rejected(self):
         # p_max = noise = 1 mW makes the strength ratio exactly |h|^2
         cfg = RrmProblemConfig(m=2, p_max_dbm=0.0, noise_dbm=0.0)
         h = np.ones((2, 2), dtype=complex)  # log of every entry exactly 0
         with pytest.raises(DegenerateNorm):
-            edge_normalizer(h, cfg)
+            edges_of(h, cfg)
 
     def test_permutation_invariant_bit_exact(self, rng):
+        # a relabeling moves the log strengths and leaves Z unchanged, bit for bit
         cfg = RrmProblemConfig(m=5)
         h = 1e-8 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        z = edge_normalizer(h, cfg)
+        edges = edges_of(h, cfg)
         for _ in range(5):
             perm = rng.permutation(5)
-            assert edge_normalizer(relabel_matrix(h, perm), cfg) == z
+            assert np.array_equal(edges_of(relabel_matrix(h, perm), cfg),
+                                  relabel_matrix(edges, perm))
 
 
 class TestBuildGraph:
@@ -93,7 +99,7 @@ class TestBuildGraph:
         perm = rng.permutation(4)
         gp = build_graph(np.abs(relabel_matrix(h, perm)) ** 2, cfg)
         assert np.max(np.abs(gp.edges - relabel_matrix(g.edges, perm))) < 1e-12
-        assert edge_normalizer(relabel_matrix(h, perm), cfg) == edge_normalizer(h, cfg)
+        assert np.array_equal(gp.gain, relabel_matrix(g.gain, perm))
 
     def test_negative_dual_rejected(self, rng):
         # the duals enter as node features; NaN and inf are refused like -0.2
@@ -117,14 +123,13 @@ class TestBuildGraph:
         cfg = RrmProblemConfig(m=3)
         window = 1e-8 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
         g = build_graph(np.abs(window) ** 2, cfg)
-        z = edge_normalizer(window, cfg)
-        assert g.edges.shape == (4, 3, 3) and g.in_sums.shape == (4, 3) and z.shape == (4,)
+        assert g.edges.shape == (4, 3, 3) and g.in_sums.shape == (4, 3)
         for t in range(4):
             step = build_graph(np.abs(window[t]) ** 2, cfg)
             assert np.array_equal(g.edges[t], step.edges)
             assert np.array_equal(g.in_sums[t], step.in_sums)
-            assert z[t] == edge_normalizer(window[t], cfg)
             assert np.array_equal(g[1:3].edges, g.edges[1:3])
+            assert np.array_equal(g[1:3].gain, g.gain[1:3])
 
     def test_batched_weights_match_single_step(self, rng):
         cfg = RrmProblemConfig(m=3)
@@ -132,8 +137,8 @@ class TestBuildGraph:
             [1e-8 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
              for _ in range(4)]
         )
-        tensors = episode_tensors(eps, cfg)
+        graph = episode_tensors(np.abs(eps) ** 2, cfg)
         for t in range(4):
-            single, _ = edge_weights_from_gain2(np.abs(eps[t]) ** 2, cfg)
-            assert np.array_equal(tensors.edges[t], single)
-            assert np.allclose(tensors.in_sums[t], single.sum(axis=0), atol=1e-15)
+            single = edges_of(eps[t], cfg)
+            assert np.array_equal(graph.edges[t], single)
+            assert np.allclose(graph.in_sums[t], single.sum(axis=0), atol=1e-15)

@@ -126,7 +126,8 @@ class TestForward:
         expected_pre = y * 1.3 + 0.11
         expected_powers = cfg.p_max / (1 + np.exp(-expected_pre))
 
-        g = RrmGraph(edges=edges, in_sums=edges.sum(axis=0))
+        # the forward pass reads the edges only; the gains are a placeholder
+        g = RrmGraph(gain=np.ones((2, 2)), edges=edges, in_sums=edges.sum(axis=0))
         assert np.allclose(pre_activation(g, mu, params), expected_pre, atol=1e-12)
         assert np.allclose(forward(g, mu, params, cfg.p_max), expected_powers, atol=1e-12)
 
@@ -165,10 +166,9 @@ class TestEpisodeObjective:
         cfg = small_problem(4)
         params = init_params(GnnConfig(f1=8, f2=8), 3)
         (real,) = make_realizations(m=4, count=1, seed=2)
-        episode = real.episode(6)
-        value, _, _ = episode_eval(episode_tensors(episode, cfg), np.zeros(4), params, cfg)
+        g2 = real.episode(6)
+        value, _, _ = episode_eval(episode_tensors(g2, cfg), np.zeros(4), params, cfg)
         # independent path: the policy over the whole episode, then plain rates
-        g2 = np.abs(episode) ** 2
         powers = forward(build_graph(g2, cfg), np.zeros(4), params, cfg.p_max)
         avg = rates(g2, powers, cfg).mean(axis=0)
         assert value == pytest.approx(float(avg.sum()), abs=1e-12)
@@ -183,7 +183,7 @@ class TestEpisodeObjective:
         # independent path: forward per step, rates per step, closed form
         f = []
         for t in range(5):
-            g2 = np.abs(episode[t]) ** 2
+            g2 = episode[t]
             p = forward(build_graph(g2, cfg), mu, params, cfg.p_max)
             f.append(rates(g2, p, cfg))
         avg = np.mean(f, axis=0)
@@ -212,9 +212,16 @@ class TestEpisodeObjective:
         params = init_params(GnnConfig(f1=4, f2=4), 0)
         with pytest.raises(DimensionMismatch):
             episode_eval(
-                episode_tensors(np.empty((0, 2, 2), dtype=complex), cfg),
+                episode_tensors(np.empty((0, 2, 2)), cfg),
                 np.zeros(2), params, cfg,
             )
+
+    def test_complex_episode_rejected(self):
+        # the episode holds the gains |h|^2; complex channels are refused
+        cfg = small_problem(3)
+        (real,) = make_realizations(m=3, count=1, seed=5)
+        with pytest.raises(DimensionMismatch):
+            episode_tensors(np.sqrt(real.episode(4)).astype(complex), cfg)
 
     def test_utility_scale_linearity(self):
         # doubling the utility reweights the rate gradient from (1 + mu) to

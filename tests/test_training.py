@@ -170,7 +170,7 @@ class TestTrainLoop:
         for real in dataset:
             episode = real.episode(10)
             for t in range(10):
-                g = build_graph(np.abs(episode[t]) ** 2, problem)
+                g = build_graph(episode[t], problem)
                 p = forward(g, np.array([0.5]), params, problem.p_max)
                 ratios.append(p[0] / problem.p_max)
         assert np.mean(ratios) > 0.95
@@ -255,7 +255,7 @@ class TestPerMuOracle:
         dims = GnnConfig(f1=8, f2=8)
         mu = np.array([0.2, 0.7, 0.3])
         oracle = train_per_mu_oracle(mu, tiny_cfg(n_iters=3), problem, dims, dataset)
-        g2 = np.abs(dataset[0].episode(2)[0]) ** 2
+        g2 = dataset[0].episode(2)[0]
         pa = forward(build_graph(g2, problem), np.ones(3), oracle, problem.p_max)
         pb = forward(build_graph(g2.copy(), problem), np.ones(3), oracle, problem.p_max)
         assert np.array_equal(pa, pb)
