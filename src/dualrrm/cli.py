@@ -219,8 +219,9 @@ def cmd_baselines(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = _load_experiment(args)
     report = finite_difference_check(
-        replace(cfg.problem, m=args.m),
+        cfg.problem,
         cfg.gnn,
+        topology=cfg.topology,
         n_steps=args.steps,
         n_coords=args.coords,
         seed=cfg.seed,
@@ -311,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     common(p)
-    p.add_argument("--m", type=int, default=6)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--coords", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-4)

@@ -190,8 +190,11 @@ def evaluate_suite(
     """Execute every test realization and pool the final ergodic rates."""
     if len(dataset) == 0:
         raise EmptyInput("evaluation dataset is empty")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
     policy = _as_policy(policy)
     payloads = [(policy, r, exec_cfg, problem) for r in dataset]
+    workers = min(workers, len(dataset))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_suite_task, payloads))

@@ -100,7 +100,7 @@ class GnnParams:
         self.w1, self.w2, self.w3, self.b = (views[i:8:4] for i in range(4))
         self.w_out, self.b_out = views[8:]
 
-    def __reduce__(self):  # pickle the vector only; the views are rebuilt
+    def __reduce__(self):  # the evaluation pool pickles the vector only; the views are rebuilt
         return GnnParams, (self.flat, self.dims)
 
     @property

@@ -7,13 +7,12 @@ the duals only condition the policy input and weight the objective.
 
 All randomness is derived statelessly from (seed, purpose, index), so a run
 can be resumed from any checkpoint and continues bit-for-bit identically to
-the uninterrupted run, and results do not depend on the worker count.
+the uninterrupted run.  Training runs in one process, episode by episode.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -45,7 +44,7 @@ ORACLE_MAX_USERS = 8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training schedule and hyperparameters.
+    """Training schedule and hyperparameters; training runs in one process.
 
     ``n_iters`` overrides the epoch-derived schedule when set; otherwise the
     iteration count is epochs * dataset_size / batch_size.  ``eta_phi``
@@ -63,7 +62,6 @@ class TrainConfig:
     lr_decay_factor: float = 1.0
     lr_decay_every_epochs: int = 100
     checkpoint_every: int | None = None
-    workers: int = 1
     seed: int | None = None  # inherits the experiment master seed when None
 
     def validate(self) -> None:
@@ -75,8 +73,6 @@ class TrainConfig:
             raise ConfigError("n_iters must be >= 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
     def resolved_n_iters(self, dataset_size: int) -> int:
         if self.n_iters is not None:
@@ -121,11 +117,6 @@ def _sample_index(global_sample: int, dataset_size: int, seed: int, perm_cache: 
             dataset_size
         )
     return int(perm_cache[epoch][pos])
-
-
-def _episode_task(payload) -> tuple[float, GnnParams, np.ndarray]:
-    graph, mu, params, cfg, node_features = payload
-    return episode_eval(graph, mu, params, cfg, node_features=node_features)
 
 
 class _TensorCache:
@@ -173,63 +164,49 @@ def _run_ascent(
     )
     cache = _TensorCache(dataset, cfg.episode_len, problem)
     perm_cache: dict[int, np.ndarray] = {}
-    pool = (
-        ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    )
-    try:
-        for n in range(start_iter, n_iters):
-            t0 = time.perf_counter()
-            if fixed_mu is None:
-                mu_batch = sample_duals(
-                    problem.m,
-                    cfg.batch_size,
-                    cfg.mu_dist,
-                    derive_seed(cfg.seed, *seed_path, DUAL_SAMPLING, n),
-                )
-            else:
-                mu_batch = np.broadcast_to(fixed_mu, (cfg.batch_size, problem.m))
-            payloads = []
-            for b in range(cfg.batch_size):
-                idx = _sample_index(
-                    n * cfg.batch_size + b, len(dataset), cfg.seed, perm_cache
-                )
-                payloads.append((cache.get(idx), mu_batch[b], params, problem, node_features))
+    for n in range(start_iter, n_iters):
+        t0 = time.perf_counter()
+        if fixed_mu is None:
+            mu_batch = sample_duals(
+                problem.m,
+                cfg.batch_size,
+                cfg.mu_dist,
+                derive_seed(cfg.seed, *seed_path, DUAL_SAMPLING, n),
+            )
+        else:
+            mu_batch = np.broadcast_to(fixed_mu, (cfg.batch_size, problem.m))
+        # Fixed reduction order (batch index) keeps training bit-reproducible.
+        grad_mean = params.zeros_like()
+        values, sum_rates, slacks = [], [], []
+        for b in range(cfg.batch_size):
+            idx = _sample_index(n * cfg.batch_size + b, len(dataset), cfg.seed, perm_cache)
             try:
-                if pool is None:
-                    results = [_episode_task(p) for p in payloads]
-                else:
-                    results = list(pool.map(_episode_task, payloads))
+                value, grad, avg_f = episode_eval(
+                    cache.get(idx), mu_batch[b], params, problem, node_features=node_features
+                )
             except NonFiniteActivation as exc:
                 raise NonFiniteLoss(n, f"iteration {n}: {exc}") from exc
-            # Fixed reduction order (batch index) keeps training bit-reproducible
-            # regardless of the worker count.
-            grad_mean = params.zeros_like()
-            values, sum_rates, slacks = [], [], []
-            for value, grad, avg_f in results:
-                grad_mean.add_scaled(grad, 1.0 / cfg.batch_size)
-                values.append(value)
-                sum_rates.append(utility_sum(avg_f))
-                slacks.append(float(np.mean(constraints_g(avg_f, problem))))
-            mean_value = float(np.sum(values) / cfg.batch_size)
-            if not np.isfinite(mean_value) or not grad_mean.is_finite():
-                raise NonFiniteLoss(n)
-            epoch = (n * cfg.batch_size) // len(dataset)
-            eta = eta_base * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every_epochs)
-            params = apply_update(params, grad_mean, eta)
-            if log is not None:
-                log.append(
-                    n,
-                    mean_value,
-                    float(np.sum(sum_rates) / cfg.batch_size),
-                    float(np.sum(slacks) / cfg.batch_size),
-                    (time.perf_counter() - t0) * 1e3,
-                )
-            if checkpoint_cb is not None and cfg.checkpoint_every:
-                if (n + 1) % cfg.checkpoint_every == 0:
-                    checkpoint_cb(n + 1, params)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            grad_mean.add_scaled(grad, 1.0 / cfg.batch_size)
+            values.append(value)
+            sum_rates.append(utility_sum(avg_f))
+            slacks.append(float(np.mean(constraints_g(avg_f, problem))))
+        mean_value = float(np.sum(values) / cfg.batch_size)
+        if not np.isfinite(mean_value) or not grad_mean.is_finite():
+            raise NonFiniteLoss(n)
+        epoch = (n * cfg.batch_size) // len(dataset)
+        eta = eta_base * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every_epochs)
+        params = apply_update(params, grad_mean, eta)
+        if log is not None:
+            log.append(
+                n,
+                mean_value,
+                float(np.sum(sum_rates) / cfg.batch_size),
+                float(np.sum(slacks) / cfg.batch_size),
+                (time.perf_counter() - t0) * 1e3,
+            )
+        if checkpoint_cb is not None and cfg.checkpoint_every:
+            if (n + 1) % cfg.checkpoint_every == 0:
+                checkpoint_cb(n + 1, params)
     return params
 
 

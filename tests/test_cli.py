@@ -192,6 +192,14 @@ class TestEval:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error")
 
+    def test_zero_workers_refused(self, workspace, capsys):
+        _, cfg_path, _, _ = workspace
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg_path), "--policy", "full_reuse",
+                     "--workers", "0"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error")
+
     def test_early_stop_requires_t_stop(self, workspace):
         _, cfg_path, _, ckpt = workspace
         code = main(
@@ -224,9 +232,26 @@ class TestVerificationCommands:
     def test_gradcheck_passes(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
         assert main(
-            ["gradcheck", "--config", str(cfg_path), "--m", "4", "--steps", "5",
-             "--coords", "20"]
+            ["gradcheck", "--config", str(cfg_path), "--steps", "5", "--coords", "20"]
         ) == EXIT_OK
+
+    def test_gradcheck_runs_at_config_m_and_topology(self, tmp_path, monkeypatch):
+        # 50 transmitters do not fit the check's default 500 m square; the
+        # config's 2 km area holds them
+        import dualrrm.cli as cli
+
+        real, seen = cli.finite_difference_check, []
+
+        def spy(problem, dims, **kwargs):
+            seen.append((problem.m, kwargs["topology"].m, kwargs["topology"].area_side_m))
+            return real(problem, dims, **kwargs)
+
+        monkeypatch.setattr(cli, "finite_difference_check", spy)
+        cfg_path = write_cfg(tmp_path, topology={"m": 50, "area_side_m": 2000.0})
+        assert main(
+            ["gradcheck", "--config", str(cfg_path), "--steps", "2", "--coords", "4"]
+        ) == EXIT_OK
+        assert seen == [(50, 50, 2000.0)]
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # resuming from a checkpoint that overflows the forward pass must
@@ -330,6 +355,7 @@ CONFIG_MUTATIONS = {
     "mu_dist_bound_string": {"train": {"mu_dist": ["uniform", "0", 1]}},
     "mu_dist_two_entries": {"train": {"mu_dist": ["uniform", 0.0]}},
     "section_null": {"train": None},
+    "train_workers": {"train": {"workers": 2}},
 }
 
 

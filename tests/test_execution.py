@@ -449,6 +449,29 @@ class TestEvaluateSuite:
             assert np.array_equal(a.rates, b.rates)
             assert np.array_equal(a.duals, b.duals)
 
+    def test_pool_no_larger_than_dataset(self, small_run, monkeypatch):
+        # a stand-in pool records its size and runs serially, starting no process
+        problem, params, test_set = small_run
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(execution, "ProcessPoolExecutor", SerialPool)
+        evaluate_suite(params, test_set[:2], exec_cfg(T=10), problem, workers=4)
+        evaluate_suite(params, test_set[:1], exec_cfg(T=10), problem, workers=4)
+        assert sizes == [2]
+
     def test_gnn_policy_wrapper_matches_params_dispatch(self, small_run):
         problem, params, test_set = small_run
         cfg = exec_cfg(T=10)

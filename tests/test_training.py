@@ -93,14 +93,6 @@ class TestTrainLoop:
         assert params_equal(p1, p2)
         assert log1.mean_lagrangian == log2.mean_lagrangian
 
-    def test_worker_count_does_not_change_result(self):
-        dataset = make_realizations(m=3, count=3, seed=7)
-        problem = RrmProblemConfig(m=3)
-        dims = GnnConfig(f1=8, f2=8)
-        p1, _ = train(tiny_cfg(n_iters=3, workers=1), problem, dims, dataset)
-        p4, _ = train(tiny_cfg(n_iters=3, workers=4), problem, dims, dataset)
-        assert params_equal(p1, p4)
-
     def test_resume_matches_monolithic(self):
         dataset = make_realizations(m=3, count=3, seed=2)
         problem = RrmProblemConfig(m=3)
