@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .atomic import atomic_open
+from .artifacts import atomic_open, is_int, load_json, number_array
 from .core import block_steps
-from .errors import ConfigError, DimensionMismatch, PlacementInfeasible
+from .errors import ConfigError, PlacementInfeasible
 from .seeding import SlotGenerator, generator
 
 _MAX_PLACEMENT_ROUNDS = 10_000
@@ -239,32 +239,25 @@ def realization_to_dict(r: Realization, config_echo: dict | None = None) -> dict
     return d
 
 
-def realization_from_dict(d) -> Realization:
-    """A realization from its JSON object.  A missing or mistyped key, or a
-    gain that is not positive and finite, raises ConfigError; gains or
-    positions that disagree with m raise DimensionMismatch."""
-    if not isinstance(d, dict):
-        raise ConfigError("not a JSON object")
-    for key, kinds in (("m", (int,)), ("topology_seed", (int,)), ("fading_seed", (int,)),
-                       ("rho", (int, float))):
-        if type(d.get(key)) not in kinds:
+def realization_from_dict(d: dict) -> Realization:
+    """A realization from its JSON object.  A missing or mistyped key, a rho
+    outside [0, 1], a non-finite array entry or a gain that is not positive
+    raises ConfigError; gains or positions that disagree with m raise
+    DimensionMismatch."""
+    for key in ("m", "topology_seed", "fading_seed"):
+        if not is_int(d.get(key)):
             raise ConfigError(f"{key} is missing or mistyped: {d.get(key)!r}")
-    arrays = {}
-    for key in ("gains_linear", "tx_positions", "rx_positions"):
-        try:
-            arrays[key] = np.array(d.get(key))
-        except ValueError as exc:  # ragged nesting
-            raise ConfigError(f"{key}: {exc}") from None
-        if arrays[key].dtype.kind not in "iuf":
-            raise ConfigError(f"{key} must be an array of numbers")
-    m, shapes = d["m"], [a.shape for a in arrays.values()]
-    if shapes != [(m, m), (m, 2), (m, 2)]:
-        raise DimensionMismatch(f"array shapes {shapes} do not match m={m}")
-    gains = arrays["gains_linear"]
-    if not np.all((gains > 0) & np.isfinite(gains)):
-        raise ConfigError("gains_linear must be positive and finite")
-    large = LinkGainMatrix(**{k: a.astype(float) for k, a in arrays.items()})
-    return Realization(large, d["fading_seed"], float(d["rho"]), d["topology_seed"])
+    rho, m = d.get("rho"), d["m"]
+    if not (type(rho) in (int, float) and 0.0 <= rho <= 1.0):
+        raise ConfigError(f"rho must be a number in [0, 1], not {rho!r}")
+    large = LinkGainMatrix(
+        gains_linear=number_array("gains_linear", d.get("gains_linear"), (m, m)),
+        tx_positions=number_array("tx_positions", d.get("tx_positions"), (m, 2)),
+        rx_positions=number_array("rx_positions", d.get("rx_positions"), (m, 2)),
+    )
+    if not np.all(large.gains_linear > 0):
+        raise ConfigError("gains_linear must be positive")
+    return Realization(large, d["fading_seed"], float(rho), d["topology_seed"])
 
 
 def save_realization(path, r: Realization, config_echo: dict | None = None) -> None:
@@ -273,9 +266,5 @@ def save_realization(path, r: Realization, config_echo: dict | None = None) -> N
 
 
 def load_realization(path) -> Realization:
-    """Read a realization; malformed content of any kind raises ConfigError."""
-    try:
-        with open(path) as f:
-            return realization_from_dict(json.load(f))
-    except (ValueError, ConfigError, DimensionMismatch) as exc:  # ValueError: bad JSON
-        raise ConfigError(f"realization {path}: {exc}") from None
+    """Read a realization with ``artifacts.load_json``; malformed content raises ConfigError."""
+    return load_json(path, "realization", realization_from_dict)

@@ -18,6 +18,7 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -258,12 +259,15 @@ def cmd_theorem_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no option prefixes, so a removed or mistyped flag cannot become another
     parser = argparse.ArgumentParser(
         prog="dualrrm",
         description="Constraint-aware power control experiments",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, allow_abbrev=False)  # not inherited
 
     def common(p: argparse.ArgumentParser, workers: bool = False) -> None:
         p.add_argument("--config", default=None, help="JSON config file")
@@ -274,19 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
         if workers:
             p.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("generate", help="draw and cache a dataset split")
+    p = add_parser("generate", help="draw and cache a dataset split")
     common(p)
     p.add_argument("--split", choices=("train", "test"), required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", help="train the policy on the cached train split")
+    p = add_parser("train", help="train the policy on the cached train split")
     common(p)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--timing", action="store_true",
                    help="fill the wall_ms column (breaks byte-reproducibility)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate one policy on the test split")
+    p = add_parser("eval", help="evaluate one policy on the test split")
     common(p, workers=True)
     p.add_argument("--checkpoint", default=None)
     p.add_argument(
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-timing", action="store_true")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("baselines", help="run the policy comparison suite")
+    p = add_parser("baselines", help="run the policy comparison suite")
     common(p, workers=True)
     p.add_argument("--checkpoint", default=None,
                    help="adds the trained policy and its early-stop ablations")
@@ -310,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--export-timing", action="store_true")
     p.set_defaults(func=cmd_baselines)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    p = add_parser("gradcheck", help="finite-difference gradient verification")
     common(p)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--coords", type=int, default=50)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("theorem-suite", help="dual-dynamics law battery")
+    p = add_parser("theorem-suite", help="dual-dynamics law battery")
     common(p, workers=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--realizations", type=int, default=8)

@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
+from .artifacts import is_int, load_json
 from .baselines import ItlinqConfig
 from .channel import DEFAULT_FADING_RHO, TopologyConfig
 from .core import RrmProblemConfig
 from .errors import ConfigError
 from .execution import ExecConfig
-from .policy import GnnConfig, _is_int
+from .policy import GnnConfig
 from .training import TrainConfig
 
 
@@ -68,7 +69,7 @@ class ExperimentConfig:
         return cfg
 
     def _synced(self) -> "ExperimentConfig":
-        """topology.m is authoritative for the user count; the training seed
+        """problem.m follows topology.m, the user count; the training seed
         inherits the master seed unless set explicitly."""
         cfg = self
         if cfg.problem.m != cfg.topology.m:
@@ -110,7 +111,7 @@ def _is_number(value) -> bool:
 
 
 _KINDS = {
-    "int": ("an integer", _is_int),
+    "int": ("an integer", is_int),
     "float": ("a finite number", _is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
@@ -156,19 +157,18 @@ def _build_dataclass(default, data: dict, path: str):
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    return _build_dataclass(ExperimentConfig(), data, "")
+    cfg = _build_dataclass(ExperimentConfig(), data, "")
+    if "m" in data.get("problem", {}) and cfg.problem.m != cfg.topology.m:
+        raise ConfigError(f"problem.m={cfg.problem.m} disagrees with topology.m={cfg.topology.m}")
+    return cfg
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:
-    """Config from a JSON file, or pure defaults when no path is given."""
+    """Config from a JSON file read by ``artifacts.load_json``, or pure
+    defaults when no path is given; a malformed file raises ConfigError."""
     if path is None:
         return ExperimentConfig().validate()
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data).validate()
+    return load_json(path, "config file", config_from_dict).validate()
 
 
 def canonical_json(cfg: ExperimentConfig) -> str:

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 
 from . import __version__
-from .atomic import atomic_open
+from .artifacts import atomic_open, is_int, load_json
 from .channel import (
     Realization,
     load_realization,
@@ -81,25 +81,24 @@ def write_dataset(cfg: ExperimentConfig, split: str, realizations: list[Realizat
     return out
 
 
-def load_dataset(path: str | Path) -> tuple[list[Realization], dict]:
-    """Realizations plus manifest from a dataset directory.  A malformed
-    manifest or realization file raises ConfigError, and so do seeds that
-    differ between a file and its manifest entry or that do not re-derive
-    from the manifest's master seed and split."""
-    path = Path(path)
-    try:
-        with open(path / MANIFEST_NAME) as f:
-            manifest = json.load(f)
-    except ValueError as exc:
-        raise ConfigError(f"dataset manifest {path / MANIFEST_NAME}: {exc}") from None
-    if not (isinstance(manifest, dict) and type(manifest.get("count")) is int
-            and type(manifest.get("m")) is int):
-        raise ConfigError(f"dataset manifest {path / MANIFEST_NAME} needs integers count and m")
+def _checked_manifest(manifest: dict) -> dict:
+    if not (is_int(manifest.get("count")) and is_int(manifest.get("m"))):
+        raise ConfigError("needs integers count and m")
     master, split, seeds = (manifest.get(k) for k in ("master_seed", "split", "seeds"))
-    if not (type(master) is int and master >= 0 and isinstance(split, str)
+    if not (is_int(master) and master >= 0 and isinstance(split, str)
             and isinstance(seeds, list) and len(seeds) == manifest["count"]):
-        raise ConfigError(f"dataset manifest {path / MANIFEST_NAME} needs a master_seed >= 0, "
-                          "a split and one seeds entry per realization")
+        raise ConfigError("needs a master_seed >= 0, a split and one seeds entry per realization")
+    return manifest
+
+
+def load_dataset(path: str | Path) -> tuple[list[Realization], dict]:
+    """Realizations plus manifest from a dataset directory, read with
+    ``artifacts.load_json``.  A malformed manifest or realization file raises
+    ConfigError, and so do seeds that differ between a file and its manifest
+    entry or that do not re-derive from the manifest's master seed and split."""
+    path = Path(path)
+    manifest = load_json(path / MANIFEST_NAME, "dataset manifest", _checked_manifest)
+    master, split, seeds = (manifest[k] for k in ("master_seed", "split", "seeds"))
     sid = _split_id(split)
     realizations = [
         load_realization(path / f"realization_{i:05d}.json")

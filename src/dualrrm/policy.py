@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_open
+from .artifacts import atomic_open, is_int, load_json, number_array
 from .core import (
     RrmProblemConfig,
     block_steps,
@@ -326,14 +326,14 @@ class Checkpoint:
     config_echo: dict = field(default_factory=dict)
 
 
-def _dims_block(params: GnnParams) -> dict:
-    dims = params.feature_dims
+def _dims_block(gnn: GnnConfig) -> dict:
+    dims = gnn.feature_dims
     return {
         "f0": dims[0],
         "f1": dims[1],
         "f2": dims[2],
         "f3": dims[3],
-        "use_bias": params.dims.use_bias,
+        "use_bias": gnn.use_bias,
     }
 
 
@@ -343,7 +343,7 @@ def _checkpoint_dict(ckpt: Checkpoint) -> dict:
         "tool_version": __version__,
         "seed": ckpt.seed,
         "iteration": ckpt.iteration,
-        "dims": _dims_block(ckpt.params),
+        "dims": _dims_block(ckpt.params.dims),
         "arrays": {
             name: {"shape": list(a.shape), "data": a.ravel().tolist()}
             for name, a in ckpt.params.named_arrays()
@@ -361,77 +361,35 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         f.write(checkpoint_bytes(ckpt))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _checkpoint_array(name: str, rec) -> np.ndarray:
-    if not isinstance(rec, dict) or not isinstance(rec.get("shape"), list):
-        raise ConfigError(f"array {name} needs a shape list and a data list")
-    if not all(_is_int(n) and n >= 0 for n in rec["shape"]):
-        raise ConfigError(f"array {name} has an invalid shape {rec['shape']}")
-    try:
-        a = np.array(rec["data"])
-        if a.ndim != 1 or a.dtype.kind not in "iuf":
-            raise ValueError("data must be a flat list of numbers")
-        a = a.astype(float).reshape(rec["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"array {name}: {exc}") from None
-    if not np.isfinite(a).all():
-        raise ConfigError(f"array {name} holds non-finite values")
-    return a
-
-
-def _checkpoint_from_dict(d) -> Checkpoint:
-    if not isinstance(d, dict):
-        raise ConfigError("not a JSON object")
+def _checkpoint_from_dict(d: dict) -> Checkpoint:
     if d.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format {d.get('format_version')}")
-    records, dims = d.get("arrays"), d.get("dims")
-    if not isinstance(records, dict) or not isinstance(dims, dict):
-        raise ConfigError("needs an arrays object and a dims object")
-    arrays = {name: _checkpoint_array(name, rec) for name, rec in records.items()}
-    f1, f2 = (
-        arrays[k].shape[1] if k in arrays and arrays[k].ndim == 2 else 0
-        for k in ("layer1.w1", "layer2.w1")
-    )
-    if min(f1, f2) < 1 or not isinstance(dims.get("use_bias"), bool):
-        raise ConfigError("needs (1, f) layer weights with f >= 1 and a boolean use_bias")
-    # the same constructor as training fixes the names and the shape chain
-    params = init_params(GnnConfig(f1=f1, f2=f2, use_bias=dims["use_bias"]), 0)
-    expected = dict(params.named_arrays())
-    for name in sorted(expected.keys() | arrays.keys()):
-        want = expected[name].shape if name in expected else "no such array"
-        got = arrays[name].shape if name in arrays else "missing"
-        if got != want:
-            raise ConfigError(
-                f"array {name}: {got}, the chain 1 -> {f1} -> {f2} -> 1 needs {want}"
-            )
-        expected[name][...] = arrays[name]
-    if dims != _dims_block(params):
-        raise ConfigError(f"dims block {dims} disagrees with the arrays")
-    if not (_is_int(d.get("seed")) and _is_int(d.get("iteration"))):
+    records, dims, config_echo = d.get("arrays"), d.get("dims"), d.get("config_echo", {})
+    if not all(isinstance(x, dict) for x in (records, dims, config_echo)):
+        raise ConfigError("needs arrays, dims and config_echo objects")
+    if not (is_int(d.get("seed")) and is_int(d.get("iteration"))):
         raise ConfigError("seed and iteration must be integers")
-    config_echo = d.get("config_echo", {})
-    if not isinstance(config_echo, dict):
-        raise ConfigError("config_echo must be an object")
-    return Checkpoint(
-        params=params, seed=d["seed"], iteration=d["iteration"], config_echo=config_echo
-    )
+    f1, f2, use_bias = dims.get("f1"), dims.get("f2"), dims.get("use_bias")
+    if not (is_int(f1) and is_int(f2) and min(f1, f2) >= 1 and isinstance(use_bias, bool)):
+        raise ConfigError("dims needs integer widths f1, f2 >= 1 and a boolean use_bias")
+    gnn = GnnConfig(f1, f2, use_bias)
+    shapes = dict(_array_shapes(gnn))  # the arrays training builds for these dims
+    if dims != _dims_block(gnn) or records.keys() != shapes.keys():
+        raise ConfigError(f"dims block {dims} needs the arrays {sorted(shapes)}, "
+                          f"not {sorted(records)}")
+    # each record is checked before a parameter vector of the size dims claims exists
+    data = []
+    for name, shape in shapes.items():
+        if not isinstance(records[name], dict) or records[name].get("shape") != list(shape):
+            raise ConfigError(f"array {name} needs the shape {list(shape)}")
+        data.append(number_array(name, records[name].get("data"), (math.prod(shape),)))
+    params = GnnParams(np.concatenate(data), gnn)
+    return Checkpoint(params, d["seed"], d["iteration"], config_echo)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; malformed content of any kind raises ConfigError."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        d = json.loads(raw)
-    except ValueError as exc:  # also invalid UTF-8
-        raise ConfigError(f"checkpoint {path} is not valid JSON: {exc}") from None
-    try:
-        return _checkpoint_from_dict(d)
-    except ConfigError as exc:
-        raise ConfigError(f"checkpoint {path}: {exc}") from None
+    """Read a checkpoint with ``artifacts.load_json``; malformed content raises ConfigError."""
+    return load_json(path, "checkpoint", _checkpoint_from_dict)
 
 
 def require_dims(params: GnnParams, dims: GnnConfig) -> None:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .atomic import atomic_open
+from .artifacts import atomic_open
 from .core import MetricsSummary
 from .execution import EpisodeTrace, ExecConfig
 from .training import TrainingLog

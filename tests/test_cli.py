@@ -339,7 +339,20 @@ class TestExitCodes:
         code = main(["eval", "--config", str(other), "--checkpoint", str(ckpt)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [["gradcheck", "--m", "2"], ["eval", "--work", "3"]])
+    def test_abbreviated_flags_refused(self, argv, capsys):
+        # --m and --work are prefixes of --m-override and --workers
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
 
+
+def _deeply_nested(raw: bytes) -> bytes:
+    return b"[" * 200_000 + raw + b"]" * 200_000
+
+
+# a row is either overrides of the valid config or a function of its bytes
 CONFIG_MUTATIONS = {
     "seed_string": {"seed": "x"},
     "seed_bool": {"seed": True},
@@ -356,13 +369,21 @@ CONFIG_MUTATIONS = {
     "mu_dist_two_entries": {"train": {"mu_dist": ["uniform", 0.0]}},
     "section_null": {"train": None},
     "train_workers": {"train": {"workers": 2}},
+    "problem_m_disagrees": {"problem": {"m": 20}},
+    "not_utf8": lambda raw: b"\xff" + raw,
+    "deeply_nested": _deeply_nested,
 }
 
 
 class TestMalformedConfig:
     @pytest.mark.parametrize("case", sorted(CONFIG_MUTATIONS))
     def test_exits_with_config_error(self, tmp_path, capsys, case):
-        cfg_path = write_cfg(tmp_path, **CONFIG_MUTATIONS[case])
+        mutation = CONFIG_MUTATIONS[case]
+        if callable(mutation):
+            cfg_path = write_cfg(tmp_path)
+            cfg_path.write_bytes(mutation(cfg_path.read_bytes()))
+        else:
+            cfg_path = write_cfg(tmp_path, **mutation)
         code = main(["generate", "--config", str(cfg_path), "--split", "test"])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
@@ -415,6 +436,7 @@ CHECKPOINT_MUTATIONS = {
     "dims_disagree": _edit(lambda d: d["dims"].update(f1=d["dims"]["f1"] + 1)),
     "dims_use_bias_missing": _edit(lambda d: d["dims"].pop("use_bias")),
     "seed_not_int": _edit(lambda d: d.update(seed="x")),
+    "deeply_nested": _deeply_nested,
 }
 
 
@@ -449,9 +471,9 @@ def _realization(change):
     return _rewrite("realization_00001.json", _edit(change))
 
 
-def _first_gain(value):
+def _first_entry(key, value):
     def change(d):
-        d["gains_linear"][0][0] = value
+        d[key][0][0] = value
 
     return _realization(change)
 
@@ -473,16 +495,19 @@ DATASET_MUTATIONS = {
     "manifest_count_missing": _manifest(lambda d: d.pop("count")),
     "manifest_count_string": _manifest(lambda d: d.update(count="2")),
     "manifest_m_disagrees": _manifest(lambda d: d.update(m=d["m"] + 1)),
+    "manifest_deeply_nested": _rewrite("manifest.json", _deeply_nested),
     "realization_truncated": _rewrite("realization_00001.json", lambda raw: raw[: len(raw) // 2]),
     "realization_not_an_object": _rewrite("realization_00001.json", lambda raw: b"null"),
+    "realization_deeply_nested": _rewrite("realization_00001.json", _deeply_nested),
     "fading_seed_missing": _realization(lambda d: d.pop("fading_seed")),
     "fading_seed_float": _realization(lambda d: d.update(fading_seed=1.5)),
     "rho_string": _realization(lambda d: d.update(rho="0.9")),
     "gains_not_numbers": _realization(lambda d: d.update(gains_linear=[["a"]])),
     "gains_ragged": _realization(lambda d: d["gains_linear"][0].pop()),
     "gains_disagree_with_m": _realization(lambda d: d["gains_linear"].pop()),
-    "gain_negative": _first_gain(-1.0),
-    "gain_nan": _first_gain(float("nan")),
+    "gain_negative": _first_entry("gains_linear", -1.0),
+    "gain_nan": _first_entry("gains_linear", float("nan")),
+    "tx_position_nan": _first_entry("tx_positions", float("nan")),
     # seeds: files, manifest and master seed must agree
     "realizations_swapped": _swap_realizations,
     "fading_seed_edited": _realization(lambda d: _bump_seed(d, "fading_seed")),

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dualrrm import atomic
-from dualrrm.atomic import atomic_open
-from dualrrm.channel import TopologyConfig, save_realization
+from dualrrm import artifacts
+from dualrrm.artifacts import atomic_open
+from dualrrm.channel import TopologyConfig, load_realization, save_realization
 from dualrrm.config import (
     DatasetConfig,
     ExperimentConfig,
@@ -19,7 +20,7 @@ from dualrrm.config import (
 )
 from dualrrm.datasets import generate_dataset, load_dataset, write_dataset
 from dualrrm.errors import ConfigError
-from dualrrm.policy import Checkpoint, GnnConfig, init_params, save_checkpoint
+from dualrrm.policy import Checkpoint, GnnConfig, init_params, load_checkpoint, save_checkpoint
 from dualrrm.reporting import FileMeta, write_csv
 
 from conftest import make_realizations
@@ -229,10 +230,62 @@ class TestAtomicWrites:
             f = real_open(file, *args, **kwargs)
             return _DiskFullAfter(f, 10) if Path(file).name.startswith(f".{path.name}.") else f
 
-        monkeypatch.setattr(atomic, "open", failing_open, raising=False)
+        monkeypatch.setattr(artifacts, "open", failing_open, raising=False)
         with pytest.raises(OSError):
             writer(tmp_path, 2)
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir()) == listing
         monkeypatch.undo()
         assert writer(tmp_path, 2).read_bytes() != before
+
+
+def _config_writer(tmp_path, version):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(small_experiment(tmp_path, seed=version))))
+    return path
+
+
+# the four kinds of file the package reads: a writer of a valid one, its loader
+ARTIFACTS = {
+    "config": (_config_writer, load_config),
+    "checkpoint": (_checkpoint_writer, load_checkpoint),
+    "realization": (_realization_writer, load_realization),
+    "manifest": (_manifest_writer, lambda path: load_dataset(path.parent)),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_artifacts(tmp_path_factory):
+    """Path, valid bytes and loader of each artifact, in a directory of its own."""
+    out = {}
+    for name, (writer, load) in ARTIFACTS.items():
+        path = writer(tmp_path_factory.mktemp(name), 1)
+        out[name] = (path, path.read_bytes(), load)
+    return out
+
+
+@st.composite
+def byte_mutations(draw, raw: bytes) -> bytes:
+    """``raw`` truncated, with one byte replaced, or wrapped in nesting."""
+    kind = draw(st.sampled_from(["truncate", "replace", "nest"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "replace":
+        i = draw(st.integers(0, len(raw) - 1))
+        return raw[:i] + bytes([draw(st.integers(0, 255))]) + raw[i + 1 :]
+    opening, closing = draw(st.sampled_from([(b"[", b"]"), (b'{"a":', b"}")]))
+    depth = draw(st.integers(1, 200_000))
+    return opening * depth + raw + closing * depth
+
+
+class TestMutatedArtifacts:
+    @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_loads_or_raises_config_error(self, valid_artifacts, artifact, data):
+        path, raw, load = valid_artifacts[artifact]
+        path.write_bytes(data.draw(byte_mutations(raw)))
+        try:
+            load(path)
+        except ConfigError:
+            pass  # any other exception fails the test
