@@ -16,11 +16,16 @@ sorted ascending and then summed in one fixed pairwise order, so Z does not
 depend on how the users are numbered and a whole episode is normalized in one
 call, bit for bit like step by step.  Z stays within about 5e-16 relative of
 its value from a correctly rounded sum.
+
+Training keeps each episode as a ``GainEpisode``: the gains and the Z of
+every step, T (m^2 + 1) floats.  Its edges are built per block of steps when
+the block is taken, with the same log, division and in-sum as
+``build_graph``, so they match the whole episode's graph bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,17 +55,55 @@ def _checked_gain_episode(gain: np.ndarray, n_steps: int, m: int) -> np.ndarray:
     return gain
 
 
-def build_graph(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
-    """The gains ``abs_h2`` (..., m, m) with their normalized log-gain edges
-    and in-sums for every step.  The node features, the duals, enter in
-    ``policy.forward``."""
+def _log_strengths(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
+    """log(P_max |h|^2 / N) of every entry, the edges before normalization,
+    computed in one new array."""
+    logs = np.multiply(abs_h2, cfg.p_max)
+    logs /= cfg.noise
+    return np.log(logs, out=logs)
+
+
+def _normalized_logs(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The log strengths of ``abs_h2`` (..., m, m) and their norm Z per step;
+    ZeroChannel or DegenerateNorm where no edge can be built."""
     if abs_h2.shape[-2:] != (cfg.m, cfg.m):
         raise DimensionMismatch(f"channel {abs_h2.shape} inconsistent with m={cfg.m}")
     if not abs_h2.all():
         raise ZeroChannel("channel magnitude is zero on at least one link")
-    logs = np.log(cfg.p_max * abs_h2 / cfg.noise)
+    logs = _log_strengths(abs_h2, cfg)
     z = np.sqrt(sorted_sum((logs**2).reshape(logs.shape[:-2] + (-1,))))
     if not z.all():
         raise DegenerateNorm("all log channel strengths are zero")
-    weights = logs / z[..., None, None]
-    return RrmGraph(gain=abs_h2, edges=weights, in_sums=weights.sum(axis=-2))
+    return logs, z
+
+
+def _graph(abs_h2: np.ndarray, logs: np.ndarray, z: np.ndarray) -> RrmGraph:
+    """The graph of ``abs_h2`` from its log strengths, which become the
+    edges in place, and the norm Z of every step."""
+    logs /= z[..., None, None]
+    return RrmGraph(gain=abs_h2, edges=logs, in_sums=logs.sum(axis=-2))
+
+
+def build_graph(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
+    """The gains ``abs_h2`` (..., m, m) with their normalized log-gain edges
+    and in-sums for every step.  The node features, the duals, enter in
+    ``policy.forward``."""
+    return _graph(abs_h2, *_normalized_logs(abs_h2, cfg))
+
+
+@dataclass
+class GainEpisode:
+    """The gains of an episode with the edge norm Z of every step, computed
+    and checked as ``build_graph`` does; indexing a block of steps builds
+    that block's graph."""
+
+    gain: np.ndarray  # (T, m, m) |h|^2
+    cfg: RrmProblemConfig
+    norm: np.ndarray = field(init=False)  # (T,) Z of every step
+
+    def __post_init__(self):
+        self.norm = _normalized_logs(self.gain, self.cfg)[1]
+
+    def __getitem__(self, steps) -> RrmGraph:
+        gain = self.gain[steps]
+        return _graph(gain, _log_strengths(gain, self.cfg), self.norm[steps])

@@ -41,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteActivation,
 )
-from .graph import RrmGraph, _checked_gain_episode, build_graph
+from .graph import GainEpisode, RrmGraph, _checked_gain_episode
 from .seeding import generator
 
 _LN2 = float(np.log(2.0))
@@ -148,6 +148,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _relu_select(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.where(mask, x, 0.0)`` for float64 ``x`` of the shape of ``mask``,
+    bit for bit (NaN, infinities and -0.0 included), as one bit mask: the
+    bits of x where the mask holds and +0.0 elsewhere, with no branch per
+    entry."""
+    bits = mask.astype(np.uint64)
+    np.negative(bits, out=bits)  # True -> all 64 bits set
+    bits &= x.view(np.uint64)
+    return bits.view(np.float64)
+
+
 @dataclass
 class _ForwardCache:
     inputs: list[np.ndarray]  # per layer: Y in
@@ -181,7 +192,7 @@ def _forward_tensors(
         inputs.append(y)
         masks.append(mask)
         aggs.append(agg)
-        y = np.where(mask, z, 0.0)
+        y = _relu_select(mask, z)
     pre = (y @ params.w_out)[..., 0] + params.b_out[0]
     if not np.isfinite(pre).all():
         raise NonFiniteActivation("policy produced non-finite pre-activations")
@@ -209,7 +220,7 @@ def _backward_tensors(
     gy = g3 @ params.w_out.T
     s = in_sums[..., None]
     for l in reversed(range(len(params.w1))):
-        gz = np.where(cache.masks[l], gy, 0.0)
+        gz = _relu_select(cache.masks[l], gy)
         # layer-1 node features may come without the leading axes of gz
         y_in = np.broadcast_to(cache.inputs[l], gz.shape[:-1] + cache.inputs[l].shape[-1:])
         grads.w1[l][...] = _contract(y_in, gz)
@@ -256,14 +267,14 @@ def _d_lagrangian_d_powers(
     return f, beta * a - sorted_sum(cross)
 
 
-def episode_tensors(gain: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
-    """The graph of a gain episode |h|^2 (T, m, m), T >= 1, reused across
-    every evaluation of the episode."""
-    return build_graph(_checked_gain_episode(gain, 1, cfg.m), cfg)
+def episode_tensors(gain: np.ndarray, cfg: RrmProblemConfig) -> GainEpisode:
+    """A gain episode |h|^2 (T, m, m), T >= 1, with the edge norm of every
+    step, reused across every evaluation of the episode."""
+    return GainEpisode(_checked_gain_episode(gain, 1, cfg.m), cfg)
 
 
 def episode_eval(
-    graph: RrmGraph,
+    episode: GainEpisode,
     mu: np.ndarray,
     params: GnnParams,
     cfg: RrmProblemConfig,
@@ -276,14 +287,15 @@ def episode_eval(
     through the objective weights.
 
     The episode is processed in time blocks of ``core.block_steps`` steps,
-    budgeted by the (n, m, f) hidden activations.  The rates of every block
+    budgeted by the (n, m, f) hidden activations; each block builds its own
+    edges from its gains and edge norms.  The rates of every block
     land in one (T, m) array, so the value and average rates do not depend
     on the block length; the block gradients are summed in block order.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (cfg.m,):
         raise DimensionMismatch(f"duals {mu.shape} inconsistent with m={cfg.m}")
-    n_steps = graph.gain.shape[0]
+    n_steps = episode.gain.shape[0]
     step_weights = lagrangian_rate_weights(mu, cfg) / n_steps
     feats = mu if node_features is None else np.asarray(node_features, dtype=float)
     y0 = feats[:, None]
@@ -292,7 +304,7 @@ def episode_eval(
     grads = None
     for t0 in range(0, n_steps, n_block):
         win = slice(t0, t0 + n_block)
-        block = graph[win]
+        block = episode[win]
         pre, cache = _forward_tensors(y0, block.edges, block.in_sums, params)
         sig = _sigmoid(pre)
         f[win], dldp = _d_lagrangian_d_powers(block.gain, cfg.p_max * sig, step_weights, cfg)

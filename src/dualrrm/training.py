@@ -28,7 +28,7 @@ from .errors import (
     SizeLimitExceeded,
     UnsupportedDistribution,
 )
-from .graph import RrmGraph
+from .graph import GainEpisode
 from .policy import (
     GnnConfig,
     GnnParams,
@@ -73,6 +73,7 @@ class TrainConfig:
             raise ConfigError("n_iters must be >= 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        _uniform_bounds(self.mu_dist)
 
     def resolved_n_iters(self, dataset_size: int) -> int:
         if self.n_iters is not None:
@@ -99,13 +100,19 @@ class TrainingLog:
         self.wall_ms.append(ms)
 
 
-def sample_duals(m: int, batch: int, dist: Sequence, seed: int) -> np.ndarray:
-    """(batch, m) i.i.d. dual draws; only uniform(a, b), 0 <= a < b, is shipped."""
+def _uniform_bounds(dist: Sequence) -> tuple[float, float]:
+    """(a, b) of a dual distribution; only uniform(a, b), 0 <= a < b, is shipped."""
     if len(dist) != 3 or dist[0] != "uniform":
         raise UnsupportedDistribution(f"unsupported dual distribution {dist!r}")
     low, high = float(dist[1]), float(dist[2])
     if not (0.0 <= low < high):
         raise UnsupportedDistribution("uniform bounds need 0 <= a < b")
+    return low, high
+
+
+def sample_duals(m: int, batch: int, dist: Sequence, seed: int) -> np.ndarray:
+    """(batch, m) i.i.d. dual draws from ``dist``, which must be uniform(a, b), 0 <= a < b."""
+    low, high = _uniform_bounds(dist)
     return generator(seed).uniform(low, high, size=(batch, m))
 
 
@@ -120,15 +127,17 @@ def _sample_index(global_sample: int, dataset_size: int, seed: int, perm_cache: 
 
 
 class _TensorCache:
-    """Lazily materialized per-realization episode graphs."""
+    """Lazily materialized per-realization training episodes: the gains and
+    the edge norm of every step, T (m^2 + 1) floats each; ``episode_eval``
+    builds the edges block by block."""
 
     def __init__(self, dataset: Sequence[Realization], n_steps: int, cfg: RrmProblemConfig):
         self._dataset = dataset
         self._n_steps = n_steps
         self._cfg = cfg
-        self._cache: dict[int, RrmGraph] = {}
+        self._cache: dict[int, GainEpisode] = {}
 
-    def get(self, idx: int) -> RrmGraph:
+    def get(self, idx: int) -> GainEpisode:
         if idx not in self._cache:
             self._cache[idx] = episode_tensors(
                 self._dataset[idx].episode(self._n_steps), self._cfg

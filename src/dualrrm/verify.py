@@ -74,10 +74,10 @@ def finite_difference_check(
         raise ConfigError("topology and problem disagree on m")
     large = sample_topology(topology, seed)
     gain = Realization(large, seed + 1, DEFAULT_FADING_RHO, seed).episode(n_steps)
-    graph = episode_tensors(gain, problem)
+    episode = episode_tensors(gain, problem)
     mu = sample_duals(problem.m, 1, ("uniform", 0.0, 1.0), seed + 2)[0]
     params = init_params(dims, seed + 3)
-    _, grads, _ = episode_eval(graph, mu, params, problem)
+    _, grads, _ = episode_eval(episode, mu, params, problem)
 
     named = params.named_arrays()
     grad_named = dict(grads.named_arrays())
@@ -98,9 +98,9 @@ def finite_difference_check(
         target = dict(shifted.named_arrays())[name]
         original = target[index]
         target[index] = original + step
-        up, _, _ = episode_eval(graph, mu, shifted, problem)
+        up, _, _ = episode_eval(episode, mu, shifted, problem)
         target[index] = original - step
-        down, _, _ = episode_eval(graph, mu, shifted, problem)
+        down, _, _ = episode_eval(episode, mu, shifted, problem)
         target[index] = original
         numeric = (up - down) / (2.0 * step)
         analytic = float(grad_named[name][index])

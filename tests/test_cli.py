@@ -367,6 +367,7 @@ CONFIG_MUTATIONS = {
     "mu_init_entry_string": {"execution": {"mu_init": [0.1, "a", 0.2]}},
     "mu_dist_bound_string": {"train": {"mu_dist": ["uniform", "0", 1]}},
     "mu_dist_two_entries": {"train": {"mu_dist": ["uniform", 0.0]}},
+    "mu_dist_normal": {"train": {"mu_dist": ["normal", 0.0, 1.0]}},
     "section_null": {"train": None},
     "train_workers": {"train": {"workers": 2}},
     "problem_m_disagrees": {"problem": {"m": 20}},

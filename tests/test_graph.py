@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualrrm.core import RrmProblemConfig
 from dualrrm.errors import DegenerateNorm, DimensionMismatch, NegativeDual, ZeroChannel
 from dualrrm.graph import build_graph
 from dualrrm.policy import GnnConfig, episode_tensors, forward, init_params
 
-from conftest import relabel_matrix
+from conftest import random_gains, relabel_matrix
 
 
 def channel_with_strength_ratio(cfg, ratio):
@@ -137,8 +138,51 @@ class TestBuildGraph:
             [1e-8 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
              for _ in range(4)]
         )
-        graph = episode_tensors(np.abs(eps) ** 2, cfg)
+        graph = build_graph(np.abs(eps) ** 2, cfg)
         for t in range(4):
             single = edges_of(eps[t], cfg)
             assert np.array_equal(graph.edges[t], single)
             assert np.allclose(graph.in_sums[t], single.sum(axis=0), atol=1e-15)
+
+
+class TestGainEpisode:
+    """Training keeps the gains and one edge norm per step, and builds the
+    edges of each block of steps from them."""
+
+    def test_holds_gains_and_one_norm_per_step(self):
+        # paper shape: T (m^2 + 1) float64s, 2.0 MB, and no other array
+        cfg, n_steps = RrmProblemConfig(m=50), 100
+        episode = episode_tensors(random_gains(np.random.default_rng(0), n_steps, 50), cfg)
+        arrays = [v for v in vars(episode).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == n_steps * (50 * 50 + 1) * 8
+
+    @settings(max_examples=60)
+    @given(
+        m=st.integers(1, 12),
+        n_steps=st.integers(1, 40),
+        split=st.sampled_from(["one", "two", "uneven", "whole"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_block_graphs_match_build_graph(self, m, n_steps, split, seed):
+        cfg = RrmProblemConfig(m=m)
+        gain = random_gains(np.random.default_rng(seed), n_steps, m)
+        whole = build_graph(gain, cfg)
+        episode = episode_tensors(gain, cfg)
+        # "uneven": a block longer than half the episode, then a shorter one
+        n = {"one": 1, "two": 2, "uneven": n_steps // 2 + 1, "whole": n_steps}[split]
+        for t0 in range(0, n_steps, n):
+            win = slice(t0, t0 + n)
+            block, ref = episode[win], whole[win]
+            assert np.array_equal(block.gain, ref.gain)
+            assert np.array_equal(block.edges, ref.edges)
+            assert np.array_equal(block.in_sums, ref.in_sums)
+
+    def test_refused_like_build_graph(self):
+        cfg = RrmProblemConfig(m=2, p_max_dbm=0.0, noise_dbm=0.0)
+        gain = np.ones((3, 2, 2))  # every log strength exactly 0 at every step
+        with pytest.raises(DegenerateNorm):
+            episode_tensors(gain, cfg)
+        gain = np.full((3, 2, 2), math.e)
+        gain[2, 0, 1] = 0.0
+        with pytest.raises(ZeroChannel):
+            episode_tensors(gain, cfg)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dualrrm import core
 from dualrrm.core import RrmProblemConfig, block_steps, rates
@@ -20,6 +21,7 @@ from dualrrm.policy import (
     GnnConfig,
     _d_lagrangian_d_powers,
     _forward_tensors,
+    _relu_select,
     apply_update,
     checkpoint_bytes,
     episode_eval,
@@ -84,6 +86,21 @@ def pre_activation(graph, mu, params):
 
 
 class TestForward:
+    @settings(max_examples=60)
+    @given(
+        data=st.data(),
+        shape=array_shapes(min_dims=1, max_dims=3, max_side=6),
+    )
+    def test_relu_select_is_where(self, data, shape):
+        # equal bits to np.where(mask, x, 0.0), also for NaN, infinities and
+        # -0.0, under the ReLU mask x > 0 and under any mask
+        special = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0])
+        x = data.draw(arrays(np.float64, shape, elements=st.one_of(special, st.floats())))
+        any_mask = data.draw(arrays(np.bool_, shape))
+        for mask in (x > 0.0, any_mask):
+            expected = np.where(mask, x, 0.0)
+            assert np.array_equal(_relu_select(mask, x).view(np.uint64), expected.view(np.uint64))
+
     def test_zero_params_give_half_power(self, rng):
         cfg = small_problem(5)
         p = init_params(GnnConfig(f1=8, f2=8), 0).zeros_like()

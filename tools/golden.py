@@ -6,7 +6,9 @@ fixed pipeline at m=6, m=20 and m=50 (generate, train with intermediate
 checkpoints, eval with CDF and trace exports, early-stop eval, baselines,
 ITLinQ eval under a config copy with the by-index ordering, gradcheck,
 theorem-suite) and keeps every file it writes plus the stdout and exit code
-of each step.
+of each step.  Training at m=50 runs 100-step episodes, which the episode
+gradient takes in two time blocks, so the golden run crosses a block edge of
+every blocked stage: synthesis, training and execution.
 ``compare`` lists every file that is missing from either tree or differs,
 and exits nonzero if there is any.
 
@@ -31,20 +33,22 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CKPT = "checkpoints/checkpoint_final.json"
-# m -> (area side in m, n_train, n_test).  At m=50 channel synthesis runs in
-# 13-step blocks and execution in 25-step blocks, so the pipeline crosses
-# their block edges; at m=6 and m=20 each takes a whole episode at once.
-SIZES = {6: (500.0, 8, 4), 20: (1000.0, 8, 4), 50: (2000.0, 4, 2)}
+# m -> (area side in m, n_train, n_test, training episode_len).  At m=50
+# channel synthesis runs in 13-step blocks, execution in 25-step blocks and
+# the training gradient (f=16) in 81-step blocks, so a 100-step training
+# episode is one block of 81 steps and one of 19; at m=6 and m=20 each stage
+# takes a whole episode at once.
+SIZES = {6: (500.0, 8, 4, 20), 20: (1000.0, 8, 4, 20), 50: (2000.0, 4, 2, 100)}
 
 
 def _config(m: int) -> dict:
-    area, n_train, n_test = SIZES[m]
+    area, n_train, n_test, episode_len = SIZES[m]
     return {
         "seed": 7,
         "output_dir": f"m{m}",
         "topology": {"m": m, "area_side_m": area},
         "gnn": {"f1": 16, "f2": 16},
-        "train": {"n_iters": 40, "batch_size": 4, "episode_len": 20,
+        "train": {"n_iters": 40, "batch_size": 4, "episode_len": episode_len,
                   "checkpoint_every": 20},
         "execution": {"T": 103, "T0": 5},
         "data": {"n_train": n_train, "n_test": n_test},
