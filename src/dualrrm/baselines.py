@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RrmProblemConfig
+from .core import RrmProblemConfig, full_power_inr
 from .errors import ConfigError
 
 
@@ -54,7 +54,7 @@ def itlinq_schedule(
     """
     cfg.validate()
     m = problem.m
-    inr = problem.p_max * abs_h2 / problem.noise  # (..., i, j): tx i at rx j
+    inr = full_power_inr(abs_h2, problem)  # (..., i, j): tx i at rx j
     snr = inr.diagonal(0, -2, -1)
     margin = 10.0 ** (cfg.m_margin_db / 10.0)
     cap = margin * snr**cfg.eta_exponent

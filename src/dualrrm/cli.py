@@ -234,6 +234,7 @@ def cmd_gradcheck(args) -> int:
         )
     print(f"max relative error over {len(report.checks)} coordinates: "
           f"{report.max_rel_err:.3e}")
+    print(f"vacuous coordinates (both derivatives exactly 0): {report.n_vacuous}")
     if not report.passed(args.tol):
         print("GRADCHECK FAIL")
         return EXIT_NUMERIC

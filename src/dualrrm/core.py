@@ -1,4 +1,5 @@
-"""Problem arithmetic: per-user rates, utility, constraints, Lagrangian, metrics.
+"""Problem arithmetic: per-user rates and their power gradient, utility,
+constraints, Lagrangian, metrics.
 
 Everything works in linear power units (milliwatts, matching the dBm config
 boundary) and double precision, over any leading (batch, time) axes.
@@ -63,13 +64,6 @@ def block_steps(step_bytes: int, unit: int = 1) -> int:
     return unit * max(1, _BLOCK_BYTES // (step_bytes * unit))
 
 
-def _check_shapes(abs_h2: np.ndarray, p: np.ndarray, m: int) -> None:
-    if abs_h2.shape[-2:] != (m, m) or p.shape[-1] != m:
-        raise DimensionMismatch(
-            f"channel {abs_h2.shape} / power {p.shape} inconsistent with m={m}"
-        )
-
-
 def sorted_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis that does not depend on the order of the terms.
 
@@ -94,6 +88,22 @@ def interference_denominators(abs_h2: np.ndarray, p: np.ndarray, noise: float) -
     return sorted_sum(terms)
 
 
+_LN2 = float(np.log(2.0))
+
+
+def _rate_terms(
+    abs_h2: np.ndarray, p: np.ndarray, cfg: RrmProblemConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signal p_i |h_ii|^2, noise-plus-interference and rate of every user."""
+    if abs_h2.shape[-2:] != (cfg.m, cfg.m) or p.shape[-1] != cfg.m:
+        raise DimensionMismatch(
+            f"channel {abs_h2.shape} / power {p.shape} inconsistent with m={cfg.m}"
+        )
+    signal = p * abs_h2.diagonal(0, -2, -1)
+    denom = interference_denominators(abs_h2, p, cfg.noise)
+    return signal, denom, np.log2(1.0 + signal / denom)
+
+
 def rates(abs_h2: np.ndarray, p: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
     """Rates when every receiver decodes treating interference as noise,
     from the squared channel magnitudes ``abs_h2`` (..., m, m) and the
@@ -101,10 +111,33 @@ def rates(abs_h2: np.ndarray, p: np.ndarray, cfg: RrmProblemConfig) -> np.ndarra
 
     f_i = log2(1 + p_i |h_ii|^2 / (N + sum_{j != i} p_j |h_ji|^2))
     """
-    _check_shapes(abs_h2, p, cfg.m)
-    signal = p * abs_h2.diagonal(0, -2, -1)
-    denom = interference_denominators(abs_h2, p, cfg.noise)
-    return np.log2(1.0 + signal / denom)
+    return _rate_terms(abs_h2, p, cfg)[2]
+
+
+def rates_and_gradient(
+    abs_h2: np.ndarray, p: np.ndarray, weights: np.ndarray, cfg: RrmProblemConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``rates`` and d(sum_i weights_i f_i)/dp, over any leading axes of
+    ``abs_h2`` (..., m, m) and ``p`` (..., m); ``weights`` broadcasts."""
+    signal, denom, f = _rate_terms(abs_h2, p, cfg)
+    total = denom + signal
+    beta = weights / (_LN2 * total)
+    gamma = weights * signal / (_LN2 * denom * total)
+    # dL/dp_j = beta_j |h_jj|^2 - sum_{i != j} abs_h2[j, i] gamma_i, reduced
+    # by the same order-invariant sum as the denominators
+    cross = abs_h2 * gamma[..., None, :]
+    diag = np.arange(p.shape[-1])
+    cross[..., diag, diag] = 0.0
+    return f, beta * abs_h2.diagonal(0, -2, -1) - sorted_sum(cross)
+
+
+def full_power_inr(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
+    """P_max |h|^2 / N of every link, in one new array: the INR of
+    transmitter i at receiver j at full power, with the SNRs on the
+    diagonal."""
+    inr = np.multiply(abs_h2, cfg.p_max)
+    inr /= cfg.noise
+    return inr
 
 
 def constraints_g(avg_f: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:

@@ -31,11 +31,10 @@ def _split_id(split: str) -> int:
     return SPLIT_IDS[split]
 
 
-def generate_dataset(cfg: ExperimentConfig, split: str, count: int | None = None) -> list[Realization]:
+def generate_dataset(cfg: ExperimentConfig, split: str) -> list[Realization]:
     """Draw the realizations for a split without touching the filesystem."""
     sid = _split_id(split)
-    if count is None:
-        count = cfg.data.n_train if split == "train" else cfg.data.n_test
+    count = cfg.data.n_train if split == "train" else cfg.data.n_test
     out = []
     for i in range(count):
         topo_seed = derive_seed(cfg.seed, TOPOLOGY, sid, i)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RrmProblemConfig, sorted_sum
+from .core import RrmProblemConfig, full_power_inr, sorted_sum
 from .errors import DegenerateNorm, DimensionMismatch, ZeroChannel
 
 
@@ -58,8 +58,7 @@ def _checked_gain_episode(gain: np.ndarray, n_steps: int, m: int) -> np.ndarray:
 def _log_strengths(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
     """log(P_max |h|^2 / N) of every entry, the edges before normalization,
     computed in one new array."""
-    logs = np.multiply(abs_h2, cfg.p_max)
-    logs /= cfg.noise
+    logs = full_power_inr(abs_h2, cfg)
     return np.log(logs, out=logs)
 
 

@@ -30,11 +30,11 @@ from .core import (
     RrmProblemConfig,
     block_steps,
     checked_duals,
-    interference_denominators,
     lagrangian,
     lagrangian_rate_weights,
-    sorted_sum,
+    rates_and_gradient,
 )
+from .core import interference_denominators  # bench/tracing.py wraps this name here
 from .errors import (
     CheckpointDimMismatch,
     ConfigError,
@@ -43,8 +43,6 @@ from .errors import (
 )
 from .graph import GainEpisode, RrmGraph, _checked_gain_episode
 from .seeding import generator
-
-_LN2 = float(np.log(2.0))
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -247,26 +245,6 @@ def forward(graph: RrmGraph, mu: np.ndarray, params: GnnParams, p_max: float) ->
     return p_max * _sigmoid(pre)
 
 
-def _d_lagrangian_d_powers(
-    abs_h2: np.ndarray, p: np.ndarray, weights: np.ndarray, cfg: RrmProblemConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rates and d(sum_i weights_i f_i)/dp, over any leading axes of
-    ``abs_h2`` (..., m, m) and ``p`` (..., m); ``weights`` broadcasts."""
-    a = abs_h2.diagonal(0, -2, -1)
-    signal = p * a
-    denom = interference_denominators(abs_h2, p, cfg.noise)
-    f = np.log2(1.0 + signal / denom)
-    total = denom + signal
-    beta = weights / (_LN2 * total)
-    gamma = weights * signal / (_LN2 * denom * total)
-    # dL/dp_j = beta_j a_j - sum_{i != j} abs_h2[j, i] gamma_i, reduced by the
-    # same order-invariant sum as the denominators
-    cross = abs_h2 * gamma[..., None, :]
-    diag = np.arange(p.shape[-1])
-    cross[..., diag, diag] = 0.0
-    return f, beta * a - sorted_sum(cross)
-
-
 def episode_tensors(gain: np.ndarray, cfg: RrmProblemConfig) -> GainEpisode:
     """A gain episode |h|^2 (T, m, m), T >= 1, with the edge norm of every
     step, reused across every evaluation of the episode."""
@@ -307,7 +285,7 @@ def episode_eval(
         block = episode[win]
         pre, cache = _forward_tensors(y0, block.edges, block.in_sums, params)
         sig = _sigmoid(pre)
-        f[win], dldp = _d_lagrangian_d_powers(block.gain, cfg.p_max * sig, step_weights, cfg)
+        f[win], dldp = rates_and_gradient(block.gain, cfg.p_max * sig, step_weights, cfg)
         d_pre = dldp * cfg.p_max * sig * (1.0 - sig)
         block_grads = _backward_tensors(d_pre, cache, block.edges, block.in_sums, params)
         if grads is None:

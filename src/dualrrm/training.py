@@ -12,6 +12,7 @@ the uninterrupted run.  Training runs in one process, episode by episode.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -116,33 +117,10 @@ def sample_duals(m: int, batch: int, dist: Sequence, seed: int) -> np.ndarray:
     return generator(seed).uniform(low, high, size=(batch, m))
 
 
-def _sample_index(global_sample: int, dataset_size: int, seed: int, perm_cache: dict) -> int:
-    """Dataset index for a global sample counter, with per-epoch shuffling."""
-    epoch, pos = divmod(global_sample, dataset_size)
-    if epoch not in perm_cache:
-        perm_cache[epoch] = generator(derive_seed(seed, DATA_ORDER, epoch)).permutation(
-            dataset_size
-        )
-    return int(perm_cache[epoch][pos])
-
-
-class _TensorCache:
-    """Lazily materialized per-realization training episodes: the gains and
-    the edge norm of every step, T (m^2 + 1) floats each; ``episode_eval``
-    builds the edges block by block."""
-
-    def __init__(self, dataset: Sequence[Realization], n_steps: int, cfg: RrmProblemConfig):
-        self._dataset = dataset
-        self._n_steps = n_steps
-        self._cfg = cfg
-        self._cache: dict[int, GainEpisode] = {}
-
-    def get(self, idx: int) -> GainEpisode:
-        if idx not in self._cache:
-            self._cache[idx] = episode_tensors(
-                self._dataset[idx].episode(self._n_steps), self._cfg
-            )
-        return self._cache[idx]
+def _checked_seed(cfg: TrainConfig) -> int:
+    if cfg.seed is None:
+        raise ConfigError("train seed is unresolved; set TrainConfig.seed")
+    return cfg.seed
 
 
 def _run_ascent(
@@ -153,26 +131,29 @@ def _run_ascent(
     init: GnnParams | None,
     start_iter: int,
     *,
-    seed_path: tuple[int, ...] = (),
     fixed_mu: np.ndarray | None = None,
     node_features: np.ndarray | None = None,
-    log: TrainingLog | None = None,
     checkpoint_cb: Callable[[int, GnnParams], None] | None = None,
-) -> GnnParams:
+) -> tuple[GnnParams, TrainingLog]:
     cfg.validate()
-    if cfg.seed is None:
-        raise ConfigError("train seed is unresolved; set TrainConfig.seed")
+    seed = _checked_seed(cfg)
     if len(dataset) == 0:
         raise EmptyInput("training dataset is empty")
     n_iters = cfg.resolved_n_iters(len(dataset))
     eta_base = cfg.resolved_eta_phi(problem.m)
-    params = (
-        init
-        if init is not None
-        else init_params(dims, derive_seed(cfg.seed, *seed_path, PARAM_INIT))
-    )
-    cache = _TensorCache(dataset, cfg.episode_len, problem)
-    perm_cache: dict[int, np.ndarray] = {}
+    params = init if init is not None else init_params(dims, derive_seed(seed, PARAM_INIT))
+    log = TrainingLog()
+
+    @functools.cache
+    def epoch_order(epoch: int) -> np.ndarray:
+        return generator(derive_seed(seed, DATA_ORDER, epoch)).permutation(len(dataset))
+
+    # the gains and the edge norm of every step, T (m^2 + 1) floats per
+    # realization; ``episode_eval`` builds the edges block by block
+    @functools.cache
+    def episode(idx: int) -> GainEpisode:
+        return episode_tensors(dataset[idx].episode(cfg.episode_len), problem)
+
     for n in range(start_iter, n_iters):
         t0 = time.perf_counter()
         if fixed_mu is None:
@@ -180,7 +161,7 @@ def _run_ascent(
                 problem.m,
                 cfg.batch_size,
                 cfg.mu_dist,
-                derive_seed(cfg.seed, *seed_path, DUAL_SAMPLING, n),
+                derive_seed(seed, DUAL_SAMPLING, n),
             )
         else:
             mu_batch = np.broadcast_to(fixed_mu, (cfg.batch_size, problem.m))
@@ -188,10 +169,12 @@ def _run_ascent(
         grad_mean = params.zeros_like()
         values, sum_rates, slacks = [], [], []
         for b in range(cfg.batch_size):
-            idx = _sample_index(n * cfg.batch_size + b, len(dataset), cfg.seed, perm_cache)
+            # every epoch visits the dataset once, in its own shuffled order
+            sample_epoch, pos = divmod(n * cfg.batch_size + b, len(dataset))
+            idx = int(epoch_order(sample_epoch)[pos])
             try:
                 value, grad, avg_f = episode_eval(
-                    cache.get(idx), mu_batch[b], params, problem, node_features=node_features
+                    episode(idx), mu_batch[b], params, problem, node_features=node_features
                 )
             except NonFiniteActivation as exc:
                 raise NonFiniteLoss(n, f"iteration {n}: {exc}") from exc
@@ -205,18 +188,17 @@ def _run_ascent(
         epoch = (n * cfg.batch_size) // len(dataset)
         eta = eta_base * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every_epochs)
         params = apply_update(params, grad_mean, eta)
-        if log is not None:
-            log.append(
-                n,
-                mean_value,
-                float(np.sum(sum_rates) / cfg.batch_size),
-                float(np.sum(slacks) / cfg.batch_size),
-                (time.perf_counter() - t0) * 1e3,
-            )
+        log.append(
+            n,
+            mean_value,
+            float(np.sum(sum_rates) / cfg.batch_size),
+            float(np.sum(slacks) / cfg.batch_size),
+            (time.perf_counter() - t0) * 1e3,
+        )
         if checkpoint_cb is not None and cfg.checkpoint_every:
             if (n + 1) % cfg.checkpoint_every == 0:
                 checkpoint_cb(n + 1, params)
-    return params
+    return params, log
 
 
 def train(
@@ -229,18 +211,7 @@ def train(
     checkpoint_cb: Callable[[int, GnnParams], None] | None = None,
 ) -> tuple[GnnParams, TrainingLog]:
     """Train the dual-conditioned policy; returns final params and the log."""
-    log = TrainingLog()
-    params = _run_ascent(
-        cfg,
-        problem,
-        dims,
-        dataset,
-        init,
-        start_iter,
-        log=log,
-        checkpoint_cb=checkpoint_cb,
-    )
-    return params, log
+    return _run_ascent(cfg, problem, dims, dataset, init, start_iter, checkpoint_cb=checkpoint_cb)
 
 
 def train_per_mu_oracle(
@@ -260,15 +231,7 @@ def train_per_mu_oracle(
         raise SizeLimitExceeded(
             f"per-mu oracle is restricted to m <= {ORACLE_MAX_USERS}"
         )
-    mu = np.asarray(mu, dtype=float)
-    return _run_ascent(
-        cfg,
-        problem,
-        dims,
-        dataset,
-        None,
-        0,
-        seed_path=(ORACLE,),
-        fixed_mu=mu,
-        node_features=np.ones(problem.m),
-    )
+    init = init_params(dims, derive_seed(_checked_seed(cfg), ORACLE, PARAM_INIT))
+    params, _ = _run_ascent(cfg, problem, dims, dataset, init, 0,
+                            fixed_mu=np.asarray(mu, dtype=float), node_features=np.ones(problem.m))
+    return params

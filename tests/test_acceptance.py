@@ -80,7 +80,8 @@ class TestCriterion1Gradient:
         report(
             "1 gradient-exactness", passed,
             f"rel err {measurable_rel:.2e} above the FD noise "
-            f"floor, abs err {worst_abs:.2e}, 50 coords in {elapsed:.1f}s",
+            f"floor, abs err {worst_abs:.2e}, 50 coords ({report_obj.n_vacuous} vacuous) "
+            f"in {elapsed:.1f}s",
         )
 
 

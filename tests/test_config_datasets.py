@@ -1,10 +1,11 @@
 import errno
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dualrrm import artifacts
 from dualrrm.artifacts import atomic_open
@@ -19,7 +20,7 @@ from dualrrm.config import (
     load_config,
 )
 from dualrrm.datasets import generate_dataset, load_dataset, write_dataset
-from dualrrm.errors import ConfigError
+from dualrrm.errors import ConfigError, UnsupportedDistribution
 from dualrrm.policy import Checkpoint, GnnConfig, init_params, load_checkpoint, save_checkpoint
 from dualrrm.reporting import FileMeta, write_csv
 
@@ -93,6 +94,61 @@ class TestConfig:
     def test_with_m_override(self):
         cfg = ExperimentConfig().validate().with_m(12)
         assert cfg.topology.m == 12 and cfg.problem.m == 12
+
+
+def _leaves(default, path=()):
+    """(path, annotation) of every non-dataclass field under ``default``."""
+    for f in fields(default):
+        value = getattr(default, f.name)
+        if is_dataclass(value):
+            yield from _leaves(value, path + (f.name,))
+        else:
+            yield path + (f.name,), f.type
+
+
+_FLOATS = st.floats(0.0, 1.0) | st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = {
+    "int": st.integers(0, 200) | st.integers(0, 2**64),
+    "float": _FLOATS,
+    "bool": st.booleans(),
+    "str": st.sampled_from(["uniform", "fixed", "variable", "by-index"]) | st.text(max_size=8),
+}
+
+
+def _values(kind: str):
+    """Values of the JSON type a field annotated ``kind`` takes."""
+    if kind.endswith(" | None"):
+        return st.none() | _values(kind.removesuffix(" | None"))
+    if kind == "tuple[float, ...]":
+        return st.lists(_FLOATS, max_size=6)
+    if kind.startswith("tuple["):
+        return st.tuples(*map(_values, kind[6:-1].split(", "))).map(list)
+    return _SCALARS[kind]
+
+
+@st.composite
+def valid_configs(draw):
+    """A validated config with a few fields drawn away from their defaults."""
+    overrides = {}
+    for path, kind in draw(st.lists(st.sampled_from(list(_leaves(ExperimentConfig()))),
+                                    max_size=5, unique_by=lambda leaf: leaf[0])):
+        node = overrides
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = draw(_values(kind))
+    try:
+        return config_from_dict(overrides).validate()
+    except (ConfigError, UnsupportedDistribution):
+        assume(False)
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=100)
+    @given(cfg=valid_configs())
+    def test_canonical_json_round_trips(self, cfg):
+        again = config_from_dict(json.loads(canonical_json(cfg)))
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
 
 
 class TestDatasets:

@@ -12,6 +12,7 @@ from dualrrm.core import (
     lagrangian_rate_weights,
     metrics,
     rates,
+    rates_and_gradient,
     utility_sum,
 )
 from dualrrm.errors import DimensionMismatch, EmptyInput, NegativeDual
@@ -131,6 +132,61 @@ class TestBatchedDenominators:
         # extra leading axes reduce the same way
         f2 = rates(np.stack([g2, g2[::-1]]), np.stack([p, p[::-1]]), cfg)
         assert np.array_equal(f2[0], f) and np.array_equal(f2[1], f[::-1])
+
+
+def random_kernel_inputs(rng, cfg, n_steps):
+    """Spread gains, interior powers and Lagrangian rate weights 1 + mu."""
+    p = rng.uniform(0.1, cfg.p_max, (n_steps, cfg.m))
+    return random_gains(rng, n_steps, cfg.m), p, 1.0 + rng.uniform(0, 2, cfg.m)
+
+
+class TestRatesAndGradientKernel:
+    @pytest.mark.parametrize("m", [1, 6, 50])
+    def test_batched_equals_per_step_bit_exact(self, rng, m):
+        cfg = RrmProblemConfig(m=m)
+        g2, p, w = random_kernel_inputs(rng, cfg, 5)
+        f, dldp = rates_and_gradient(g2, p, w, cfg)
+        assert np.array_equal(f, rates(g2, p, cfg))
+        for t in range(5):
+            f_t, dldp_t = rates_and_gradient(g2[t], p[t], w, cfg)
+            assert np.array_equal(f_t, f[t]) and np.array_equal(dldp_t, dldp[t])
+
+    @pytest.mark.parametrize("m", [6, 50])
+    def test_permutation_equivariance_bit_exact(self, rng, m):
+        cfg = RrmProblemConfig(m=m)
+        g2, p, w = random_kernel_inputs(rng, cfg, 5)
+        f, dldp = rates_and_gradient(g2, p, w, cfg)
+        for _ in range(5):
+            perm = rng.permutation(m)
+            f_perm, dldp_perm = rates_and_gradient(
+                g2[:, perm][:, :, perm], p[:, perm], w[perm], cfg
+            )
+            assert np.array_equal(f_perm, f[:, perm])
+            assert np.array_equal(dldp_perm, dldp[:, perm])
+
+    @pytest.mark.parametrize("m", [1, 4, 12])
+    def test_gradient_vs_central_differences(self, rng, m):
+        # dL/dp is linear in the weights, and one-hot weights e_i make it row
+        # i of the rate Jacobian, so every entry d f_i / d p_j is checked
+        cfg = RrmProblemConfig(m=m)
+        g2, p, _ = random_kernel_inputs(rng, cfg, 5)
+        jac = np.stack([rates_and_gradient(g2, p, w, cfg)[1] for w in np.eye(m)], axis=-2)
+        step = 1e-6
+        fd = np.empty_like(jac)  # (T, i, j)
+        for j in range(m):
+            up, down = p.copy(), p.copy()
+            up[:, j] += step  # steps are independent, so all move at once
+            down[:, j] -= step
+            diff = rates(g2, up, cfg) - rates(g2, down, cfg)
+            fd[..., j] = diff / (2 * step)
+        # central differences carry ~ulp(f)/step of rounding noise, so the
+        # relative bound only applies to entries that rise above that floor
+        scale = np.maximum(np.abs(jac), np.abs(fd))
+        above = scale >= 1e-3
+        assert np.all(np.abs(jac - fd)[above] / scale[above] < 1e-6)
+        assert np.all(np.abs(jac - fd)[~above] < 5e-9)
+        # one user has no cross terms, the entries that fall below the floor
+        assert above.any() and (m == 1 or (~above).any())
 
 
 class TestConstraintsUtility:

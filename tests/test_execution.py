@@ -24,7 +24,8 @@ from dualrrm.execution import (
     replay_duals,
 )
 from dualrrm.baselines import FullReusePolicy, ItlinqConfig, ItlinqPolicy
-from dualrrm.policy import GnnConfig, init_params
+from dualrrm.graph import build_graph
+from dualrrm.policy import GnnConfig, forward, init_params
 from dualrrm.training import TrainConfig, train
 from dualrrm.verify import dual_trace_battery
 
@@ -383,6 +384,39 @@ class TestExecutionBlocks:
         assert np.array_equal(trace.rates, rates_t)
         assert np.array_equal(trace.duals, duals)
         assert np.array_equal(trace.final_dual, final)
+
+
+class TestRelabeling:
+    @settings(max_examples=30)
+    @given(m=st.integers(1, 12), seed=st.integers(0, 2**16), data=st.data())
+    def test_relabeling_users_relabels_every_output(self, m, seed, data):
+        # the rate kernel reduces every sum in sorted order, so it commutes
+        # with a relabeling bit for bit; the policy's matrix products do not
+        perm = np.array(data.draw(st.permutations(range(m))))
+        rng = np.random.default_rng(seed)
+        problem = RrmProblemConfig(m=m)
+        (real,) = make_realizations(m=m, count=1, seed=seed, area=1000.0)
+        episode = real.episode(20)
+        relabeled = episode[:, perm][:, :, perm]
+        p = rng.uniform(0.0, problem.p_max, (20, m))
+        w = 1.0 + rng.uniform(0.0, 2.0, m)
+        f_perm = rates(relabeled, p[:, perm], problem)
+        assert np.array_equal(f_perm, rates(episode, p, problem)[:, perm])
+        f, dldp = core.rates_and_gradient(episode, p, w, problem)
+        f_perm, dldp_perm = core.rates_and_gradient(relabeled, p[:, perm], w[perm], problem)
+        assert np.array_equal(f_perm, f[:, perm]) and np.array_equal(dldp_perm, dldp[:, perm])
+
+        params = init_params(GnnConfig(f1=8, f2=8), seed)
+        mu = rng.uniform(0.0, 3.0, m)
+        powers = forward(build_graph(episode, problem), mu, params, problem.p_max)
+        powers_perm = forward(build_graph(relabeled, problem), mu[perm], params, problem.p_max)
+        assert np.max(np.abs(powers_perm - powers[:, perm])) < 1e-9
+        cfg = ExecConfig(T=20, T0=5, mu_init=tuple(mu))
+        trace = execute(params, episode, cfg, problem)
+        trace_perm = execute(params, relabeled, replace(cfg, mu_init=tuple(mu[perm])), problem)
+        for name in ("powers", "rates", "duals", "ergodic_rates"):
+            got, want = getattr(trace_perm, name), getattr(trace, name)[:, perm]
+            assert np.max(np.abs(got - want)) < 1e-9, name
 
 
 def replay_final(trace: EpisodeTrace, problem) -> np.ndarray:

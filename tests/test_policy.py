@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from dualrrm import core
+from dualrrm import core, verify
 from dualrrm.core import RrmProblemConfig, block_steps, rates
 from dualrrm.errors import (
     CheckpointDimMismatch,
@@ -19,7 +19,6 @@ from dualrrm.graph import RrmGraph, build_graph
 from dualrrm.policy import (
     Checkpoint,
     GnnConfig,
-    _d_lagrangian_d_powers,
     _forward_tensors,
     _relu_select,
     apply_update,
@@ -32,9 +31,9 @@ from dualrrm.policy import (
     require_dims,
     save_checkpoint,
 )
-from dualrrm.verify import finite_difference_check
+from dualrrm.verify import MAX_DRAWS, finite_difference_check
 
-from conftest import make_realizations, params_equal, random_gains, relabel_matrix
+from conftest import make_realizations, params_equal, relabel_matrix
 
 
 def small_problem(m):
@@ -213,6 +212,36 @@ class TestEpisodeObjective:
         )
         assert report.passed(1e-4), f"max rel err {report.max_rel_err}"
 
+    def test_inert_bias_coordinates_reported_vacuous(self, monkeypatch):
+        # with use_bias off every bias entry has both derivatives exactly 0,
+        # so each bias pick is redrawn MAX_DRAWS times and then kept
+        evals = []
+        monkeypatch.setattr(verify, "episode_eval", lambda *a: evals.append(1) or episode_eval(*a))
+        report = finite_difference_check(
+            small_problem(4), GnnConfig(f1=8, f2=8, use_bias=False),
+            n_steps=6, n_coords=20, seed=5,
+        )
+        inert = [c for c in report.checks if c.tensor in ("layer1.b", "layer2.b")]
+        assert len(report.checks) == 20 and len(inert) == 4
+        assert all(c.vacuous for c in inert) and report.n_vacuous == 4
+        assert report.passed(1e-4)
+        # one gradient, then two evaluations per draw
+        assert 1 + 2 * (4 * MAX_DRAWS + 16) <= len(evals) <= 1 + 2 * 20 * MAX_DRAWS
+
+    @pytest.mark.parametrize("b_out", [50.0, 800.0, -800.0])
+    def test_saturated_head_has_exactly_zero_gradient(self, b_out):
+        # past |pre| ~ 37 the sigmoid rounds to exactly 1 or 0, so the power
+        # head's derivative p_max s (1 - s) vanishes; nothing overflows
+        cfg = small_problem(3)
+        params = init_params(GnnConfig(f1=8, f2=8), 2)
+        params.b_out[0] = b_out
+        (real,) = make_realizations(m=3, count=1, seed=4)
+        value, grads, avg_f = episode_eval(
+            episode_tensors(real.episode(5), cfg), np.array([0.3, 0.0, 1.1]), params, cfg
+        )
+        assert np.isfinite(value) and np.isfinite(avg_f).all()
+        assert np.array_equal(grads.flat, np.zeros_like(grads.flat))
+
     def test_doubling_episode_leaves_value_unchanged(self):
         cfg = small_problem(3)
         params = init_params(GnnConfig(f1=8, f2=8), 4)
@@ -317,60 +346,6 @@ class TestTimeBlocks:
         assert block_steps(8 * 50 * 50, 5) == 25
         assert block_steps(16 * 50 * 50) == 13
         assert block_steps(10**9, 5) == 5
-
-
-def random_kernel_inputs(rng, cfg, n_steps):
-    """Spread gains, interior powers and Lagrangian rate weights 1 + mu."""
-    p = rng.uniform(0.1, cfg.p_max, (n_steps, cfg.m))
-    return random_gains(rng, n_steps, cfg.m), p, 1.0 + rng.uniform(0, 2, cfg.m)
-
-
-class TestRatesAndGradientKernel:
-    @pytest.mark.parametrize("m", [1, 6, 50])
-    def test_batched_equals_per_step_bit_exact(self, rng, m):
-        cfg = small_problem(m)
-        g2, p, w = random_kernel_inputs(rng, cfg, 5)
-        f, dldp = _d_lagrangian_d_powers(g2, p, w, cfg)
-        assert np.array_equal(f, rates(g2, p, cfg))
-        for t in range(5):
-            f_t, dldp_t = _d_lagrangian_d_powers(g2[t], p[t], w, cfg)
-            assert np.array_equal(f_t, f[t]) and np.array_equal(dldp_t, dldp[t])
-
-    @pytest.mark.parametrize("m", [6, 50])
-    def test_permutation_equivariance_bit_exact(self, rng, m):
-        cfg = small_problem(m)
-        g2, p, w = random_kernel_inputs(rng, cfg, 5)
-        f, dldp = _d_lagrangian_d_powers(g2, p, w, cfg)
-        for _ in range(5):
-            perm = rng.permutation(m)
-            f_perm, dldp_perm = _d_lagrangian_d_powers(
-                g2[:, perm][:, :, perm], p[:, perm], w[perm], cfg
-            )
-            assert np.array_equal(f_perm, f[:, perm])
-            assert np.array_equal(dldp_perm, dldp[:, perm])
-
-    @pytest.mark.parametrize("m", [4, 12])
-    def test_gradient_vs_central_differences(self, rng, m):
-        # dL/dp is linear in the weights, and one-hot weights e_i make it row
-        # i of the rate Jacobian, so every entry d f_i / d p_j is checked
-        cfg = small_problem(m)
-        g2, p, _ = random_kernel_inputs(rng, cfg, 5)
-        jac = np.stack([_d_lagrangian_d_powers(g2, p, w, cfg)[1] for w in np.eye(m)], axis=-2)
-        step = 1e-6
-        fd = np.empty_like(jac)  # (T, i, j)
-        for j in range(m):
-            up, down = p.copy(), p.copy()
-            up[:, j] += step  # steps are independent, so all move at once
-            down[:, j] -= step
-            diff = rates(g2, up, cfg) - rates(g2, down, cfg)
-            fd[..., j] = diff / (2 * step)
-        # central differences carry ~ulp(f)/step of rounding noise, so the
-        # relative bound only applies to entries that rise above that floor
-        scale = np.maximum(np.abs(jac), np.abs(fd))
-        above = scale >= 1e-3
-        assert np.all(np.abs(jac - fd)[above] / scale[above] < 1e-6)
-        assert np.all(np.abs(jac - fd)[~above] < 5e-9)
-        assert above.any() and (~above).any()
 
 
 class TestApplyUpdate:

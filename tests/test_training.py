@@ -218,6 +218,17 @@ class TestPerMuOracle:
                 np.zeros(9), tiny_cfg(), RrmProblemConfig(m=9), GnnConfig(f1=4, f2=4), dataset
             )
 
+    def test_unresolved_seed_rejected_before_init(self, monkeypatch):
+        # a None seed must not reach derive_seed, which would seed the
+        # initial weights from OS entropy
+        monkeypatch.setattr(training_module, "init_params", lambda *a: pytest.fail("init drawn"))
+        dataset = make_realizations(m=2, count=1, seed=1)
+        with pytest.raises(ConfigError):
+            train_per_mu_oracle(
+                np.zeros(2), tiny_cfg(seed=None), RrmProblemConfig(m=2), GnnConfig(f1=4, f2=4),
+                dataset,
+            )
+
     def test_deterministic(self):
         dataset = make_realizations(m=3, count=2, seed=5)
         problem = RrmProblemConfig(m=3)
