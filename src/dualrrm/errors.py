@@ -50,7 +50,7 @@ class NonFiniteLoss(RrmError):
         super().__init__(message or f"non-finite loss at iteration {iteration}")
 
 
-class UnsupportedDistribution(RrmError):
+class UnsupportedDistribution(ConfigError):
     """Requested dual-sampling distribution is not supported."""
 
 

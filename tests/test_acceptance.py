@@ -64,13 +64,7 @@ class TestCriterion1Gradient:
         elapsed = time.time() - start
         tensors = {c.tensor for c in report_obj.checks}
         worst_abs = max(c.abs_err for c in report_obj.checks)
-        # the worst relative error among coordinates whose derivative stands
-        # clear of the FD noise floor at the 1e-4 tolerance
-        measurable_rel = max(
-            (c.rel_err for c in report_obj.checks
-             if max(abs(c.analytic), abs(c.numeric)) > c.noise_floor / 1e-4),
-            default=0.0,
-        )
+        measurable_rel = report_obj.max_measurable_rel_err(1e-4)
         passed = (
             report_obj.passed(1e-4)
             and elapsed < 30.0

@@ -20,7 +20,7 @@ from dualrrm.config import (
     load_config,
 )
 from dualrrm.datasets import generate_dataset, load_dataset, write_dataset
-from dualrrm.errors import ConfigError, UnsupportedDistribution
+from dualrrm.errors import ConfigError
 from dualrrm.policy import Checkpoint, GnnConfig, init_params, load_checkpoint, save_checkpoint
 from dualrrm.reporting import FileMeta, write_csv
 
@@ -75,6 +75,12 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_unsupported_dual_distribution_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"mu_dist": ["normal", 0, 1]}}))
+        with pytest.raises(ConfigError, match="unsupported dual distribution"):
             load_config(path)
 
     def test_hash_sensitive_to_any_field(self):
@@ -138,7 +144,7 @@ def valid_configs(draw):
         node[path[-1]] = draw(_values(kind))
     try:
         return config_from_dict(overrides).validate()
-    except (ConfigError, UnsupportedDistribution):
+    except ConfigError:
         assume(False)
 
 

@@ -8,7 +8,8 @@ ITLinQ eval under a config copy with the by-index ordering, gradcheck,
 theorem-suite) and keeps every file it writes plus the stdout and exit code
 of each step.  Training at m=50 runs 100-step episodes, which the episode
 gradient takes in two time blocks, so the golden run crosses a block edge of
-every blocked stage: synthesis, training and execution.
+every blocked stage: synthesis, training and execution.  At m=20 the two
+message-passing layers have different widths (16 and 24).
 ``compare`` lists every file that is missing from either tree or differs,
 and exits nonzero if there is any.
 
@@ -33,21 +34,25 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CKPT = "checkpoints/checkpoint_final.json"
-# m -> (area side in m, n_train, n_test, training episode_len).  At m=50
-# channel synthesis runs in 13-step blocks, execution in 25-step blocks and
-# the training gradient (f=16) in 81-step blocks, so a 100-step training
-# episode is one block of 81 steps and one of 19; at m=6 and m=20 each stage
-# takes a whole episode at once.
-SIZES = {6: (500.0, 8, 4, 20), 20: (1000.0, 8, 4, 20), 50: (2000.0, 4, 2, 100)}
+# m -> (area side in m, n_train, n_test, training episode_len, (f1, f2)).
+# At m=50 channel synthesis runs in 13-step blocks, execution in 25-step
+# blocks and the training gradient (f=16) in 81-step blocks, so a 100-step
+# training episode is one block of 81 steps and one of 19; at m=6 and m=20
+# each stage takes a whole episode at once.
+SIZES = {
+    6: (500.0, 8, 4, 20, (16, 16)),
+    20: (1000.0, 8, 4, 20, (16, 24)),
+    50: (2000.0, 4, 2, 100, (16, 16)),
+}
 
 
 def _config(m: int) -> dict:
-    area, n_train, n_test, episode_len = SIZES[m]
+    area, n_train, n_test, episode_len, (f1, f2) = SIZES[m]
     return {
         "seed": 7,
         "output_dir": f"m{m}",
         "topology": {"m": m, "area_side_m": area},
-        "gnn": {"f1": 16, "f2": 16},
+        "gnn": {"f1": f1, "f2": f2},
         "train": {"n_iters": 40, "batch_size": 4, "episode_len": episode_len,
                   "checkpoint_every": 20},
         "execution": {"T": 103, "T0": 5},
