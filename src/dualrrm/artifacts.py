@@ -11,10 +11,15 @@ guards against an interrupted process, not against a power loss.
 Each JSON object is read by ``load_json`` and checked by the artifact's own
 schema function with the shared field checks ``is_int`` and ``number_array``;
 any malformed file ends in one ``ConfigError``, which the CLI maps to exit 2.
+
+``write_csv`` writes every output CSV: a provenance comment line, the header
+row, then rows with floats at shortest-round-trip precision, so identical
+runs give byte-identical files.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
@@ -38,6 +43,25 @@ def atomic_open(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path, header, rows, provenance: str) -> None:
+    """Write ``rows`` under the comment line ``provenance`` and ``header``,
+    creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with atomic_open(path, newline="") as f:
+        f.write(provenance + "\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
 
 
 def load_json(path, what: str, parse):

@@ -8,8 +8,9 @@ Subcommands:
     gradcheck      finite-difference verification of the episode gradient
     theorem-suite  dual-dynamics law battery on freshly executed traces
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-error.
+Exit codes: 0 success; 2 configuration error, which is every package error
+but a ``NumericalError``; 3 numerical failure, a ``NumericalError`` or a
+failed check; 4 I/O error.
 """
 
 from __future__ import annotations
@@ -21,45 +22,19 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
+from .artifacts import write_csv
 from .baselines import FullReusePolicy, ItlinqPolicy
 from .config import ExperimentConfig, config_hash, config_to_dict, load_config
 from .core import metrics
 from .datasets import dataset_dir, generate_dataset, load_dataset, write_dataset
-from .errors import (
-    CheckpointDimMismatch,
-    ConfigError,
-    DegenerateNorm,
-    NonFiniteActivation,
-    NonFiniteLoss,
-    PlacementInfeasible,
-    RrmError,
-    ZeroChannel,
-)
+from .errors import ConfigError, NumericalError, RrmError
 from .execution import GnnPolicy, evaluate_suite
 from .policy import Checkpoint, load_checkpoint, require_dims, save_checkpoint
-from .reporting import (
-    FileMeta,
-    METRICS_HEADER,
-    POOLED_LABEL,
-    RATES_HEADER,
-    TIMING_HEADER,
-    metrics_row,
-    rates_rows,
-    write_cdf,
-    write_csv,
-    write_trace,
-    write_training_log,
-)
 from .training import train
 from .verify import dual_trace_battery, finite_difference_check
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    PlacementInfeasible,
-    CheckpointDimMismatch,
-)
-_NUMERIC_ERRORS = (NonFiniteLoss, NonFiniteActivation, DegenerateNorm, ZeroChannel)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,6 +44,12 @@ EXIT_IO = 4
 
 def _load_experiment(args) -> ExperimentConfig:
     cfg = load_config(args.config)
+    if cfg.execution.t_stop is not None:
+        # a config-wide t_stop would run every GNN suite as an early-stop ablation
+        raise ConfigError(
+            "execution.t_stop is not read from a config; stop the duals with "
+            "eval --policy early_stop --t-stop"
+        )
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed, train=replace(cfg.train, seed=None))
     if args.out is not None:
@@ -78,9 +59,11 @@ def _load_experiment(args) -> ExperimentConfig:
     return cfg.validate()
 
 
-def _meta(cfg: ExperimentConfig) -> FileMeta:
-    return FileMeta(
-        tool_version=__version__, config_hash=config_hash(cfg), master_seed=cfg.seed
+def _provenance(cfg: ExperimentConfig) -> str:
+    """The comment line that heads every CSV the CLI writes."""
+    return (
+        f"# tool_version={__version__} "
+        f"config_hash={config_hash(cfg)} master_seed={cfg.seed}"
     )
 
 
@@ -119,11 +102,13 @@ def cmd_train(args) -> int:
         init, start_iter = resumed.params, resumed.iteration
     echo = config_to_dict(cfg)
 
-    def _save_intermediate(iteration: int, params) -> None:
+    def save(iteration: int, params, name: str | None = None) -> Path:
+        path = ckpt_dir / f"checkpoint_{name or f'{iteration:06d}'}.json"
         save_checkpoint(
-            ckpt_dir / f"checkpoint_{iteration:06d}.json",
+            path,
             Checkpoint(params=params, seed=cfg.seed, iteration=iteration, config_echo=echo),
         )
+        return path
 
     params, log = train(
         cfg.train,
@@ -132,17 +117,18 @@ def cmd_train(args) -> int:
         dataset,
         init=init,
         start_iter=start_iter,
-        checkpoint_cb=_save_intermediate if cfg.train.checkpoint_every else None,
+        checkpoint_cb=save if cfg.train.checkpoint_every else None,
     )
-    final_iter = cfg.train.resolved_n_iters(len(dataset))
-    final_path = ckpt_dir / "checkpoint_final.json"
-    save_checkpoint(
-        final_path,
-        Checkpoint(params=params, seed=cfg.seed, iteration=final_iter, config_echo=echo),
+    final_path = save(cfg.train.resolved_n_iters(len(dataset)), params, "final")
+    wall_ms = log.wall_ms if args.timing else [""] * len(log.iterations)
+    rows = zip(
+        log.iterations, log.mean_lagrangian, log.mean_sum_rate, log.mean_constraint_slack, wall_ms
     )
-    write_training_log(
-        Path(cfg.output_dir) / "training_log.csv", log, _meta(cfg),
-        emit_timing=args.timing,
+    write_csv(
+        Path(cfg.output_dir) / "training_log.csv",
+        ["iteration", "mean_lagrangian", "mean_sum_rate", "mean_constraint_slack", "wall_ms"],
+        rows,
+        _provenance(cfg),
     )
     print(f"trained {len(log.iterations)} iterations; checkpoint at {final_path}")
     return EXIT_OK
@@ -151,7 +137,7 @@ def cmd_train(args) -> int:
 def _eval_policies(cfg: ExperimentConfig, suites, args) -> int:
     """Run each (name, policy, exec config) suite on the test split."""
     dataset, manifest = load_dataset(dataset_dir(cfg, "test"))
-    meta = _meta(cfg)
+    provenance = _provenance(cfg)
     eval_dir = Path(cfg.output_dir) / "eval"
     metric_rows, user_rows, timing_rows = [], [], []
     for name, policy, run_cfg in suites:
@@ -160,32 +146,57 @@ def _eval_policies(cfg: ExperimentConfig, suites, args) -> int:
             policy, dataset, run_cfg, cfg.problem, workers=args.workers
         )
         elapsed_ms = (time.perf_counter() - t0) * 1e3
+        n_steps = len(dataset) * run_cfg.T
+        timing_rows.append([cfg.problem.m, name, elapsed_ms / n_steps, n_steps])
+        labelled = []
         for r, trace in enumerate(traces):
+            labelled.append((r, metrics(trace.final_ergodic, cfg.problem)))
+            for u, rate in enumerate(trace.final_ergodic):
+                user_rows.append([name, r, u, rate])
+        for r, stats in labelled + [("pooled", summary)]:
             metric_rows.append(
-                metrics_row(name, r, metrics(trace.final_ergodic, cfg.problem))
+                [name, r, stats.n_users, stats.mean_rate, stats.min_rate_trimmed,
+                 stats.p5_rate, stats.feasibility_fraction]
             )
-        metric_rows.append(metrics_row(name, POOLED_LABEL, summary))
-        user_rows.extend(rates_rows(name, traces))
-        timing_rows.append(
-            [cfg.problem.m, name, elapsed_ms / (len(dataset) * run_cfg.T), len(dataset) * run_cfg.T]
-        )
-        if args.export_trace > 0:
-            for r in range(min(args.export_trace, len(traces))):
-                write_trace(
-                    eval_dir / f"trace_{name}_r{r:03d}.csv",
-                    traces[r], run_cfg, cfg.problem.p_max, meta,
-                )
+        for r, trace in enumerate(traces[: args.export_trace]):
+            # a trailing partial window runs under the dual after the last update
+            in_force = np.vstack([trace.duals, trace.final_dual])
+            rows = []
+            for t, mu in enumerate(in_force[np.arange(run_cfg.T) // run_cfg.T0]):
+                for u in range(cfg.problem.m):
+                    rows.append(
+                        [t, u, trace.powers[t, u] / cfg.problem.p_max, trace.rates[t, u],
+                         trace.ergodic_rates[t, u], mu[u]]
+                    )
+            write_csv(
+                eval_dir / f"trace_{name}_r{r:03d}.csv",
+                ["t", "user", "power_norm", "rate", "ergodic_rate", "mu_current"],
+                rows,
+                provenance,
+            )
         if args.export_cdf:
-            write_cdf(eval_dir / f"cdf_{name}.csv", traces, meta)
+            pooled = np.sort(np.concatenate([trace.final_ergodic for trace in traces]))
+            rows = [[rate, (i + 1) / pooled.size] for i, rate in enumerate(pooled)]
+            write_csv(
+                eval_dir / f"cdf_{name}.csv", ["ergodic_rate", "cum_fraction"], rows, provenance
+            )
         print(
             f"{name}: mean={summary.mean_rate:.3f} min={summary.min_rate_trimmed:.3f} "
             f"p5={summary.p5_rate:.3f} feas={summary.feasibility_fraction:.3f} "
             f"({manifest['count']} realizations)"
         )
-    write_csv(eval_dir / "metrics.csv", METRICS_HEADER, metric_rows, meta)
-    write_csv(eval_dir / "rates.csv", RATES_HEADER, user_rows, meta)
+    metrics_header = ["policy", "realization", "n_users", "mean_rate", "min_rate_trimmed",
+                      "p5_rate", "feasibility_fraction"]
+    write_csv(eval_dir / "metrics.csv", metrics_header, metric_rows, provenance)
+    write_csv(
+        eval_dir / "rates.csv", ["policy", "realization", "user", "ergodic_rate"], user_rows,
+        provenance,
+    )
     if args.export_timing:
-        write_csv(eval_dir / "timing.csv", TIMING_HEADER, timing_rows, meta)
+        write_csv(
+            eval_dir / "timing.csv", ["m", "policy", "mean_step_ms", "n_steps"], timing_rows,
+            provenance,
+        )
     return EXIT_OK
 
 
@@ -257,6 +268,18 @@ def cmd_theorem_suite(args) -> int:
     return EXIT_OK if all_ok else EXIT_NUMERIC
 
 
+def _at_least(minimum: int):
+    """An argparse type for a count of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no option prefixes, so a removed or mistyped flag cannot become another
     parser = argparse.ArgumentParser(
@@ -276,6 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the number of user pairs")
         if workers:
             p.add_argument("--workers", type=int, default=1)
+
+    def exports(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--export-trace", type=_at_least(0), default=0, metavar="N",
+                       help="write per-step traces for the first N realizations")
+        p.add_argument("--export-cdf", action="store_true")
+        p.add_argument("--export-timing", action="store_true")
 
     p = add_parser("generate", help="draw and cache a dataset split")
     common(p)
@@ -298,32 +327,27 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("state_augmented", "full_reuse", "itlinq", "early_stop"),
     )
     p.add_argument("--t-stop", type=int, default=None)
-    p.add_argument("--export-trace", type=int, default=0, metavar="N",
-                   help="write per-step traces for the first N realizations")
-    p.add_argument("--export-cdf", action="store_true")
-    p.add_argument("--export-timing", action="store_true")
+    exports(p)
     p.set_defaults(func=cmd_eval)
 
     p = add_parser("baselines", help="run the policy comparison suite")
     common(p, workers=True)
     p.add_argument("--checkpoint", default=None,
                    help="adds the trained policy and its early-stop ablations")
-    p.add_argument("--export-trace", type=int, default=0)
-    p.add_argument("--export-cdf", action="store_true")
-    p.add_argument("--export-timing", action="store_true")
+    exports(p)
     p.set_defaults(func=cmd_baselines)
 
     p = add_parser("gradcheck", help="finite-difference gradient verification")
     common(p)
-    p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--coords", type=int, default=50)
+    p.add_argument("--steps", type=_at_least(1), default=10)
+    p.add_argument("--coords", type=_at_least(1), default=50)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = add_parser("theorem-suite", help="dual-dynamics law battery")
     common(p, workers=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--realizations", type=int, default=8)
+    p.add_argument("--realizations", type=_at_least(1), default=8)
     p.set_defaults(func=cmd_theorem_suite)
     return parser
 
@@ -332,17 +356,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _NUMERIC_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except RrmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -172,16 +172,12 @@ def lagrangian_rate_weights(mu: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray
     return 1.0 + checked_duals(mu)
 
 
-def metrics(
-    pooled_rates: np.ndarray,
-    cfg: RrmProblemConfig,
-    feasibility_tolerance: float = 0.0,
-) -> MetricsSummary:
+def metrics(pooled_rates: np.ndarray, cfg: RrmProblemConfig) -> MetricsSummary:
     """Summary statistics over user ergodic rates pooled across a test set.
 
     The trimmed minimum discards the lowest ceil(0.01 * n) values as
     outliers; the 5th percentile interpolates linearly between order
-    statistics; feasibility counts rates >= f_min - feasibility_tolerance.
+    statistics; feasibility counts rates >= f_min.
     """
     values = np.asarray(pooled_rates, dtype=float).ravel()
     n = values.size
@@ -190,11 +186,10 @@ def metrics(
     ordered = np.sort(values)
     n_trim = math.ceil(0.01 * n)
     trimmed = ordered[n_trim:] if n_trim < n else ordered[-1:]
-    threshold = cfg.f_min_bps_hz - feasibility_tolerance
     return MetricsSummary(
         mean_rate=float(np.mean(values)),
         min_rate_trimmed=float(trimmed[0]),
         p5_rate=float(np.percentile(values, 5)),
-        feasibility_fraction=float(np.mean(values >= threshold)),
+        feasibility_fraction=float(np.mean(values >= cfg.f_min_bps_hz)),
         n_users=n,
     )

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The CLI's exit code follows from the base class: a ``NumericalError`` exits
+3 and every other ``RrmError`` exits 2 as a configuration error.
+"""
 
 
 class RrmError(Exception):
@@ -9,20 +13,24 @@ class ConfigError(RrmError):
     """Invalid or inconsistent configuration."""
 
 
+class NumericalError(RrmError):
+    """A computation produced a value it cannot go on with."""
+
+
 class DimensionMismatch(RrmError):
     """Array shapes disagree with each other or with the configuration."""
 
 
-class PlacementInfeasible(RrmError):
+class PlacementInfeasible(ConfigError):
     """Transmitter separation could not be satisfied within the attempt
     budget; usually means m is too large for the configured area."""
 
 
-class ZeroChannel(RrmError):
+class ZeroChannel(NumericalError):
     """A channel entry has zero magnitude where a positive gain is required."""
 
 
-class DegenerateNorm(RrmError):
+class DegenerateNorm(NumericalError):
     """Edge-weight normalizer evaluated to zero."""
 
 
@@ -38,11 +46,11 @@ class WindowLengthMismatch(RrmError):
     """A dual-update window does not have the configured number of steps."""
 
 
-class NonFiniteActivation(RrmError):
+class NonFiniteActivation(NumericalError):
     """The policy network produced NaN or infinity."""
 
 
-class NonFiniteLoss(RrmError):
+class NonFiniteLoss(NumericalError):
     """Training objective or gradient became non-finite."""
 
     def __init__(self, iteration: int, message: str = ""):
@@ -58,5 +66,5 @@ class SizeLimitExceeded(RrmError):
     """Operation restricted to small problem sizes was called with a large one."""
 
 
-class CheckpointDimMismatch(RrmError):
+class CheckpointDimMismatch(ConfigError):
     """Checkpoint layer sizes differ from the configured ones."""

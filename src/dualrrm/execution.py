@@ -185,7 +185,6 @@ def evaluate_suite(
     exec_cfg: ExecConfig,
     problem: RrmProblemConfig,
     workers: int = 1,
-    feasibility_tolerance: float = 0.0,
 ) -> tuple[MetricsSummary, list[EpisodeTrace]]:
     """Execute every test realization and pool the final ergodic rates."""
     if len(dataset) == 0:
@@ -201,4 +200,4 @@ def evaluate_suite(
     else:
         traces = [_suite_task(p) for p in payloads]
     pooled = np.concatenate([tr.final_ergodic for tr in traces])
-    return metrics(pooled, problem, feasibility_tolerance), traces
+    return metrics(pooled, problem), traces

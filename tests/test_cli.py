@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualrrm.cli import EXIT_CONFIG, EXIT_OK, main
+from dualrrm import errors
+from dualrrm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from dualrrm.policy import load_checkpoint
 
 from conftest import params_equal
@@ -200,6 +201,20 @@ class TestEval:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error")
 
+    @pytest.mark.parametrize("command", ["eval", "baselines"])
+    def test_config_t_stop_refused(self, workspace, tmp_path, capsys, command):
+        # a config t_stop would run the state_augmented suite as early_stop
+        _, _, run, ckpt = workspace
+        out = tmp_path / "out"
+        shutil.copytree(run / "datasets" / "test", out / "datasets" / "test")
+        cfg_path = write_cfg(tmp_path, output_dir=str(out), execution={"t_stop": 0})
+        capsys.readouterr()
+        code = main([command, "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error") and "--policy early_stop --t-stop" in err
+        assert not (out / "eval").exists()
+
     def test_early_stop_requires_t_stop(self, workspace):
         _, cfg_path, _, ckpt = workspace
         code = main(
@@ -338,6 +353,53 @@ class TestExitCodes:
         other = write_cfg(tmp_path, name="otherdims.json", gnn={"f1": 16, "f2": 8})
         code = main(["eval", "--config", str(other), "--checkpoint", str(ckpt)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--coords", "0"],
+            ["gradcheck", "--steps", "0"],
+            ["theorem-suite", "--checkpoint", "c.json", "--realizations", "0"],
+            ["theorem-suite", "--checkpoint", "c.json", "--realizations", "-1"],
+            ["eval", "--policy", "full_reuse", "--export-trace", "-2"],
+            ["baselines", "--export-trace", "-1"],
+        ],
+        ids=["coords_0", "steps_0", "realizations_0", "realizations_-1", "eval_trace_-2",
+             "baselines_trace_-1"],
+    )
+    def test_counts_that_check_nothing_refused(self, tmp_path, argv, capsys):
+        cfg_path = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            cls
+            for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.RrmError)
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_exit_code_follows_error_class(self, monkeypatch, capsys, error):
+        import dualrrm.cli as cli
+
+        def fail(args):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "cmd_generate", fail)
+        code = main(["generate", "--split", "test"])
+        err = capsys.readouterr().err
+        numerical = {"NumericalError", "ZeroChannel", "DegenerateNorm",
+                     "NonFiniteActivation", "NonFiniteLoss"}
+        if error.__name__ in numerical:
+            assert code == EXIT_NUMERIC
+            assert err.startswith("numerical failure: ")
+        else:
+            assert code == EXIT_CONFIG
+            assert err.startswith("config error: ")
 
     @pytest.mark.parametrize("argv", [["gradcheck", "--m", "2"], ["eval", "--work", "3"]])
     def test_abbreviated_flags_refused(self, argv, capsys):

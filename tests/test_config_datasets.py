@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dualrrm import artifacts
-from dualrrm.artifacts import atomic_open
+from dualrrm.artifacts import atomic_open, write_csv
 from dualrrm.channel import TopologyConfig, load_realization, save_realization
 from dualrrm.config import (
     DatasetConfig,
@@ -22,7 +22,6 @@ from dualrrm.config import (
 from dualrrm.datasets import generate_dataset, load_dataset, write_dataset
 from dualrrm.errors import ConfigError
 from dualrrm.policy import Checkpoint, GnnConfig, init_params, load_checkpoint, save_checkpoint
-from dualrrm.reporting import FileMeta, write_csv
 
 from conftest import make_realizations
 
@@ -262,7 +261,8 @@ def _manifest_writer(tmp_path, version):
 def _csv_writer(tmp_path, version):
     path = tmp_path / "metrics.csv"
     rows = [[version, i, 0.5 * i] for i in range(50)]
-    write_csv(path, ["a", "b", "c"], rows, FileMeta("0", "hash", version))
+    provenance = f"# tool_version=0 config_hash=hash master_seed={version}"
+    write_csv(path, ["a", "b", "c"], rows, provenance)
     return path
 
 

@@ -291,11 +291,10 @@ class TestMetrics:
         s = metrics(np.linspace(0, 1, 200), cfg)
         assert s.p5_rate == pytest.approx(0.05, abs=1e-9)
 
-    def test_feasibility_threshold_and_tolerance(self):
+    def test_feasibility_threshold(self):
         cfg = RrmProblemConfig(m=1)  # f_min = 0.6
-        values = np.array([0.58, 0.61, 0.7])
-        assert metrics(values, cfg).feasibility_fraction == pytest.approx(2 / 3)
-        assert metrics(values, cfg, feasibility_tolerance=0.05).feasibility_fraction == 1.0
+        values = np.array([0.58, 0.6, 0.61, 0.7])
+        assert metrics(values, cfg).feasibility_fraction == pytest.approx(3 / 4)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):

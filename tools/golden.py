@@ -3,10 +3,11 @@
 A pure refactor must leave every default output byte-identical.  ``run``
 drives the CLI of this checkout's ``src`` (or of ``--src DIR``) through a
 fixed pipeline at m=6, m=20 and m=50 (generate, train with intermediate
-checkpoints, eval with CDF and trace exports, early-stop eval, baselines,
-ITLinQ eval under a config copy with the by-index ordering, gradcheck,
-theorem-suite) and keeps every file it writes plus the stdout and exit code
-of each step.  Training at m=50 runs 100-step episodes, which the episode
+checkpoints, a second training run resumed from the iteration-20 checkpoint
+into its own output directory, eval with CDF and trace exports, the same
+eval on a pool of two workers, early-stop eval, baselines, ITLinQ eval under
+a config copy with the by-index ordering, gradcheck, theorem-suite) and
+keeps every file it writes plus the stdout and exit code of each step.  Training at m=50 runs 100-step episodes, which the episode
 gradient takes in two time blocks, so the golden run crosses a block edge of
 every blocked stage: synthesis, training and execution.  At m=20 the two
 message-passing layers have different widths (16 and 24).
@@ -63,11 +64,15 @@ def _config(m: int) -> dict:
 def _steps(m: int) -> list[tuple[str, str, list[str]]]:
     """(name, config file, argv) of each CLI call."""
     cfg, by_index, ckpt = f"m{m}.json", f"m{m}_by_index.json", f"m{m}/{CKPT}"
+    resume_out, mid = f"m{m}_resume", f"m{m}/checkpoints/checkpoint_000020.json"
     return [
         ("generate_train", cfg, ["generate", "--split", "train"]),
         ("generate_test", cfg, ["generate", "--split", "test"]),
         ("train", cfg, ["train"]),
+        ("generate_resume", cfg, ["generate", "--split", "train", "--out", resume_out]),
+        ("train_resume", cfg, ["train", "--out", resume_out, "--resume", mid]),
         ("eval", cfg, ["eval", "--checkpoint", ckpt, "--export-cdf", "--export-trace", "2"]),
+        ("eval_workers", cfg, ["eval", "--checkpoint", ckpt, "--workers", "2", "--export-cdf"]),
         ("eval_early_stop", cfg, ["eval", "--policy", "early_stop", "--t-stop", "37",
                                   "--checkpoint", ckpt]),
         ("baselines", cfg, ["baselines", "--checkpoint", ckpt, "--export-cdf"]),
