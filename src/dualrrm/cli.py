@@ -280,6 +280,13 @@ def _at_least(minimum: int):
     return count
 
 
+def _positive_bound(text: str) -> float:
+    """An argparse type for a tolerance: a finite number above 0."""
+    if not 0.0 < (value := float(text)) < np.inf:  # refuses nan too
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, not {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # no option prefixes, so a removed or mistyped flag cannot become another
     parser = argparse.ArgumentParser(
@@ -341,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--steps", type=_at_least(1), default=10)
     p.add_argument("--coords", type=_at_least(1), default=50)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_positive_bound, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = add_parser("theorem-suite", help="dual-dynamics law battery")

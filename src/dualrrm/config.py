@@ -59,6 +59,8 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         cfg = self._synced()
+        if min(cfg.seed, cfg.train.seed) < 0:
+            raise ConfigError("seed and train.seed must be >= 0")
         cfg.topology.validate()
         cfg.fading.validate()
         cfg.gnn.validate()

@@ -49,12 +49,12 @@ class MetricsSummary:
     n_users: int
 
 
-# Byte budget of the largest per-step temporaries of one time block, shared
-# by channel synthesis, online execution and the training gradient.  Blocks
-# of 10-25 steps at paper shape keep the working set in cache, which made the
-# episode gradient 30-40% faster than one call over all T steps; one-step
-# blocks are slower again, as numpy call overhead then dominates, so the
-# budget must not shrink toward a per-step loop.
+# Byte budget of the largest per-step temporaries of one block, shared by
+# channel synthesis, online execution and the training gradient, whose blocks
+# take as many whole episodes as fit.  Blocks of 10-25 steps at paper shape
+# keep the working set in cache, which made the episode gradient 30-40% faster
+# than one call over all T steps; one-step blocks are slower again, as numpy
+# call overhead then dominates, so the budget must not shrink toward one step.
 _BLOCK_BYTES = 512 * 1024
 
 

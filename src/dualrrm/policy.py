@@ -41,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteActivation,
 )
-from .graph import GainEpisode, RrmGraph, _checked_gain_episode
+from .graph import GainEpisode, RrmGraph, _checked_gain_episode, _graph, _log_strengths
 from .seeding import generator
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -77,21 +77,22 @@ def _array_shapes(dims: GnnConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 class GnnParams:
     """All trainable weights as one float64 vector ``flat``, read and written
-    through named views into it; also the container for gradients.
+    through named views into it; also the container for gradients, where
+    ``flat`` may stack one vector per episode along leading axes.
 
     ``w1``, ``w2``, ``w3`` and ``b`` hold one view per layer, with weights of
-    shape (f_in, f_out) and biases of shape (f_out,); ``w_out`` is (f2, 1)
-    and ``b_out`` is (1,).
+    shape (..., f_in, f_out) and biases of shape (..., f_out); ``w_out`` is
+    (..., f2, 1) and ``b_out`` is (..., 1).
     """
 
     def __init__(self, flat: np.ndarray, dims: GnnConfig):
         shapes = _array_shapes(dims)
         bounds = np.cumsum([0] + [math.prod(shape) for _, shape in shapes])
-        if flat.shape != (bounds[-1],):
+        if flat.shape[-1:] != (bounds[-1],):
             raise DimensionMismatch(f"{flat.shape} parameters, dims {dims} need {bounds[-1]}")
         self.flat, self.dims = flat, dims
         self._named = [
-            (name, flat[start:stop].reshape(shape))
+            (name, flat[..., start:stop].reshape(flat.shape[:-1] + shape))
             for (name, shape), start, stop in zip(shapes, bounds, bounds[1:])
         ]
         views = [a for _, a in self._named]
@@ -159,15 +160,15 @@ def _relu_select(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class _Workspace:
     """Grow-only float64 storage, one flat array per role, for the (..., m, f)
-    activations of ``_forward_tensors`` and ``_backward_tensors``.
+    activations, stacked gains and gradient rows listed below.
 
     A warm pass allocates none of them: ``take`` hands out a C-contiguous view
     of the role's array, which is replaced only by a larger one.  At m=6,
     T=50, f=64 each activation is 150 KiB, just above glibc's mmap
     threshold, so a fresh array per temporary cost page faults on every
-    call.  A view is valid until the next pass; nothing returned by
-    ``forward`` or ``episode_eval`` is one.  Not thread-safe: the package
-    runs one thread per process, and the evaluation pool forks.
+    call.  A view is valid until the next pass; of all results only the
+    gradient rows of a batched ``episode_eval`` are one.  Not thread-safe:
+    the package runs one thread per process, and the evaluation pool forks.
     """
 
     def __init__(self, n_roles: int):
@@ -180,10 +181,10 @@ class _Workspace:
         return self._flat[role][:size].reshape(shape)
 
 
-# Roles, named by their forward value; the backward pass reuses each buffer
-# once that value is dead.
-_H1, _AGG1, _H2, _SCRATCH = range(4)
-_WORK = _Workspace(4)
+# Roles: four activations named by their forward value, each reused by the
+# backward pass once dead; then stacked gains, gradient rows, and time blocks'.
+_H1, _AGG1, _H2, _SCRATCH, _GAINS, _ROWS, _ROW = range(7)
+_WORK = _Workspace(7)
 
 
 @dataclass
@@ -202,10 +203,10 @@ def _forward_tensors(
     """Batched forward; leading axes of y0/edges/in_sums broadcast together.
 
     y0: (..., m, 1), edges: (..., m, m), in_sums: (..., m), the in-sums of
-    edges.  A y0 of shape (m, 1) computes the layer-1 products y0 * W once
-    for every step.  Returns the pre-sigmoid node scalars with shape
-    (..., m), and the activations the backward pass reads, which live in
-    ``_WORK``.
+    edges.  A y0 of shape (m, 1), or (k, 1, m, 1) for k episodes, computes
+    the layer-1 products y0 * W once for every step.  Returns the
+    pre-sigmoid node scalars with shape (..., m), and the activations the
+    backward pass reads, which live in ``_WORK``.
     """
     w1, w2, w3, b = params.w1, params.w2, params.w3, params.b
     s = in_sums[..., None]
@@ -247,29 +248,33 @@ def _backward_tensors(
     edges: np.ndarray,
     in_sums: np.ndarray,
     params: GnnParams,
-) -> GnnParams:
-    """Gradients of sum(d_pre * pre_activation) in all parameters.  The
-    activations in ``cache`` are overwritten."""
-    grads = params.zeros_like()
-    batch_axes = tuple(range(d_pre.ndim))
+    out: np.ndarray,
+) -> None:
+    """Gradients of sum(d_pre * pre_activation) in all parameters, one row
+    of ``out`` (k, P) per episode, for inputs with leading (k, n) axes: k
+    episodes of n steps.  The activations in ``cache`` are overwritten."""
+    grads = GnnParams(out, params.dims)
 
-    def _contract(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-        # sum over batch and node axes of a[..., :, None] * g[..., None, :]
-        return np.tensordot(a, g, axes=(batch_axes, batch_axes))
+    def _contract(out: np.ndarray, a: np.ndarray, g: np.ndarray, sign: float = 1.0) -> None:
+        # into ``out``, per episode: sign times the sum over step and node
+        # axes of a[..., :, None] * g[..., None, :]
+        a = a.reshape(len(out), -1, a.shape[-1])
+        np.matmul(np.swapaxes(a, -1, -2), g.reshape(len(out), -1, g.shape[-1]), out=out)
+        if sign < 0:
+            np.negative(out, out=out)
 
     s = in_sums[..., None]
-    g3 = d_pre[..., None]  # (..., m, 1)
-    grads.w_out[...] = _contract(cache.h2, g3)
-    grads.b_out[...] = g3.sum()
+    g3 = d_pre[..., None]  # (k, n, m, 1)
+    _contract(grads.w_out, cache.h2, g3)
+    grads.b_out[...] = g3.sum(axis=(1, 2))
     # Layer 2.  g3 @ w_out.T has one term per entry: it is g3 * w_out[:, 0].
     gz = np.multiply(g3, params.w_out[:, 0], out=_WORK.take(_SCRATCH, cache.h2.shape))
     _relu_select(cache.masks[1], gz)
     h1, tmp = cache.h1, cache.agg1
-    grads.w1[1][...] = _contract(h1, gz)
-    grads.w2[1][...] = _contract(np.multiply(s, h1, out=h1), gz)
-    grads.w3[1][...] = -_contract(tmp, gz)
-    if params.dims.use_bias:
-        grads.b[1][...] = gz.sum(axis=batch_axes)
+    _contract(grads.w1[1], h1, gz)
+    _contract(grads.w2[1], np.multiply(s, h1, out=h1), gz)
+    _contract(grads.w3[1], tmp, gz, -1.0)
+    grads.b[1][...] = gz.sum(axis=(1, 2)) if params.dims.use_bias else 0.0
     # The gradient in the layer-1 output,
     # gz @ W1.T + s * (gz @ W2.T) - edges @ (gz @ W3.T), in h1's buffer; the
     # transposes stay views, as copies would change the GEMM path and bits.
@@ -282,12 +287,10 @@ def _backward_tensors(
     # Layer 1; nothing reads the gradient in the network input.
     gz = _relu_select(cache.masks[0], gy)
     y_in = np.broadcast_to(cache.y0, gz.shape[:-1] + (1,))
-    grads.w1[0][...] = _contract(y_in, gz)
-    grads.w2[0][...] = _contract(s * y_in, gz)
-    grads.w3[0][...] = -_contract(cache.agg0, gz)
-    if params.dims.use_bias:
-        grads.b[0][...] = gz.sum(axis=batch_axes)
-    return grads
+    _contract(grads.w1[0], y_in, gz)
+    _contract(grads.w2[0], s * y_in, gz)
+    _contract(grads.w3[0], cache.agg0, gz, -1.0)
+    grads.b[0][...] = gz.sum(axis=(1, 2)) if params.dims.use_bias else 0.0
 
 
 def forward(graph: RrmGraph, mu: np.ndarray, params: GnnParams, p_max: float) -> np.ndarray:
@@ -307,48 +310,66 @@ def episode_tensors(gain: np.ndarray, cfg: RrmProblemConfig) -> GainEpisode:
 
 
 def episode_eval(
-    episode: GainEpisode,
+    episode: GainEpisode | list[GainEpisode],
     mu: np.ndarray,
     params: GnnParams,
     cfg: RrmProblemConfig,
     node_features: np.ndarray | None = None,
-) -> tuple[float, GnnParams, np.ndarray]:
+) -> tuple[float | np.ndarray, GnnParams, np.ndarray]:
     """Episode Lagrangian, its parameter gradient, and the average rates.
 
     ``node_features`` defaults to the duals; passing a constant vector turns
     the network into a channel-only policy, with the duals entering solely
     through the objective weights.
 
-    The episode is processed in time blocks of ``core.block_steps`` steps,
-    budgeted by the (n, m, f) hidden activations; each block builds its own
-    edges from its gains and edge norms.  The rates of every block
-    land in one (T, m) array, so the value and average rates do not depend
-    on the block length; the block gradients are summed in block order.
+    A batch, a list of B episodes of one length with duals (B, m), gives
+    each result a leading batch axis; its gradient rows live in ``_WORK``.
+    Blocks, budgeted by ``core.block_steps`` over the (n, m, f) activations,
+    hold as many whole episodes as fit, or else time blocks of one episode,
+    whose gradients are summed in block order; each builds its own edges.
+    Every episode's rates fill its own (T, m) array and its gradient is
+    contracted on its own, so a batch equals its episodes one by one, bit
+    for bit, and the value and average rates do not depend on the blocks.
     """
+    single = isinstance(episode, GainEpisode)
+    episodes, mu = ([episode], [mu]) if single else (episode, mu)
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (cfg.m,):
-        raise DimensionMismatch(f"duals {mu.shape} inconsistent with m={cfg.m}")
-    n_steps = episode.gain.shape[0]
-    step_weights = lagrangian_rate_weights(mu, cfg) / n_steps
+    shapes = {e.gain.shape for e in episodes}
+    if len(shapes) != 1 or mu.shape != (len(episodes), cfg.m):
+        raise DimensionMismatch(f"duals {mu.shape} at m={cfg.m} and episodes {shapes} are no batch")
+    n_steps = episodes[0].gain.shape[0]
+    weights = (lagrangian_rate_weights(mu, cfg) / n_steps)[:, None]
     feats = mu if node_features is None else np.asarray(node_features, dtype=float)
-    y0 = feats[:, None]
+    y0 = np.broadcast_to(feats, mu.shape)[:, None, :, None]
+    f = np.empty((len(episodes), n_steps, cfg.m))
+    rows = _WORK.take(_ROWS, (len(episodes), params.flat.size))
     n_block = block_steps(8 * cfg.m * max(params.dims.f1, params.dims.f2))
-    f = np.empty((n_steps, cfg.m))
-    grads = None
-    for t0 in range(0, n_steps, n_block):
-        win = slice(t0, t0 + n_block)
-        block = episode[win]
-        pre, cache = _forward_tensors(y0, block.edges, block.in_sums, params)
-        sig = _sigmoid(pre)
-        f[win], dldp = rates_and_gradient(block.gain, cfg.p_max * sig, step_weights, cfg)
-        d_pre = dldp * cfg.p_max * sig * (1.0 - sig)
-        block_grads = _backward_tensors(d_pre, cache, block.edges, block.in_sums, params)
-        if grads is None:
-            grads = block_grads
-        else:
-            grads.flat += block_grads.flat
-    avg_f = f.mean(axis=0)
-    return lagrangian(avg_f, mu, cfg), grads, avg_f
+    per_block = max(1, n_block // n_steps)  # whole episodes, or one in time blocks
+    for b0 in range(0, len(episodes), per_block):
+        eps = slice(b0, b0 + per_block)
+        group = episodes[eps]
+        for t0 in range(0, n_steps, n_block):
+            win = slice(t0, t0 + n_block)
+            if len(group) == 1:
+                block = group[0][win][None]
+            else:
+                gain = np.stack([e.gain for e in group],
+                                out=_WORK.take(_GAINS, (len(group),) + group[0].gain.shape))
+                norms = np.stack([e.norm for e in group])
+                block = _graph(gain, _log_strengths(gain, cfg), norms)
+            pre, cache = _forward_tensors(y0[eps], block.edges, block.in_sums, params)
+            sig = _sigmoid(pre)
+            f[eps, win], dldp = rates_and_gradient(block.gain, cfg.p_max * sig, weights[eps], cfg)
+            d_pre = dldp * cfg.p_max * sig * (1.0 - sig)
+            out = _WORK.take(_ROW, rows[eps].shape) if t0 else rows[eps]
+            _backward_tensors(d_pre, cache, block.edges, block.in_sums, params, out)
+            if t0:
+                rows[eps] += out
+    avg_f = f.mean(axis=1)
+    values = np.array([lagrangian(a, u, cfg) for a, u in zip(avg_f, mu)])
+    if single:
+        return float(values[0]), GnnParams(rows[0].copy(), params.dims), avg_f[0]
+    return values, GnnParams(rows, params.dims), avg_f
 
 
 def apply_update(params: GnnParams, grad: GnnParams, eta_phi: float) -> GnnParams:

@@ -7,7 +7,9 @@ the duals only condition the policy input and weight the objective.
 
 All randomness is derived statelessly from (seed, purpose, index), so a run
 can be resumed from any checkpoint and continues bit-for-bit identically to
-the uninterrupted run.  Training runs in one process, episode by episode.
+the uninterrupted run.  Training runs in one process: each iteration's
+batch goes to ``policy.episode_eval`` in one call, which runs as many whole
+episodes per gradient block as fit its budget.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import Realization
-from .core import RrmProblemConfig, constraints_g, utility_sum
+from .core import RrmProblemConfig, constraints_g
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -165,23 +167,21 @@ def _run_ascent(
             )
         else:
             mu_batch = np.broadcast_to(fixed_mu, (cfg.batch_size, problem.m))
+        # every epoch visits the dataset once, in its own shuffled order
+        slots = [divmod(n * cfg.batch_size + b, len(dataset)) for b in range(cfg.batch_size)]
+        batch = [episode(int(epoch_order(sample_epoch)[pos])) for sample_epoch, pos in slots]
+        try:
+            values, grads, avg_f = episode_eval(
+                batch, mu_batch, params, problem, node_features=node_features
+            )
+        except NonFiniteActivation as exc:
+            raise NonFiniteLoss(n, f"iteration {n}: {exc}") from exc
         # Fixed reduction order (batch index) keeps training bit-reproducible.
         grad_mean = params.zeros_like()
-        values, sum_rates, slacks = [], [], []
-        for b in range(cfg.batch_size):
-            # every epoch visits the dataset once, in its own shuffled order
-            sample_epoch, pos = divmod(n * cfg.batch_size + b, len(dataset))
-            idx = int(epoch_order(sample_epoch)[pos])
-            try:
-                value, grad, avg_f = episode_eval(
-                    episode(idx), mu_batch[b], params, problem, node_features=node_features
-                )
-            except NonFiniteActivation as exc:
-                raise NonFiniteLoss(n, f"iteration {n}: {exc}") from exc
-            grad_mean.add_scaled(grad, 1.0 / cfg.batch_size)
-            values.append(value)
-            sum_rates.append(utility_sum(avg_f))
-            slacks.append(float(np.mean(constraints_g(avg_f, problem))))
+        for row in grads.flat:
+            grad_mean.flat += (1.0 / cfg.batch_size) * row
+        sum_rates = avg_f.sum(axis=1)  # utility_sum of each episode
+        slacks = constraints_g(avg_f, problem).mean(axis=1)
         mean_value = float(np.sum(values) / cfg.batch_size)
         if not np.isfinite(mean_value) or not grad_mean.is_finite():
             raise NonFiniteLoss(n)

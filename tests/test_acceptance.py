@@ -14,10 +14,17 @@ import pytest
 
 from dualrrm.baselines import FullReusePolicy
 from dualrrm.channel import Realization, TopologyConfig, sample_topology
-from dualrrm.core import RrmProblemConfig, constraints_g, rates
+from dualrrm.core import RrmProblemConfig, block_steps, constraints_g, rates
 from dualrrm.execution import ExecConfig, evaluate_suite, execute
 from dualrrm.graph import build_graph
-from dualrrm.policy import GnnConfig, episode_eval, episode_tensors, forward, init_params
+from dualrrm.policy import (
+    GnnConfig,
+    GnnParams,
+    episode_eval,
+    episode_tensors,
+    forward,
+    init_params,
+)
 from dualrrm.seeding import derive_seed
 from dualrrm.training import TrainConfig, sample_duals, train, train_per_mu_oracle
 from dualrrm.verify import finite_difference_check
@@ -83,6 +90,41 @@ class TestCriterion1Gradient:
             f"floor, abs err {worst_abs:.2e}, 50 coords ({report_obj.n_vacuous} vacuous) "
             f"in {elapsed:.1f}s",
         )
+
+    def test_directional_derivatives_of_a_batch_block(self):
+        # Acceptance 1's setting with B=3 episodes in one gradient block: the
+        # batch-mean Lagrangian's central difference along a random unit
+        # direction of the whole parameter vector checks every coordinate at
+        # once, where coordinate picks land on dead units.  The errors stay
+        # below 2e-8; layer2.w3's gradient scaled by 0.99 gives 1e-3 to 5e-3.
+        problem, dims, seed = RrmProblemConfig(m=6), GnnConfig(f1=16, f2=16), 2024
+        n_steps, batch, step = 10, 3, 1e-5
+        assert block_steps(8 * problem.m * dims.f1) >= batch * n_steps
+        episodes = [episode_tensors(real.episode(n_steps), problem)
+                    for real in make_realizations(m=6, count=batch, seed=seed)]
+        mu = sample_duals(problem.m, batch, ("uniform", 0.0, 1.0), seed + 2)
+        params = init_params(dims, seed + 3)
+
+        def objective(flat):
+            values, _, _ = episode_eval(episodes, mu, GnnParams(flat, dims), problem)
+            return float(np.mean(values))
+
+        _, grads, _ = episode_eval(episodes, mu, params, problem)
+        analytic = grads.flat.mean(axis=0)
+        skewed = GnnParams(analytic.copy(), dims)
+        skewed.w3[1][...] *= 0.99
+        rng = np.random.default_rng(seed)
+        errors, skewed_errors = [], []
+        for _ in range(5):
+            direction = rng.standard_normal(params.flat.size)
+            direction /= np.linalg.norm(direction)
+            numeric = (objective(params.flat + step * direction)
+                       - objective(params.flat - step * direction)) / (2 * step)
+            for grad, out in ((analytic, errors), (skewed.flat, skewed_errors)):
+                exact = float(grad @ direction)
+                out.append(abs(numeric - exact) / max(abs(numeric), abs(exact)))
+        assert max(errors) < 1e-6, errors
+        assert min(skewed_errors) > 1e-6, skewed_errors
 
 
 class TestCriterion2Equivariance:

@@ -375,6 +375,28 @@ class TestExitCodes:
         assert "must be at least" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags,overrides",
+        [(["--seed", "-1"], {}), ([], {"seed": -1}), ([], {"train": {"seed": -3}})],
+        ids=["seed_flag", "config_seed", "config_train_seed"],
+    )
+    def test_negative_seed_refused(self, tmp_path, capsys, flags, overrides):
+        cfg_path = write_cfg(tmp_path, **overrides)
+        code = main(["generate", "--config", str(cfg_path), "--split", "test", *flags])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error") and "seed" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-0.5", "1e400"])
+    def test_gradcheck_tol_needs_finite_positive_bound(self, tmp_path, capsys, tol):
+        # an infinite bound would print GRADCHECK PASS whatever the gradient
+        cfg_path = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--steps", "2", "--coords", "3", f"--tol={tol}",
+                  "--config", str(cfg_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "must be a finite number above 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "error",
         [
             cls

@@ -349,6 +349,66 @@ class TestTimeBlocks:
         assert block_steps(10**9, 5) == 5
 
 
+class TestBatchAxis:
+    """A batch of episodes in one ``episode_eval`` call, in blocks of whole
+    episodes or in time blocks of one, gives the results of its episodes
+    one by one."""
+
+    @settings(max_examples=60)
+    @given(
+        m=st.integers(1, 7),
+        n_steps=st.integers(1, 12),
+        batch=st.integers(1, 6),
+        widths=st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(lambda f: f[0] != f[1]),
+        use_bias=st.booleans(),
+        constant_features=st.booleans(),
+        per_block=st.integers(0, 7),
+        extra=st.integers(0, 11),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batch_equals_single_episodes(
+        self, m, n_steps, batch, widths, use_bias, constant_features, per_block, extra, seed
+    ):
+        cfg, dims = small_problem(m), GnnConfig(*widths, use_bias=use_bias)
+        episodes = [
+            episode_tensors(real.episode(n_steps), cfg)
+            for real in make_realizations(m=m, count=batch, seed=seed, area=1000.0)
+        ]
+        rng = np.random.default_rng(seed)
+        mu = rng.uniform(0, 2, (batch, m))
+        features = np.full(m, 1.5) if constant_features else None
+        params = init_params(dims, seed)
+        for name, a in params.named_arrays():
+            if name.endswith(".b"):  # live biases, so inert ones would show
+                a[...] = rng.uniform(-0.1, 0.1, a.shape)
+        if per_block:  # whole episodes per block: one, several or the batch
+            n = per_block * n_steps + extra % n_steps
+        else:  # time blocks, part of one episode each
+            n = 1 + extra % max(n_steps - 1, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            force_block_steps(mp, n, m, dims)
+            values, grads, avg = episode_eval(episodes, mu, params, cfg, node_features=features)
+            rows = grads.flat.copy()  # the single calls reuse the rows' buffer
+            singles = [episode_eval(e, u, params, cfg, node_features=features)
+                       for e, u in zip(episodes, mu)]
+        assert rows.shape == (batch, params.flat.size) and avg.shape == (batch, m)
+        for b, (value, grad, avg_b) in enumerate(singles):
+            assert np.array_equal(np.float64(value).view(np.uint64), values[b].view(np.uint64))
+            assert np.array_equal(grad.flat.view(np.uint64), rows[b].view(np.uint64))
+            assert np.array_equal(avg_b.view(np.uint64), avg[b].view(np.uint64))
+
+    def test_mismatched_batch_rejected(self):
+        cfg, params = small_problem(3), init_params(GnnConfig(f1=4, f2=4), 0)
+        (real,) = make_realizations(m=3, count=1, seed=2)
+        short, long = (episode_tensors(real.episode(n), cfg) for n in (3, 4))
+        with pytest.raises(DimensionMismatch):  # one dual vector per episode
+            episode_eval([short, short], np.zeros((3, 3)), params, cfg)
+        with pytest.raises(DimensionMismatch):  # episodes of one length
+            episode_eval([short, long], np.zeros((2, 3)), params, cfg)
+        with pytest.raises(DimensionMismatch):
+            episode_eval([], np.zeros((0, 3)), params, cfg)
+
+
 class TestActivationBuffers:
     """The forward and backward passes keep their (..., m, f) activations in
     buffers reused across blocks and calls."""
@@ -394,6 +454,26 @@ class TestActivationBuffers:
         tracemalloc.start()
         try:
             episode_eval(episode, mu, params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n_steps * m * f * 8
+
+    def test_warm_batch_allocates_under_three_activations(self):
+        # a warm 16-episode gradient batch at the desk shape, three episodes
+        # per block, reuses its stacked gains and gradient rows: it too
+        # allocates less than three (T, m, f) float64 activations in all
+        m, n_steps, f, batch = 6, 50, 64, 16
+        cfg = small_problem(m)
+        params = init_params(GnnConfig(f1=f, f2=f), 0)
+        episodes = [episode_tensors(real.episode(n_steps), cfg)
+                    for real in make_realizations(m=m, count=batch, seed=1)]
+        mu = np.random.default_rng(0).uniform(0, 1, (batch, m))
+        assert gradient_block_steps(m, params.dims) // n_steps == 3
+        episode_eval(episodes, mu, params, cfg)
+        tracemalloc.start()
+        try:
+            episode_eval(episodes, mu, params, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

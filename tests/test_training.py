@@ -2,6 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dualrrm import training as training_module
 from dualrrm.core import RrmProblemConfig
@@ -208,6 +209,42 @@ class TestTrainLoop:
                 tensors, np.zeros(3), params, problem, node_features=mu
             )
             assert np.max(np.abs(g2.flat - (g1.flat + gu.flat))) < 1e-10
+
+
+class TestResumeProperty:
+    @settings(max_examples=25)
+    @given(
+        n_iters=st.integers(2, 7),
+        batch_size=st.integers(1, 5),
+        n_data=st.integers(1, 6),
+        decay_every=st.integers(1, 2),
+        resume_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_resume_anywhere_matches_one_run(
+        self, n_iters, batch_size, n_data, decay_every, resume_frac, seed
+    ):
+        # the run crosses at least one learning-rate decay step, and so the
+        # epoch boundaries before it; the resume point falls anywhere
+        assume(n_iters * batch_size > n_data * decay_every)
+        resume_at = 1 + int(resume_frac * (n_iters - 2))
+        dataset = make_realizations(m=3, count=n_data, seed=seed)
+        problem, dims = RrmProblemConfig(m=3), GnnConfig(f1=6, f2=5)
+
+        def cfg(n):
+            return TrainConfig(n_iters=n, batch_size=batch_size, episode_len=4, seed=seed,
+                               eta_phi=0.05, lr_decay_factor=0.5,
+                               lr_decay_every_epochs=decay_every)
+
+        full, full_log = train(cfg(n_iters), problem, dims, dataset)
+        head, head_log = train(cfg(resume_at), problem, dims, dataset)
+        resumed, tail_log = train(cfg(n_iters), problem, dims, dataset,
+                                  init=head, start_iter=resume_at)
+        assert np.array_equal(full.flat.view(np.uint64), resumed.flat.view(np.uint64))
+        for series in ("iterations", "mean_lagrangian", "mean_sum_rate",
+                       "mean_constraint_slack"):
+            assert getattr(full_log, series) == getattr(head_log, series) + getattr(
+                tail_log, series)
 
 
 class TestPerMuOracle:
