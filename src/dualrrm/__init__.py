@@ -9,3 +9,5 @@ included.
 """
 
 __version__ = "0.1.0"
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -16,15 +16,20 @@ failed check; 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
+from . import BLAS_THREAD_VARS, __version__
 
-from . import __version__
+for _var in BLAS_THREAD_VARS:  # one BLAS thread, set before numpy loads; a user's value wins
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
 from .artifacts import write_csv
 from .baselines import FullReusePolicy, ItlinqPolicy
 from .config import ExperimentConfig, config_hash, config_to_dict, load_config
@@ -281,9 +286,9 @@ def _at_least(minimum: int):
 
 
 def _positive_bound(text: str) -> float:
-    """An argparse type for a tolerance: a finite number above 0."""
-    if not 0.0 < (value := float(text)) < np.inf:  # refuses nan too
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, not {text}")
+    """An argparse type for a relative tolerance in (0, 1); 1 passes a zero gradient."""
+    if not 0.0 < (value := float(text)) < 1.0:  # refuses nan too
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0 and below 1, not {text}")
     return value
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,17 +159,16 @@ def _relu_select(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-class _Workspace:
-    """Grow-only float64 storage, one flat array per role, for the (..., m, f)
-    activations, stacked gains and gradient rows listed below.
+class _Workspace(threading.local):
+    """Grow-only float64 storage, one flat array per role and thread, for the
+    (..., m, f) activations, stacked gains and gradient rows listed below.
 
     A warm pass allocates none of them: ``take`` hands out a C-contiguous view
     of the role's array, which is replaced only by a larger one.  At m=6,
     T=50, f=64 each activation is 150 KiB, just above glibc's mmap
     threshold, so a fresh array per temporary cost page faults on every
-    call.  A view is valid until the next pass; of all results only the
-    gradient rows of a batched ``episode_eval`` are one.  Not thread-safe:
-    the package runs one thread per process, and the evaluation pool forks.
+    call.  A view is valid until the same thread's next pass; of all results
+    only the gradient rows of a batched ``episode_eval`` are one.
     """
 
     def __init__(self, n_roles: int):
@@ -309,6 +309,11 @@ def episode_tensors(gain: np.ndarray, cfg: RrmProblemConfig) -> GainEpisode:
     return GainEpisode(_checked_gain_episode(gain, 1, cfg.m), cfg)
 
 
+def _block_budget(m: int, dims: GnnConfig) -> int:
+    """Steps of one gradient block: ``core.block_steps`` over (n, m, f) activations."""
+    return block_steps(8 * m * max(dims.f1, dims.f2))
+
+
 def episode_eval(
     episode: GainEpisode | list[GainEpisode],
     mu: np.ndarray,
@@ -343,7 +348,7 @@ def episode_eval(
     y0 = np.broadcast_to(feats, mu.shape)[:, None, :, None]
     f = np.empty((len(episodes), n_steps, cfg.m))
     rows = _WORK.take(_ROWS, (len(episodes), params.flat.size))
-    n_block = block_steps(8 * cfg.m * max(params.dims.f1, params.dims.f2))
+    n_block = _block_budget(cfg.m, params.dims)
     per_block = max(1, n_block // n_steps)  # whole episodes, or one in time blocks
     for b0 in range(0, len(episodes), per_block):
         eps = slice(b0, b0 + per_block)

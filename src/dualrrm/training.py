@@ -7,20 +7,25 @@ the duals only condition the policy input and weight the objective.
 
 All randomness is derived statelessly from (seed, purpose, index), so a run
 can be resumed from any checkpoint and continues bit-for-bit identically to
-the uninterrupted run.  Training runs in one process: each iteration's
-batch goes to ``policy.episode_eval`` in one call, which runs as many whole
-episodes per gradient block as fit its budget.
+the uninterrupted run.  Training runs in one process.  With one BLAS thread,
+a batch splits into chunks of whole episodes, one per usable CPU and at most
+one per gradient block of ``policy.episode_eval``, each but the first on its
+own thread; rows are added in batch order, so no bit depends on the split.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .channel import Realization
 from .core import RrmProblemConfig, constraints_g
 from .errors import (
@@ -35,6 +40,7 @@ from .graph import GainEpisode
 from .policy import (
     GnnConfig,
     GnnParams,
+    _block_budget,
     apply_update,
     episode_eval,
     episode_tensors,
@@ -125,6 +131,15 @@ def _checked_seed(cfg: TrainConfig) -> int:
     return cfg.seed
 
 
+def _n_chunks(cfg: TrainConfig, m: int, dims: GnnConfig) -> int:
+    """Chunks per batch: one per usable CPU and gradient block, if BLAS runs one thread."""
+    if {os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ} != {"1"}:
+        return 1
+    per_block = max(1, _block_budget(m, dims) // cfg.episode_len)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, -(-cfg.batch_size // per_block))
+
+
 def _run_ascent(
     cfg: TrainConfig,
     problem: RrmProblemConfig,
@@ -156,48 +171,51 @@ def _run_ascent(
     def episode(idx: int) -> GainEpisode:
         return episode_tensors(dataset[idx].episode(cfg.episode_len), problem)
 
-    for n in range(start_iter, n_iters):
-        t0 = time.perf_counter()
-        if fixed_mu is None:
-            mu_batch = sample_duals(
-                problem.m,
-                cfg.batch_size,
-                cfg.mu_dist,
-                derive_seed(seed, DUAL_SAMPLING, n),
+    n_chunks = _n_chunks(cfg, problem.m, dims)
+    bounds = [cfg.batch_size * i // n_chunks for i in range(n_chunks + 1)]
+    with ExitStack() as stack:  # a chunk's results live in its own thread's buffers
+        pools = [stack.enter_context(ThreadPoolExecutor(1)) for _ in range(n_chunks - 1)]
+        for n in range(start_iter, n_iters):
+            t0 = time.perf_counter()
+            if fixed_mu is None:
+                mu_batch = sample_duals(problem.m, cfg.batch_size, cfg.mu_dist,
+                                        derive_seed(seed, DUAL_SAMPLING, n))
+            else:
+                mu_batch = np.broadcast_to(fixed_mu, (cfg.batch_size, problem.m))
+            # every epoch visits the dataset once, in its own shuffled order
+            slots = [divmod(n * cfg.batch_size + b, len(dataset)) for b in range(cfg.batch_size)]
+            batch = [episode(int(epoch_order(sample_epoch)[pos])) for sample_epoch, pos in slots]
+            run = functools.partial(episode_eval, params=params, cfg=problem,
+                                    node_features=node_features)
+            chunks = [(batch[a:b], mu_batch[a:b]) for a, b in zip(bounds, bounds[1:])]
+            try:
+                rest = [pool.submit(run, *chunk) for pool, chunk in zip(pools, chunks[1:])]
+                parts = [run(*chunks[0])] + [future.result() for future in rest]
+            except NonFiniteActivation as exc:
+                raise NonFiniteLoss(n, f"iteration {n}: {exc}") from exc
+            # Fixed reduction order (batch index) keeps training bit-reproducible.
+            grad_mean = params.zeros_like()
+            for row in (row for _, grads, _ in parts for row in grads.flat):
+                grad_mean.flat += (1.0 / cfg.batch_size) * row
+            values, avg_f = (np.concatenate([part[i] for part in parts]) for i in (0, 2))
+            sum_rates = avg_f.sum(axis=1)  # utility_sum of each episode
+            slacks = constraints_g(avg_f, problem).mean(axis=1)
+            mean_value = float(np.sum(values) / cfg.batch_size)
+            if not np.isfinite(mean_value) or not grad_mean.is_finite():
+                raise NonFiniteLoss(n)
+            epoch = (n * cfg.batch_size) // len(dataset)
+            eta = eta_base * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every_epochs)
+            params = apply_update(params, grad_mean, eta)
+            log.append(
+                n,
+                mean_value,
+                float(np.sum(sum_rates) / cfg.batch_size),
+                float(np.sum(slacks) / cfg.batch_size),
+                (time.perf_counter() - t0) * 1e3,
             )
-        else:
-            mu_batch = np.broadcast_to(fixed_mu, (cfg.batch_size, problem.m))
-        # every epoch visits the dataset once, in its own shuffled order
-        slots = [divmod(n * cfg.batch_size + b, len(dataset)) for b in range(cfg.batch_size)]
-        batch = [episode(int(epoch_order(sample_epoch)[pos])) for sample_epoch, pos in slots]
-        try:
-            values, grads, avg_f = episode_eval(
-                batch, mu_batch, params, problem, node_features=node_features
-            )
-        except NonFiniteActivation as exc:
-            raise NonFiniteLoss(n, f"iteration {n}: {exc}") from exc
-        # Fixed reduction order (batch index) keeps training bit-reproducible.
-        grad_mean = params.zeros_like()
-        for row in grads.flat:
-            grad_mean.flat += (1.0 / cfg.batch_size) * row
-        sum_rates = avg_f.sum(axis=1)  # utility_sum of each episode
-        slacks = constraints_g(avg_f, problem).mean(axis=1)
-        mean_value = float(np.sum(values) / cfg.batch_size)
-        if not np.isfinite(mean_value) or not grad_mean.is_finite():
-            raise NonFiniteLoss(n)
-        epoch = (n * cfg.batch_size) // len(dataset)
-        eta = eta_base * cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every_epochs)
-        params = apply_update(params, grad_mean, eta)
-        log.append(
-            n,
-            mean_value,
-            float(np.sum(sum_rates) / cfg.batch_size),
-            float(np.sum(slacks) / cfg.batch_size),
-            (time.perf_counter() - t0) * 1e3,
-        )
-        if checkpoint_cb is not None and cfg.checkpoint_every:
-            if (n + 1) % cfg.checkpoint_every == 0:
-                checkpoint_cb(n + 1, params)
+            if checkpoint_cb is not None and cfg.checkpoint_every:
+                if (n + 1) % cfg.checkpoint_every == 0:
+                    checkpoint_cb(n + 1, params)
     return params, log
 
 

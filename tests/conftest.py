@@ -1,3 +1,15 @@
+import os
+import sys
+from pathlib import Path
+
+from dualrrm import BLAS_THREAD_VARS
+
+# One BLAS thread, pinned before anything imports numpy, as the CLI, the
+# benchmark and the golden run have it; training then splits its batches
+# across threads (``training._n_chunks``) here too.
+for _var in BLAS_THREAD_VARS:
+    os.environ[_var] = "1"
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -9,9 +21,20 @@ from hypothesis import settings
 settings.register_profile("dualrrm", deadline=None, print_blob=True)
 settings.load_profile("dualrrm")
 
+from dualrrm import core
 from dualrrm.channel import Realization, TopologyConfig, sample_topology
 from dualrrm.core import RrmProblemConfig
+from dualrrm.policy import _block_budget
 from dualrrm.seeding import derive_seed
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from run import blas_threads  # the benchmark's probe of the OpenBLAS numpy loaded
+
+
+def force_block_steps(mp, n, m, dims):
+    """Make ``episode_eval`` run gradient blocks of exactly ``n`` steps at m."""
+    mp.setattr(core, "_BLOCK_BYTES", n * 8 * m * max(dims.f1, dims.f2))
+    assert _block_budget(m, dims) == n
 
 
 def make_realizations(m, count, seed, area=500.0, rho=0.956):

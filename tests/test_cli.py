@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualrrm import errors
+import dualrrm
+from dualrrm import BLAS_THREAD_VARS, errors
 from dualrrm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from dualrrm.policy import load_checkpoint
 
@@ -386,9 +390,10 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("config error") and "seed" in err
 
-    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-0.5", "1e400"])
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-0.5", "1e400", "1", "2", "1e9"])
     def test_gradcheck_tol_needs_finite_positive_bound(self, tmp_path, capsys, tol):
-        # an infinite bound would print GRADCHECK PASS whatever the gradient
+        # an infinite bound, or any relative bound of 1 or more, would print
+        # GRADCHECK PASS for a zero gradient
         cfg_path = write_cfg(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--steps", "2", "--coords", "3", f"--tol={tol}",
@@ -647,3 +652,41 @@ class TestReproducibility:
         second = run_pipeline(workers=4)
         for name in first:
             assert first[name] == second[name], f"{name} differs across runs"
+
+
+# Imports the CLI in a fresh interpreter and reports the BLAS thread variables,
+# the OpenBLAS thread count and the desk shape's chunk count.
+BLAS_PROBE = """
+import json, os
+import dualrrm.cli
+from dualrrm.policy import GnnConfig
+from dualrrm.training import TrainConfig, _n_chunks
+env = {v: os.environ.get(v) for v in dualrrm.BLAS_THREAD_VARS}
+chunks = _n_chunks(TrainConfig(batch_size=16, episode_len=50), 6, GnnConfig())
+from conftest import blas_threads
+print(json.dumps([env, blas_threads(), chunks]))
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("openblas", [None, "3"])
+    def test_cli_sets_one_blas_thread_unless_the_user_did(self, openblas):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        if openblas is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas
+        tests = Path(__file__).resolve().parent
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(dualrrm.__file__).resolve().parent.parent), str(tests)])
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        seen, threads, chunks = json.loads(done.stdout.splitlines()[-1])
+        cpus = len(os.sched_getaffinity(0))
+        if openblas is None:
+            # set before numpy loaded, so OpenBLAS took it, and training splits
+            assert seen == dict.fromkeys(BLAS_THREAD_VARS, "1")
+            assert threads in (1, None)
+            assert chunks == min(cpus, 6)
+        else:
+            # the user's value wins, and BLAS threads rule out the split
+            assert seen == {**dict.fromkeys(BLAS_THREAD_VARS, "1"), "OPENBLAS_NUM_THREADS": "3"}
+            assert chunks == 1

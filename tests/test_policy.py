@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from dualrrm import core, verify
+from dualrrm import verify
 from dualrrm.core import RrmProblemConfig, block_steps, rates
 from dualrrm.errors import (
     CheckpointDimMismatch,
@@ -20,6 +20,7 @@ from dualrrm.graph import RrmGraph, build_graph
 from dualrrm.policy import (
     Checkpoint,
     GnnConfig,
+    _block_budget,
     _forward_tensors,
     _relu_select,
     apply_update,
@@ -34,7 +35,7 @@ from dualrrm.policy import (
 )
 from dualrrm.verify import MAX_DRAWS, finite_difference_check
 
-from conftest import make_realizations, params_equal, relabel_matrix
+from conftest import force_block_steps, make_realizations, params_equal, relabel_matrix
 
 
 def small_problem(m):
@@ -286,17 +287,6 @@ class TestEpisodeObjective:
         assert np.max(np.abs(g2.flat - (ga.flat + gb.flat))) < 1e-10
 
 
-def gradient_block_steps(m, dims):
-    """Steps per time block of ``episode_eval``."""
-    return block_steps(8 * m * max(dims.f1, dims.f2))
-
-
-def force_block_steps(mp, n, m, dims):
-    """Make ``episode_eval`` run time blocks of exactly ``n`` steps."""
-    mp.setattr(core, "_BLOCK_BYTES", n * 8 * m * max(dims.f1, dims.f2))
-    assert gradient_block_steps(m, dims) == n
-
-
 class TestTimeBlocks:
     @settings(max_examples=40)
     @given(
@@ -334,13 +324,13 @@ class TestTimeBlocks:
         assert report.passed(1e-4), f"max rel err {report.max_measurable_rel_err(1e-4)}"
 
     def test_block_rule(self):
-        assert gradient_block_steps(50, GnnConfig(f1=64, f2=64)) == 20  # paper shape
+        assert _block_budget(50, GnnConfig(f1=64, f2=64)) == 20  # paper shape
         # one block at the desk acceptance shape (m=6, f=64, T=50) and the
         # golden-run shapes (m=6 and 20, f=16, T=20)
-        assert gradient_block_steps(6, GnnConfig()) >= 50
-        assert gradient_block_steps(6, GnnConfig(f1=16, f2=16)) >= 20
-        assert gradient_block_steps(20, GnnConfig(f1=16, f2=16)) >= 20
-        assert gradient_block_steps(10**6, GnnConfig()) == 1
+        assert _block_budget(6, GnnConfig()) >= 50
+        assert _block_budget(6, GnnConfig(f1=16, f2=16)) >= 20
+        assert _block_budget(20, GnnConfig(f1=16, f2=16)) >= 20
+        assert _block_budget(10**6, GnnConfig()) == 1
         # execution: whole T0-windows of (n, m, m) tensors, the whole desk
         # episode at m=6 and 25 steps at m=50; synthesis: 13 steps at m=50
         assert block_steps(8 * 6 * 6, 5) >= 400
@@ -469,7 +459,7 @@ class TestActivationBuffers:
         episodes = [episode_tensors(real.episode(n_steps), cfg)
                     for real in make_realizations(m=m, count=batch, seed=1)]
         mu = np.random.default_rng(0).uniform(0, 1, (batch, m))
-        assert gradient_block_steps(m, params.dims) // n_steps == 3
+        assert _block_budget(m, params.dims) // n_steps == 3
         episode_eval(episodes, mu, params, cfg)
         tracemalloc.start()
         try:

@@ -1,14 +1,19 @@
 import inspect
+import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from dualrrm import BLAS_THREAD_VARS
 from dualrrm import training as training_module
 from dualrrm.core import RrmProblemConfig
 from dualrrm.errors import (
     ConfigError,
     EmptyInput,
+    NonFiniteActivation,
     NonFiniteLoss,
     SizeLimitExceeded,
     UnsupportedDistribution,
@@ -24,7 +29,10 @@ from dualrrm.policy import (
 )
 from dualrrm.training import TrainConfig, sample_duals, train, train_per_mu_oracle
 
-from conftest import make_realizations, params_equal
+from conftest import blas_threads, force_block_steps, make_realizations, params_equal
+
+
+SERIES = ("iterations", "mean_lagrangian", "mean_sum_rate", "mean_constraint_slack")
 
 
 def tiny_cfg(**kw):
@@ -245,6 +253,156 @@ class TestResumeProperty:
                        "mean_constraint_slack"):
             assert getattr(full_log, series) == getattr(head_log, series) + getattr(
                 tail_log, series)
+
+
+def force_split(mp, cpus, block_steps=None, m=None, dims=None):
+    """Give training ``cpus`` usable CPUs and one BLAS thread, and, if
+    given, gradient blocks of ``block_steps`` steps at (m, dims)."""
+    for var in BLAS_THREAD_VARS:
+        mp.setenv(var, "1")
+    mp.setattr(training_module.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+               raising=False)
+    if block_steps is not None:
+        force_block_steps(mp, block_steps, m, dims)
+
+
+def record_chunks(mp):
+    """Record (thread, batch size) of every ``episode_eval`` call training makes."""
+    calls = []
+    inner = training_module.episode_eval
+
+    def recorded(episodes, mu, **kw):
+        calls.append((threading.get_ident(), len(episodes)))
+        return inner(episodes, mu, **kw)
+
+    mp.setattr(training_module, "episode_eval", recorded)
+    return calls
+
+
+class TestBatchSplit:
+    """Each iteration's batch split into chunks of whole episodes, one per
+    usable CPU and at most one per gradient block, run on threads."""
+
+    @settings(max_examples=30)
+    @given(
+        m=st.integers(1, 5),
+        n_steps=st.integers(1, 8),
+        batch_size=st.integers(1, 6),
+        cpus=st.integers(1, 3),
+        block_steps=st.integers(1, 20),
+        n_iters=st.integers(1, 4),
+        resume_frac=st.floats(0.0, 1.0),
+        oracle=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    # three one-episode chunks of a few microseconds each: a pool that could
+    # hand both later chunks to one thread overwrote the first one's rows
+    @example(m=1, n_steps=1, batch_size=3, cpus=3, block_steps=1, n_iters=1,
+             resume_frac=0.0, oracle=False, seed=0)
+    def test_split_equals_one_chunk(
+        self, m, n_steps, batch_size, cpus, block_steps, n_iters, resume_frac, oracle, seed
+    ):
+        dataset = make_realizations(m=m, count=3, seed=seed)
+        problem, dims = RrmProblemConfig(m=m), GnnConfig(f1=5, f2=4)
+        cfg = TrainConfig(n_iters=n_iters, batch_size=batch_size, episode_len=n_steps,
+                          seed=seed, eta_phi=0.05)
+        resume_at = int(resume_frac * n_iters)
+        per_block = max(1, block_steps // n_steps)
+        chunks = min(cpus, -(-batch_size // per_block))
+
+        def run(cpus):
+            with pytest.MonkeyPatch.context() as mp:
+                force_split(mp, cpus, block_steps, m, dims)
+                calls = record_chunks(mp)
+                if oracle:
+                    mu = np.linspace(0.0, 1.0, m)
+                    return train_per_mu_oracle(mu, cfg, problem, dims, dataset), None, calls
+                head, head_log = train(replace(cfg, n_iters=resume_at), problem, dims, dataset)
+                params, tail_log = train(cfg, problem, dims, dataset, init=head,
+                                         start_iter=resume_at)
+                return params, [getattr(head_log, s) + getattr(tail_log, s) for s in SERIES], calls
+
+        one, one_log, one_calls = run(1)
+        split, split_log, split_calls = run(cpus)
+        assert np.array_equal(one.flat.view(np.uint64), split.flat.view(np.uint64))
+        if not oracle:
+            assert np.array_equal(np.array(one_log, dtype=float).view(np.uint64),
+                                  np.array(split_log, dtype=float).view(np.uint64))
+        assert len(one_calls) == n_iters
+        assert len(split_calls) == n_iters * chunks
+        assert sorted({size for _, size in split_calls}) == sorted(
+            {batch_size * (i + 1) // chunks - batch_size * i // chunks for i in range(chunks)})
+        main = threading.get_ident()
+        assert any(t != main for t, _ in split_calls) == (chunks > 1)
+
+    def test_more_chunks_than_cores_under_fast_switching(self, monkeypatch):
+        # six chunks, each thread switching every microsecond: every thread
+        # keeps its own buffers, so the bits are those of one chunk, and no
+        # thread outlives the call
+        dataset = make_realizations(m=4, count=5, seed=9)
+        problem, dims = RrmProblemConfig(m=4), GnnConfig(f1=6, f2=5)
+        cfg = tiny_cfg(n_iters=6, batch_size=8, episode_len=6)
+        force_block_steps(monkeypatch, 6, 4, dims)
+        force_split(monkeypatch, 1)
+        one, _ = train(cfg, problem, dims, dataset)
+        force_split(monkeypatch, 6)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split, _ = train(cfg, problem, dims, dataset)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one.flat.view(np.uint64), split.flat.view(np.uint64))
+        assert threading.active_count() == before
+
+    def test_desk_shape_splits_over_cpus(self, monkeypatch):
+        # three whole 50-step episodes per gradient block at f=64, so B=16
+        # has six blocks; two chunks on two CPUs, three on three
+        cfg = TrainConfig(batch_size=16, episode_len=50)
+        for cpus in (1, 2, 3, 8):
+            force_split(monkeypatch, cpus)
+            assert training_module._n_chunks(cfg, 6, GnnConfig()) == min(cpus, 6)
+        # the paper shape runs time blocks: at most one chunk per episode
+        force_split(monkeypatch, 12)
+        assert training_module._n_chunks(TrainConfig(batch_size=8), 50, GnnConfig()) == 8
+
+    @pytest.mark.parametrize("value", ["2", "0", ""])
+    def test_no_split_unless_blas_has_one_thread(self, monkeypatch, value):
+        cfg = TrainConfig(batch_size=16, episode_len=50)
+        force_split(monkeypatch, 4)
+        monkeypatch.setenv("OMP_NUM_THREADS", value)
+        assert training_module._n_chunks(cfg, 6, GnnConfig()) == 1
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var)
+        assert training_module._n_chunks(cfg, 6, GnnConfig()) == 1
+
+    def test_later_chunk_failure_reports_iteration(self, monkeypatch):
+        dataset = make_realizations(m=2, count=4, seed=3)
+        force_split(monkeypatch, 3, 4, 2, GnnConfig(f1=4, f2=4))
+        inner = training_module.episode_eval
+        calls = []
+
+        def failing(episodes, mu, **kw):
+            calls.append(threading.current_thread() is threading.main_thread())
+            if len(calls) > 6 and not calls[-1]:  # a worker's chunk of iteration 2
+                raise NonFiniteActivation("policy produced non-finite pre-activations")
+            return inner(episodes, mu, **kw)
+
+        monkeypatch.setattr(training_module, "episode_eval", failing)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteLoss) as exc_info:
+            train(tiny_cfg(n_iters=5, batch_size=3, episode_len=4), RrmProblemConfig(m=2),
+                  GnnConfig(f1=4, f2=4), dataset)
+        assert exc_info.value.iteration == 2
+        assert len(calls) == 9  # three chunks in each of three iterations
+        assert threading.active_count() == before
+
+    def test_tests_run_blas_on_one_thread(self):
+        # conftest pins BLAS before numpy loads, so training splits here as
+        # it does under the CLI, the benchmark and the golden run
+        if blas_threads() is None:
+            pytest.skip("numpy does not use OpenBLAS")
+        assert blas_threads() == 1
 
 
 class TestPerMuOracle:

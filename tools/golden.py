@@ -4,13 +4,17 @@ A pure refactor must leave every default output byte-identical.  ``run``
 drives the CLI of this checkout's ``src`` (or of ``--src DIR``) through a
 fixed pipeline at m=6, m=20 and m=50 (generate, train with intermediate
 checkpoints, a second training run resumed from the iteration-20 checkpoint
-into its own output directory, eval with CDF and trace exports, the same
-eval on a pool of two workers, early-stop eval, baselines, ITLinQ eval under
-a config copy with the by-index ordering, gradcheck, theorem-suite) and
-keeps every file it writes plus the stdout and exit code of each step.  Training at m=50 runs 100-step episodes, which the episode
-gradient takes in two time blocks, so the golden run crosses a block edge of
-every blocked stage: synthesis, training and execution.  At m=20 the two
-message-passing layers have different widths (16 and 24).
+into its own output directory, a third training run limited to one CPU in
+its own output directory, eval with CDF and trace exports, the same eval on
+a pool of two workers, early-stop eval, baselines, ITLinQ eval under a
+config copy with the by-index ordering, gradcheck, theorem-suite) and keeps
+every file it writes plus the stdout and exit code of each step.  Every
+step runs BLAS on one thread, so training splits its batches across the
+usable CPUs where its gradient blocks allow (at m=50 here); the one-CPU run
+takes the unsplit path.  Training at m=50 runs 100-step episodes, which the
+episode gradient takes in two time blocks, so the golden run crosses a block
+edge of every blocked stage: synthesis, training and execution.  At m=20 the
+two message-passing layers have different widths (16 and 24).
 ``compare`` lists every file that is missing from either tree or differs,
 and exits nonzero if there is any.
 
@@ -34,6 +38,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+ONE_CPU_STEP = "train_one_cpu"  # its child process may run on one CPU only
 CKPT = "checkpoints/checkpoint_final.json"
 # m -> (area side in m, n_train, n_test, training episode_len, (f1, f2)).
 # At m=50 channel synthesis runs in 13-step blocks, execution in 25-step
@@ -71,6 +76,8 @@ def _steps(m: int) -> list[tuple[str, str, list[str]]]:
         ("train", cfg, ["train"]),
         ("generate_resume", cfg, ["generate", "--split", "train", "--out", resume_out]),
         ("train_resume", cfg, ["train", "--out", resume_out, "--resume", mid]),
+        ("generate_one_cpu", cfg, ["generate", "--split", "train", "--out", f"m{m}_one_cpu"]),
+        (ONE_CPU_STEP, cfg, ["train", "--out", f"m{m}_one_cpu"]),
         ("eval", cfg, ["eval", "--checkpoint", ckpt, "--export-cdf", "--export-trace", "2"]),
         ("eval_workers", cfg, ["eval", "--checkpoint", ckpt, "--workers", "2", "--export-cdf"]),
         ("eval_early_stop", cfg, ["eval", "--policy", "early_stop", "--t-stop", "37",
@@ -80,6 +87,11 @@ def _steps(m: int) -> list[tuple[str, str, list[str]]]:
         ("gradcheck", cfg, ["gradcheck", "--steps", "5", "--coords", "20"]),
         ("theorem_suite", cfg, ["theorem-suite", "--checkpoint", ckpt, "--realizations", "4"]),
     ]
+
+
+def _one_cpu() -> None:
+    """Limit the calling process, a step's child before it execs, to one CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
 def run(out: Path, src: Path) -> int:
@@ -100,6 +112,7 @@ def run(out: Path, src: Path) -> int:
             proc = subprocess.run(
                 [sys.executable, "-m", "dualrrm.cli", *argv, "--config", cfg],
                 cwd=out, env=env, capture_output=True, text=True,
+                preexec_fn=_one_cpu if name == ONE_CPU_STEP else None,
             )
             (logs / f"{name}.txt").write_text(f"exit {proc.returncode}\n{proc.stdout}")
             if proc.returncode != 0:
