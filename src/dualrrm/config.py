@@ -61,6 +61,12 @@ class ExperimentConfig:
         cfg = self._synced()
         if min(cfg.seed, cfg.train.seed) < 0:
             raise ConfigError("seed and train.seed must be >= 0")
+        try:  # 10 ** (dBm / 10) beyond the float range
+            linear = (cfg.problem.p_max, cfg.problem.noise)
+        except OverflowError:
+            linear = (math.inf,)
+        if not all(0.0 < x < math.inf for x in linear):
+            raise ConfigError("problem p_max and noise must be finite and positive in mW")
         cfg.topology.validate()
         cfg.fading.validate()
         cfg.gnn.validate()

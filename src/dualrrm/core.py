@@ -67,12 +67,12 @@ def block_steps(step_bytes: int, unit: int = 1) -> int:
 def sorted_sum(x: np.ndarray) -> np.ndarray:
     """Sum over the last axis that does not depend on the order of the terms.
 
-    Each row is sorted ascending into a C-contiguous copy, so numpy reduces
-    every row by the same pairwise rule whatever the leading shape.
+    ``x`` must be C-contiguous and is sorted in place, each row ascending,
+    so numpy reduces every row by the same pairwise rule whatever the
+    leading shape; callers hand over a temporary they no longer read.
     """
-    rows = x.copy(order="C")
-    rows.sort(axis=-1)
-    return rows.sum(axis=-1)
+    x.sort(axis=-1)
+    return x.sum(axis=-1)
 
 
 def interference_denominators(abs_h2: np.ndarray, p: np.ndarray, noise: float) -> np.ndarray:
@@ -125,7 +125,7 @@ def rates_and_gradient(
     gamma = weights * signal / (_LN2 * denom * total)
     # dL/dp_j = beta_j |h_jj|^2 - sum_{i != j} abs_h2[j, i] gamma_i, reduced
     # by the same order-invariant sum as the denominators
-    cross = abs_h2 * gamma[..., None, :]
+    cross = np.multiply(abs_h2, gamma[..., None, :], order="C")
     diag = np.arange(p.shape[-1])
     cross[..., diag, diag] = 0.0
     return f, beta * abs_h2.diagonal(0, -2, -1) - sorted_sum(cross)

@@ -34,7 +34,7 @@ from .core import (
     MetricsSummary, RrmProblemConfig, block_steps, checked_duals, constraints_g, metrics,
 )
 from .errors import ConfigError, DimensionMismatch, EmptyInput, WindowLengthMismatch
-from .graph import _checked_gain_episode, build_graph
+from .graph import build_graph, checked_gain_episode
 from .policy import GnnParams, forward
 
 DEFAULT_ETA_MU = 20.0
@@ -133,7 +133,7 @@ def execute(
     exec_cfg.validate()
     policy = _as_policy(policy)
     n_steps, T0 = exec_cfg.T, exec_cfg.T0
-    episode = _checked_gain_episode(episode, n_steps, problem.m)
+    episode = checked_gain_episode(episode, n_steps, problem.m)
     n_windows = n_steps // T0
     mu = checked_duals(np.zeros(problem.m) if exec_cfg.mu_init is None else exec_cfg.mu_init)
     if mu.shape != (problem.m,):

@@ -18,9 +18,9 @@ call, bit for bit like step by step.  Z stays within about 5e-16 relative of
 its value from a correctly rounded sum.
 
 Training keeps each episode as a ``GainEpisode``: the gains and the Z of
-every step, T (m^2 + 1) floats.  Its edges are built per block of steps when
-the block is taken, with the same log, division and in-sum as
-``build_graph``, so they match the whole episode's graph bit for bit.
+every step, T (m^2 + 1) floats.  ``block_graph`` builds a window of steps of
+several episodes from them, with the same log, division and in-sum as
+``build_graph``, so its edges match each whole episode's graph bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class RrmGraph:
         return RrmGraph(self.gain[steps], self.edges[steps], self.in_sums[steps])
 
 
-def _checked_gain_episode(gain: np.ndarray, n_steps: int, m: int) -> np.ndarray:
+def checked_gain_episode(gain: np.ndarray, n_steps: int, m: int) -> np.ndarray:
     """``gain`` as an array, if it is a real (T, m, m) gain episode |h|^2 of
     at least ``n_steps`` steps."""
     gain = np.asarray(gain)
@@ -70,7 +70,7 @@ def _normalized_logs(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> tuple[np.ndar
     if not abs_h2.all():
         raise ZeroChannel("channel magnitude is zero on at least one link")
     logs = _log_strengths(abs_h2, cfg)
-    z = np.sqrt(sorted_sum((logs**2).reshape(logs.shape[:-2] + (-1,))))
+    z = np.sqrt(sorted_sum(np.square(logs, order="C").reshape(logs.shape[:-2] + (-1,))))
     if not z.all():
         raise DegenerateNorm("all log channel strengths are zero")
     return logs, z
@@ -93,8 +93,8 @@ def build_graph(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
 @dataclass
 class GainEpisode:
     """The gains of an episode with the edge norm Z of every step, computed
-    and checked as ``build_graph`` does; indexing a block of steps builds
-    that block's graph."""
+    and checked as ``build_graph`` does; ``block_graph`` builds the graph of
+    any window of its steps."""
 
     gain: np.ndarray  # (T, m, m) |h|^2
     cfg: RrmProblemConfig
@@ -103,6 +103,10 @@ class GainEpisode:
     def __post_init__(self):
         self.norm = _normalized_logs(self.gain, self.cfg)[1]
 
-    def __getitem__(self, steps) -> RrmGraph:
-        gain = self.gain[steps]
-        return _graph(gain, _log_strengths(gain, self.cfg), self.norm[steps])
+
+def block_graph(episodes: list[GainEpisode], steps: slice, cfg: RrmProblemConfig,
+                out: np.ndarray) -> RrmGraph:
+    """The graph of the ``steps`` window of k episodes of one length, with
+    leading axes (k, n), its gains stacked into ``out`` (k, n, m, m)."""
+    gain = np.stack([e.gain[steps] for e in episodes], out=out)
+    return _graph(gain, _log_strengths(gain, cfg), np.stack([e.norm[steps] for e in episodes]))

@@ -42,7 +42,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteActivation,
 )
-from .graph import GainEpisode, RrmGraph, _checked_gain_episode, _graph, _log_strengths
+from .graph import GainEpisode, RrmGraph, block_graph, checked_gain_episode
 from .seeding import generator
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -306,12 +306,14 @@ def forward(graph: RrmGraph, mu: np.ndarray, params: GnnParams, p_max: float) ->
 def episode_tensors(gain: np.ndarray, cfg: RrmProblemConfig) -> GainEpisode:
     """A gain episode |h|^2 (T, m, m), T >= 1, with the edge norm of every
     step, reused across every evaluation of the episode."""
-    return GainEpisode(_checked_gain_episode(gain, 1, cfg.m), cfg)
+    return GainEpisode(checked_gain_episode(gain, 1, cfg.m), cfg)
 
 
-def _block_budget(m: int, dims: GnnConfig) -> int:
-    """Steps of one gradient block: ``core.block_steps`` over (n, m, f) activations."""
-    return block_steps(8 * m * max(dims.f1, dims.f2))
+def gradient_blocks(m: int, n_steps: int, dims: GnnConfig) -> tuple[int, int]:
+    """Episodes and steps per gradient block: the ``core.block_steps`` budget
+    of n steps of (n, m, f) activations holds whole episodes, else n steps."""
+    n = block_steps(8 * m * max(dims.f1, dims.f2))
+    return max(1, n // n_steps), min(n, n_steps)
 
 
 def episode_eval(
@@ -329,9 +331,9 @@ def episode_eval(
 
     A batch, a list of B episodes of one length with duals (B, m), gives
     each result a leading batch axis; its gradient rows live in ``_WORK``.
-    Blocks, budgeted by ``core.block_steps`` over the (n, m, f) activations,
-    hold as many whole episodes as fit, or else time blocks of one episode,
-    whose gradients are summed in block order; each builds its own edges.
+    Blocks, laid out by ``gradient_blocks``, hold as many whole episodes as
+    fit, or else time blocks of one episode, whose gradients are summed in
+    block order; ``graph.block_graph`` stacks and builds every block alike.
     Every episode's rates fill its own (T, m) array and its gradient is
     contracted on its own, so a batch equals its episodes one by one, bit
     for bit, and the value and average rates do not depend on the blocks.
@@ -348,20 +350,13 @@ def episode_eval(
     y0 = np.broadcast_to(feats, mu.shape)[:, None, :, None]
     f = np.empty((len(episodes), n_steps, cfg.m))
     rows = _WORK.take(_ROWS, (len(episodes), params.flat.size))
-    n_block = _block_budget(cfg.m, params.dims)
-    per_block = max(1, n_block // n_steps)  # whole episodes, or one in time blocks
+    per_block, n_block = gradient_blocks(cfg.m, n_steps, params.dims)
     for b0 in range(0, len(episodes), per_block):
         eps = slice(b0, b0 + per_block)
-        group = episodes[eps]
         for t0 in range(0, n_steps, n_block):
             win = slice(t0, t0 + n_block)
-            if len(group) == 1:
-                block = group[0][win][None]
-            else:
-                gain = np.stack([e.gain for e in group],
-                                out=_WORK.take(_GAINS, (len(group),) + group[0].gain.shape))
-                norms = np.stack([e.norm for e in group])
-                block = _graph(gain, _log_strengths(gain, cfg), norms)
+            gains = _WORK.take(_GAINS, f[eps, win].shape + (cfg.m,))
+            block = block_graph(episodes[eps], win, cfg, gains)
             pre, cache = _forward_tensors(y0[eps], block.edges, block.in_sums, params)
             sig = _sigmoid(pre)
             f[eps, win], dldp = rates_and_gradient(block.gain, cfg.p_max * sig, weights[eps], cfg)

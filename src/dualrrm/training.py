@@ -9,7 +9,7 @@ All randomness is derived statelessly from (seed, purpose, index), so a run
 can be resumed from any checkpoint and continues bit-for-bit identically to
 the uninterrupted run.  Training runs in one process.  With one BLAS thread,
 a batch splits into chunks of whole episodes, one per usable CPU and at most
-one per gradient block of ``policy.episode_eval``, each but the first on its
+one per gradient block (``policy.gradient_blocks``), each but the first on its
 own thread; rows are added in batch order, so no bit depends on the split.
 """
 
@@ -40,10 +40,10 @@ from .graph import GainEpisode
 from .policy import (
     GnnConfig,
     GnnParams,
-    _block_budget,
     apply_update,
     episode_eval,
     episode_tensors,
+    gradient_blocks,
     init_params,
 )
 from .seeding import DATA_ORDER, DUAL_SAMPLING, ORACLE, PARAM_INIT, derive_seed, generator
@@ -82,6 +82,8 @@ class TrainConfig:
             raise ConfigError("n_iters must be >= 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.lr_decay_every_epochs < 1 or self.lr_decay_factor <= 0:
+            raise ConfigError("lr_decay_every_epochs must be >= 1 and lr_decay_factor positive")
         _uniform_bounds(self.mu_dist)
 
     def resolved_n_iters(self, dataset_size: int) -> int:
@@ -135,7 +137,7 @@ def _n_chunks(cfg: TrainConfig, m: int, dims: GnnConfig) -> int:
     """Chunks per batch: one per usable CPU and gradient block, if BLAS runs one thread."""
     if {os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ} != {"1"}:
         return 1
-    per_block = max(1, _block_budget(m, dims) // cfg.episode_len)
+    per_block = gradient_blocks(m, cfg.episode_len, dims)[0]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return min(cpus or 1, -(-cfg.batch_size // per_block))
 

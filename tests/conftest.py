@@ -24,7 +24,7 @@ settings.load_profile("dualrrm")
 from dualrrm import core
 from dualrrm.channel import Realization, TopologyConfig, sample_topology
 from dualrrm.core import RrmProblemConfig
-from dualrrm.policy import _block_budget
+from dualrrm.policy import gradient_blocks
 from dualrrm.seeding import derive_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -34,7 +34,7 @@ from run import blas_threads  # the benchmark's probe of the OpenBLAS numpy load
 def force_block_steps(mp, n, m, dims):
     """Make ``episode_eval`` run gradient blocks of exactly ``n`` steps at m."""
     mp.setattr(core, "_BLOCK_BYTES", n * 8 * m * max(dims.f1, dims.f2))
-    assert _block_budget(m, dims) == n
+    assert gradient_blocks(m, 1, dims) == (n, 1)  # a budget of n steps
 
 
 def make_realizations(m, count, seed, area=500.0, rho=0.956):

@@ -451,6 +451,12 @@ CONFIG_MUTATIONS = {
     "horizon_float": {"execution": {"T": 20.0}},
     "p_max_nan": {"problem": {"p_max_dbm": float("nan")}},
     "p_max_int_beyond_float": {"problem": {"p_max_dbm": 10**400}},
+    "p_max_overflows_in_mw": {"problem": {"p_max_dbm": 4000.0}},
+    "noise_underflows_to_zero_mw": {"problem": {"noise_dbm": -4000.0}},
+    "lr_decay_every_zero": {"train": {"lr_decay_every_epochs": 0}},
+    "lr_decay_every_negative": {"train": {"lr_decay_every_epochs": -3}},
+    "lr_decay_factor_zero": {"train": {"lr_decay_factor": 0.0}},
+    "lr_decay_factor_negative": {"train": {"lr_decay_factor": -0.5}},
     "use_bias_int": {"gnn": {"use_bias": 1}},
     "density_mode_number": {"topology": {"density_mode": 3}},
     "mu_init_entry_string": {"execution": {"mu_init": [0.1, "a", 0.2]}},

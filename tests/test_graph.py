@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualrrm.core import RrmProblemConfig
 from dualrrm.errors import DegenerateNorm, DimensionMismatch, NegativeDual, ZeroChannel
-from dualrrm.graph import build_graph
+from dualrrm.graph import block_graph, build_graph
 from dualrrm.policy import GnnConfig, episode_tensors, forward, init_params
 
 from conftest import random_gains, relabel_matrix
@@ -160,22 +160,29 @@ class TestGainEpisode:
     @given(
         m=st.integers(1, 12),
         n_steps=st.integers(1, 40),
+        k=st.integers(1, 3),
         split=st.sampled_from(["one", "two", "uneven", "whole"]),
         seed=st.integers(0, 2**16),
     )
-    def test_block_graphs_match_build_graph(self, m, n_steps, split, seed):
+    def test_block_graphs_match_build_graph(self, m, n_steps, k, split, seed):
         cfg = RrmProblemConfig(m=m)
-        gain = random_gains(np.random.default_rng(seed), n_steps, m)
-        whole = build_graph(gain, cfg)
-        episode = episode_tensors(gain, cfg)
+        rng = np.random.default_rng(seed)
+        gains = [random_gains(rng, n_steps, m) for _ in range(k)]
+        wholes = [build_graph(gain, cfg) for gain in gains]
+        episodes = [episode_tensors(gain, cfg) for gain in gains]
         # "uneven": a block longer than half the episode, then a shorter one
         n = {"one": 1, "two": 2, "uneven": n_steps // 2 + 1, "whole": n_steps}[split]
         for t0 in range(0, n_steps, n):
             win = slice(t0, t0 + n)
-            block, ref = episode[win], whole[win]
-            assert np.array_equal(block.gain, ref.gain)
-            assert np.array_equal(block.edges, ref.edges)
-            assert np.array_equal(block.in_sums, ref.in_sums)
+            out = np.empty((k, min(n, n_steps - t0), m, m))
+            block = block_graph(episodes, win, cfg, out)
+            assert block.gain is out
+            for i, whole in enumerate(wholes):
+                ref = whole[win]
+                assert np.array_equal(block.gain[i], ref.gain)
+                assert np.array_equal(block.edges[i].view(np.uint64), ref.edges.view(np.uint64))
+                assert np.array_equal(block.in_sums[i].view(np.uint64),
+                                      ref.in_sums.view(np.uint64))
 
     def test_refused_like_build_graph(self):
         cfg = RrmProblemConfig(m=2, p_max_dbm=0.0, noise_dbm=0.0)

@@ -20,7 +20,6 @@ from dualrrm.graph import RrmGraph, build_graph
 from dualrrm.policy import (
     Checkpoint,
     GnnConfig,
-    _block_budget,
     _forward_tensors,
     _relu_select,
     apply_update,
@@ -28,6 +27,7 @@ from dualrrm.policy import (
     episode_eval,
     episode_tensors,
     forward,
+    gradient_blocks,
     init_params,
     load_checkpoint,
     require_dims,
@@ -324,13 +324,15 @@ class TestTimeBlocks:
         assert report.passed(1e-4), f"max rel err {report.max_measurable_rel_err(1e-4)}"
 
     def test_block_rule(self):
-        assert _block_budget(50, GnnConfig(f1=64, f2=64)) == 20  # paper shape
-        # one block at the desk acceptance shape (m=6, f=64, T=50) and the
-        # golden-run shapes (m=6 and 20, f=16, T=20)
-        assert _block_budget(6, GnnConfig()) >= 50
-        assert _block_budget(6, GnnConfig(f1=16, f2=16)) >= 20
-        assert _block_budget(20, GnnConfig(f1=16, f2=16)) >= 20
-        assert _block_budget(10**6, GnnConfig()) == 1
+        # (whole episodes, steps) per gradient block: 20-step time blocks at
+        # the paper shape, three whole episodes at the desk acceptance shape
+        # (m=6, f=64, T=50), whole episodes at the golden-run shapes (m=6
+        # and 20, f=16, T=20), and one step where not even one fits
+        assert gradient_blocks(50, 100, GnnConfig(f1=64, f2=64)) == (1, 20)
+        assert gradient_blocks(6, 50, GnnConfig()) == (3, 50)
+        assert gradient_blocks(6, 20, GnnConfig(f1=16, f2=16))[1] == 20
+        assert gradient_blocks(20, 20, GnnConfig(f1=16, f2=16))[1] == 20
+        assert gradient_blocks(10**6, 5, GnnConfig()) == (1, 1)
         # execution: whole T0-windows of (n, m, m) tensors, the whole desk
         # episode at m=6 and 25 steps at m=50; synthesis: 13 steps at m=50
         assert block_steps(8 * 6 * 6, 5) >= 400
@@ -459,7 +461,7 @@ class TestActivationBuffers:
         episodes = [episode_tensors(real.episode(n_steps), cfg)
                     for real in make_realizations(m=m, count=batch, seed=1)]
         mu = np.random.default_rng(0).uniform(0, 1, (batch, m))
-        assert _block_budget(m, params.dims) // n_steps == 3
+        assert gradient_blocks(m, n_steps, params.dims) == (3, n_steps)
         episode_eval(episodes, mu, params, cfg)
         tracemalloc.start()
         try:
