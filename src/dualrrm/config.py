@@ -62,11 +62,13 @@ class ExperimentConfig:
         if min(cfg.seed, cfg.train.seed) < 0:
             raise ConfigError("seed and train.seed must be >= 0")
         try:  # 10 ** (dBm / 10) beyond the float range
-            linear = (cfg.problem.p_max, cfg.problem.noise)
+            p_max, noise = cfg.problem.p_max, cfg.problem.noise
         except OverflowError:
-            linear = (math.inf,)
-        if not all(0.0 < x < math.inf for x in linear):
-            raise ConfigError("problem p_max and noise must be finite and positive in mW")
+            p_max = noise = math.inf
+        # 1e150 mW keeps (p_max |h|^2)^2, a term of dL/dp, finite for |h|^2 <= 1
+        if not (0.0 < noise < math.inf and 0.0 < p_max <= 1e150):
+            raise ConfigError("problem noise must be finite and positive in mW, and p_max "
+                              "positive and at most 1e150 mW (1500 dBm)")
         cfg.topology.validate()
         cfg.fading.validate()
         cfg.gnn.validate()

@@ -161,14 +161,11 @@ def _relu_select(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class _Workspace(threading.local):
     """Grow-only float64 storage, one flat array per role and thread, for the
-    (..., m, f) activations, stacked gains and gradient rows listed below.
-
-    A warm pass allocates none of them: ``take`` hands out a C-contiguous view
-    of the role's array, which is replaced only by a larger one.  At m=6,
-    T=50, f=64 each activation is 150 KiB, just above glibc's mmap
-    threshold, so a fresh array per temporary cost page faults on every
-    call.  A view is valid until the same thread's next pass; of all results
-    only the gradient rows of a batched ``episode_eval`` are one.
+    per-block scratch listed below; no result is a view into it.  A warm pass
+    allocates none of them: ``take`` hands out a C-contiguous view of the
+    role's array, which is replaced only by a larger one.  At m=6, T=50,
+    f=64 each activation is 150 KiB, just above glibc's mmap threshold, so a
+    fresh array per temporary cost page faults on every call.
     """
 
     def __init__(self, n_roles: int):
@@ -181,10 +178,9 @@ class _Workspace(threading.local):
         return self._flat[role][:size].reshape(shape)
 
 
-# Roles: four activations named by their forward value, each reused by the
-# backward pass once dead; then stacked gains, gradient rows, and time blocks'.
-_H1, _AGG1, _H2, _SCRATCH, _GAINS, _ROWS, _ROW = range(7)
-_WORK = _Workspace(7)
+# Roles: activations (reused by the backward pass once dead), stacked gains, time-block rows
+_H1, _AGG1, _H2, _SCRATCH, _GAINS, _ROW = range(6)
+_WORK = _Workspace(6)
 
 
 @dataclass
@@ -322,6 +318,7 @@ def episode_eval(
     params: GnnParams,
     cfg: RrmProblemConfig,
     node_features: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[float | np.ndarray, GnnParams, np.ndarray]:
     """Episode Lagrangian, its parameter gradient, and the average rates.
 
@@ -330,13 +327,13 @@ def episode_eval(
     through the objective weights.
 
     A batch, a list of B episodes of one length with duals (B, m), gives
-    each result a leading batch axis; its gradient rows live in ``_WORK``.
-    Blocks, laid out by ``gradient_blocks``, hold as many whole episodes as
-    fit, or else time blocks of one episode, whose gradients are summed in
-    block order; ``graph.block_graph`` stacks and builds every block alike.
-    Every episode's rates fill its own (T, m) array and its gradient is
-    contracted on its own, so a batch equals its episodes one by one, bit
-    for bit, and the value and average rates do not depend on the blocks.
+    each result a leading batch axis; ``out``, if given, takes the (B, P)
+    gradient rows (C-contiguous float64; (1, P) for one episode).  Blocks
+    (``gradient_blocks``; ``graph.block_graph`` builds each) hold whole
+    episodes, as many as fit, or else time blocks of one, whose gradients
+    add in block order.  Every episode's rates fill its own (T, m) array and
+    its gradient is contracted on its own, so a batch equals its episodes
+    one by one, bit for bit, and no value or average rate depends on blocks.
     """
     single = isinstance(episode, GainEpisode)
     episodes, mu = ([episode], [mu]) if single else (episode, mu)
@@ -349,7 +346,10 @@ def episode_eval(
     feats = mu if node_features is None else np.asarray(node_features, dtype=float)
     y0 = np.broadcast_to(feats, mu.shape)[:, None, :, None]
     f = np.empty((len(episodes), n_steps, cfg.m))
-    rows = _WORK.take(_ROWS, (len(episodes), params.flat.size))
+    shape = (len(episodes), params.flat.size)
+    rows = np.empty(shape) if out is None else out
+    if rows.shape != shape or rows.dtype != np.float64 or not rows.flags.c_contiguous:
+        raise DimensionMismatch(f"gradient rows need a C-contiguous float64 {shape} array")
     per_block, n_block = gradient_blocks(cfg.m, n_steps, params.dims)
     for b0 in range(0, len(episodes), per_block):
         eps = slice(b0, b0 + per_block)
@@ -361,14 +361,14 @@ def episode_eval(
             sig = _sigmoid(pre)
             f[eps, win], dldp = rates_and_gradient(block.gain, cfg.p_max * sig, weights[eps], cfg)
             d_pre = dldp * cfg.p_max * sig * (1.0 - sig)
-            out = _WORK.take(_ROW, rows[eps].shape) if t0 else rows[eps]
-            _backward_tensors(d_pre, cache, block.edges, block.in_sums, params, out)
+            grads = _WORK.take(_ROW, rows[eps].shape) if t0 else rows[eps]
+            _backward_tensors(d_pre, cache, block.edges, block.in_sums, params, grads)
             if t0:
-                rows[eps] += out
+                rows[eps] += grads
     avg_f = f.mean(axis=1)
     values = np.array([lagrangian(a, u, cfg) for a, u in zip(avg_f, mu)])
     if single:
-        return float(values[0]), GnnParams(rows[0].copy(), params.dims), avg_f[0]
+        return float(values[0]), GnnParams(rows[0], params.dims), avg_f[0]
     return values, GnnParams(rows, params.dims), avg_f
 
 

@@ -9,8 +9,9 @@ All randomness is derived statelessly from (seed, purpose, index), so a run
 can be resumed from any checkpoint and continues bit-for-bit identically to
 the uninterrupted run.  Training runs in one process.  With one BLAS thread,
 a batch splits into chunks of whole episodes, one per usable CPU and at most
-one per gradient block (``policy.gradient_blocks``), each but the first on its
-own thread; rows are added in batch order, so no bit depends on the split.
+one per gradient block (``policy.gradient_blocks``); the caller runs the
+first, a thread pool the rest, and each writes its rows of one (B, P)
+gradient array, summed in batch order, so no bit depends on the split.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.lr_decay_every_epochs < 1 or self.lr_decay_factor <= 0:
             raise ConfigError("lr_decay_every_epochs must be >= 1 and lr_decay_factor positive")
+        if self.checkpoint_every is not None and self.checkpoint_every < 1:
+            raise ConfigError("checkpoint_every must be >= 1, or null for no checkpoints")
         _uniform_bounds(self.mu_dist)
 
     def resolved_n_iters(self, dataset_size: int) -> int:
@@ -175,8 +177,8 @@ def _run_ascent(
 
     n_chunks = _n_chunks(cfg, problem.m, dims)
     bounds = [cfg.batch_size * i // n_chunks for i in range(n_chunks + 1)]
-    with ExitStack() as stack:  # a chunk's results live in its own thread's buffers
-        pools = [stack.enter_context(ThreadPoolExecutor(1)) for _ in range(n_chunks - 1)]
+    rows = np.empty((cfg.batch_size, params.flat.size))  # episode b's gradient in rows[b]
+    with ThreadPoolExecutor(max(1, n_chunks - 1)) as pool:  # a thread may run two chunks
         for n in range(start_iter, n_iters):
             t0 = time.perf_counter()
             if fixed_mu is None:
@@ -187,17 +189,17 @@ def _run_ascent(
             # every epoch visits the dataset once, in its own shuffled order
             slots = [divmod(n * cfg.batch_size + b, len(dataset)) for b in range(cfg.batch_size)]
             batch = [episode(int(epoch_order(sample_epoch)[pos])) for sample_epoch, pos in slots]
-            run = functools.partial(episode_eval, params=params, cfg=problem,
-                                    node_features=node_features)
-            chunks = [(batch[a:b], mu_batch[a:b]) for a, b in zip(bounds, bounds[1:])]
+            def run(a: int, b: int):  # the chunk of episodes a to b - 1
+                return episode_eval(batch[a:b], mu_batch[a:b], params=params, cfg=problem,
+                                    node_features=node_features, out=rows[a:b])
             try:
-                rest = [pool.submit(run, *chunk) for pool, chunk in zip(pools, chunks[1:])]
-                parts = [run(*chunks[0])] + [future.result() for future in rest]
+                rest = [pool.submit(run, a, b) for a, b in zip(bounds[1:], bounds[2:])]
+                parts = [run(*bounds[:2])] + [future.result() for future in rest]
             except NonFiniteActivation as exc:
                 raise NonFiniteLoss(n, f"iteration {n}: {exc}") from exc
             # Fixed reduction order (batch index) keeps training bit-reproducible.
             grad_mean = params.zeros_like()
-            for row in (row for _, grads, _ in parts for row in grads.flat):
+            for row in rows:
                 grad_mean.flat += (1.0 / cfg.batch_size) * row
             values, avg_f = (np.concatenate([part[i] for part in parts]) for i in (0, 2))
             sum_rates = avg_f.sum(axis=1)  # utility_sum of each episode
@@ -215,9 +217,8 @@ def _run_ascent(
                 float(np.sum(slacks) / cfg.batch_size),
                 (time.perf_counter() - t0) * 1e3,
             )
-            if checkpoint_cb is not None and cfg.checkpoint_every:
-                if (n + 1) % cfg.checkpoint_every == 0:
-                    checkpoint_cb(n + 1, params)
+            if checkpoint_cb and cfg.checkpoint_every and (n + 1) % cfg.checkpoint_every == 0:
+                checkpoint_cb(n + 1, params)
     return params, log
 
 

@@ -453,6 +453,10 @@ CONFIG_MUTATIONS = {
     "p_max_int_beyond_float": {"problem": {"p_max_dbm": 10**400}},
     "p_max_overflows_in_mw": {"problem": {"p_max_dbm": 4000.0}},
     "noise_underflows_to_zero_mw": {"problem": {"noise_dbm": -4000.0}},
+    "p_max_2000_dbm_overflows_gradient": {"problem": {"p_max_dbm": 2000.0}},
+    "p_max_3000_dbm_overflows_gradient": {"problem": {"p_max_dbm": 3000.0}},
+    "checkpoint_every_negative": {"train": {"checkpoint_every": -1}},
+    "checkpoint_every_zero": {"train": {"checkpoint_every": 0}},
     "lr_decay_every_zero": {"train": {"lr_decay_every_epochs": 0}},
     "lr_decay_every_negative": {"train": {"lr_decay_every_epochs": -3}},
     "lr_decay_factor_zero": {"train": {"lr_decay_factor": 0.0}},

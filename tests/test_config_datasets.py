@@ -96,6 +96,13 @@ class TestConfig:
         path.write_text(json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n")
         assert config_hash(load_config(path)) == config_hash(cfg)
 
+    def test_p_max_limit_keeps_the_gradient_finite(self):
+        # 1500 dBm is 1e150 mW, the largest p_max whose (p_max |h|^2)^2 is
+        # finite for every |h|^2 <= 1; above it dL/dp overflowed silently
+        assert config_from_dict({"problem": {"p_max_dbm": 1500.0}}).validate()
+        with pytest.raises(ConfigError, match="at most 1e150 mW"):
+            config_from_dict({"problem": {"p_max_dbm": 1500.5}}).validate()
+
     def test_with_m_override(self):
         cfg = ExperimentConfig().validate().with_m(12)
         assert cfg.topology.m == 12 and cfg.problem.m == 12

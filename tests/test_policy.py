@@ -356,10 +356,12 @@ class TestBatchAxis:
         constant_features=st.booleans(),
         per_block=st.integers(0, 7),
         extra=st.integers(0, 11),
+        with_out=st.booleans(),
         seed=st.integers(0, 2**16),
     )
     def test_batch_equals_single_episodes(
-        self, m, n_steps, batch, widths, use_bias, constant_features, per_block, extra, seed
+        self, m, n_steps, batch, widths, use_bias, constant_features, per_block, extra, with_out,
+        seed
     ):
         cfg, dims = small_problem(m), GnnConfig(*widths, use_bias=use_bias)
         episodes = [
@@ -377,13 +379,18 @@ class TestBatchAxis:
             n = per_block * n_steps + extra % n_steps
         else:  # time blocks, part of one episode each
             n = 1 + extra % max(n_steps - 1, 1)
+        # NaN rows in ``out``, so a row the batch left unwritten would show
+        out = np.full((batch, params.flat.size), np.nan) if with_out else None
         with pytest.MonkeyPatch.context() as mp:
             force_block_steps(mp, n, m, dims)
-            values, grads, avg = episode_eval(episodes, mu, params, cfg, node_features=features)
-            rows = grads.flat.copy()  # the single calls reuse the rows' buffer
+            values, grads, avg = episode_eval(episodes, mu, params, cfg, node_features=features,
+                                              out=out)
+            rows = grads.flat
             singles = [episode_eval(e, u, params, cfg, node_features=features)
                        for e, u in zip(episodes, mu)]
         assert rows.shape == (batch, params.flat.size) and avg.shape == (batch, m)
+        if with_out:
+            assert rows is out
         for b, (value, grad, avg_b) in enumerate(singles):
             assert np.array_equal(np.float64(value).view(np.uint64), values[b].view(np.uint64))
             assert np.array_equal(grad.flat.view(np.uint64), rows[b].view(np.uint64))
@@ -399,6 +406,36 @@ class TestBatchAxis:
             episode_eval([short, long], np.zeros((2, 3)), params, cfg)
         with pytest.raises(DimensionMismatch):
             episode_eval([], np.zeros((0, 3)), params, cfg)
+
+    def test_results_are_not_overwritten_by_the_next_call(self):
+        cfg, params = small_problem(3), init_params(GnnConfig(f1=4, f2=4), 0)
+        episodes = [episode_tensors(real.episode(5), cfg)
+                    for real in make_realizations(m=3, count=4, seed=2)]
+        mu = np.random.default_rng(2).uniform(0, 1, (4, 3))
+        _, first, _ = episode_eval(episodes[:2], mu[:2], params, cfg)
+        kept = first.flat.copy()
+        _, second, _ = episode_eval(episodes[2:], mu[2:], params, cfg)
+        assert not np.shares_memory(first.flat, second.flat)
+        assert np.array_equal(first.flat.view(np.uint64), kept.view(np.uint64))
+        assert not np.array_equal(first.flat, second.flat)
+
+    @pytest.mark.parametrize("kind", ["rows", "width", "transposed", "strided", "float32"])
+    def test_out_must_be_contiguous_float64_rows(self, kind):
+        # a strided ``out`` would give GnnParams reshaped copies, and the
+        # gradients written into them would be lost
+        cfg, params = small_problem(3), init_params(GnnConfig(f1=4, f2=4), 0)
+        episodes = [episode_tensors(real.episode(4), cfg)
+                    for real in make_realizations(m=3, count=2, seed=2)]
+        size = params.flat.size
+        out = {
+            "rows": np.empty((3, size)),
+            "width": np.empty((2, size + 1)),
+            "transposed": np.empty((size, 2)).T,
+            "strided": np.empty((2, 2 * size))[:, ::2],
+            "float32": np.empty((2, size), dtype=np.float32),
+        }[kind]
+        with pytest.raises(DimensionMismatch):
+            episode_eval(episodes, np.zeros((2, 3)), params, cfg, out=out)
 
 
 class TestActivationBuffers:
@@ -453,8 +490,9 @@ class TestActivationBuffers:
 
     def test_warm_batch_allocates_under_three_activations(self):
         # a warm 16-episode gradient batch at the desk shape, three episodes
-        # per block, reuses its stacked gains and gradient rows: it too
-        # allocates less than three (T, m, f) float64 activations in all
+        # per block, reuses its stacked gains and writes its gradient rows
+        # into the caller's ``out``: it too allocates less than three
+        # (T, m, f) float64 activations in all
         m, n_steps, f, batch = 6, 50, 64, 16
         cfg = small_problem(m)
         params = init_params(GnnConfig(f1=f, f2=f), 0)
@@ -462,10 +500,11 @@ class TestActivationBuffers:
                     for real in make_realizations(m=m, count=batch, seed=1)]
         mu = np.random.default_rng(0).uniform(0, 1, (batch, m))
         assert gradient_blocks(m, n_steps, params.dims) == (3, n_steps)
-        episode_eval(episodes, mu, params, cfg)
+        out = np.empty((batch, params.flat.size))
+        episode_eval(episodes, mu, params, cfg, out=out)
         tracemalloc.start()
         try:
-            episode_eval(episodes, mu, params, cfg)
+            episode_eval(episodes, mu, params, cfg, out=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

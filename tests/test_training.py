@@ -295,8 +295,8 @@ class TestBatchSplit:
         oracle=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    # three one-episode chunks of a few microseconds each: a pool that could
-    # hand both later chunks to one thread overwrote the first one's rows
+    # three one-episode chunks of a few microseconds each: one pool thread
+    # may now run both later chunks, each into its own rows of the batch
     @example(m=1, n_steps=1, batch_size=3, cpus=3, block_steps=1, n_iters=1,
              resume_frac=0.0, oracle=False, seed=0)
     def test_split_equals_one_chunk(
@@ -335,10 +335,39 @@ class TestBatchSplit:
         main = threading.get_ident()
         assert any(t != main for t, _ in split_calls) == (chunks > 1)
 
+    def test_chunks_write_slices_of_one_rows_array_per_call(self, monkeypatch):
+        # every chunk of every iteration writes its gradient rows into its
+        # own slice of one (B, P) array, which each train() call allocates
+        # once
+        dataset = make_realizations(m=3, count=4, seed=5)
+        problem, dims = RrmProblemConfig(m=3), GnnConfig(f1=4, f2=5)
+        cfg = tiny_cfg(n_iters=3, batch_size=7, episode_len=4)
+        force_split(monkeypatch, 3, 4, 3, dims)
+        inner, outs = training_module.episode_eval, []
+
+        def recorded(episodes, mu, **kw):
+            outs.append(kw["out"])
+            return inner(episodes, mu, **kw)
+
+        monkeypatch.setattr(training_module, "episode_eval", recorded)
+        size = init_params(dims, 0).flat.size
+        bases = []
+        for _ in range(2):
+            outs.clear()
+            train(cfg, problem, dims, dataset)
+            assert len(outs) == 3 * 3  # three chunks in each of three iterations
+            base = outs[0].base
+            assert base.shape == (7, size) and all(out.base is base for out in outs)
+            for it in range(3):  # an iteration's chunks tile the rows: 2, 2 and 3 of them
+                tiles = sorted(((out.ctypes.data - base.ctypes.data) // (8 * size), len(out))
+                               for out in outs[3 * it:3 * it + 3])
+                assert tiles == [(0, 2), (2, 2), (4, 3)]
+            bases.append(base)
+        assert bases[0] is not bases[1]
+
     def test_more_chunks_than_cores_under_fast_switching(self, monkeypatch):
-        # six chunks, each thread switching every microsecond: every thread
-        # keeps its own buffers, so the bits are those of one chunk, and no
-        # thread outlives the call
+        # six chunks, each thread switching every microsecond: the bits are
+        # those of one chunk, and no thread outlives the call
         dataset = make_realizations(m=4, count=5, seed=9)
         problem, dims = RrmProblemConfig(m=4), GnnConfig(f1=6, f2=5)
         cfg = tiny_cfg(n_iters=6, batch_size=8, episode_len=6)

@@ -10,11 +10,15 @@ a pool of two workers, early-stop eval, baselines, ITLinQ eval under a
 config copy with the by-index ordering, gradcheck, theorem-suite) and keeps
 every file it writes plus the stdout and exit code of each step.  Every
 step runs BLAS on one thread, so training splits its batches across the
-usable CPUs where its gradient blocks allow (at m=50 here); the one-CPU run
-takes the unsplit path.  Training at m=50 runs 100-step episodes, which the
-episode gradient takes in two time blocks, so the golden run crosses a block
-edge of every blocked stage: synthesis, training and execution.  At m=20 the
-two message-passing layers have different widths (16 and 24).
+usable CPUs where its gradient blocks allow; the one-CPU run is the unsplit
+twin of each training run.  At m=6 training has the desk layout (f=64,
+T=50, B=16): three whole episodes per gradient block, six blocks per batch,
+so the batch splits into chunks of whole episodes.  Training at m=50 runs
+100-step episodes, which the episode gradient takes in two time blocks, so
+the golden run crosses a block edge of every blocked stage: synthesis,
+training and execution; its batch splits into one-episode chunks.  At m=20
+the batch is one gradient block, and the two message-passing layers have
+different widths (16 and 24).
 ``compare`` lists every file that is missing from either tree or differs,
 and exits nonzero if there is any.
 
@@ -40,26 +44,27 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 ONE_CPU_STEP = "train_one_cpu"  # its child process may run on one CPU only
 CKPT = "checkpoints/checkpoint_final.json"
-# m -> (area side in m, n_train, n_test, training episode_len, (f1, f2)).
-# At m=50 channel synthesis runs in 13-step blocks, execution in 25-step
-# blocks and the training gradient (f=16) in 81-step blocks, so a 100-step
-# training episode is one block of 81 steps and one of 19; at m=6 and m=20
-# each stage takes a whole episode at once.
+# m -> (area side in m, n_train, n_test, training episode_len, batch_size,
+# (f1, f2)).  At m=50 channel synthesis runs in 13-step blocks, execution in
+# 25-step blocks and the training gradient (f=16) in 81-step blocks, so a
+# 100-step training episode is one block of 81 steps and one of 19.  At m=6
+# (f=64) a gradient block holds 170 steps, three 50-step episodes; at m=6
+# and m=20 synthesis and execution take a whole episode at once.
 SIZES = {
-    6: (500.0, 8, 4, 20, (16, 16)),
-    20: (1000.0, 8, 4, 20, (16, 24)),
-    50: (2000.0, 4, 2, 100, (16, 16)),
+    6: (500.0, 16, 4, 50, 16, (64, 64)),
+    20: (1000.0, 8, 4, 20, 4, (16, 24)),
+    50: (2000.0, 4, 2, 100, 4, (16, 16)),
 }
 
 
 def _config(m: int) -> dict:
-    area, n_train, n_test, episode_len, (f1, f2) = SIZES[m]
+    area, n_train, n_test, episode_len, batch_size, (f1, f2) = SIZES[m]
     return {
         "seed": 7,
         "output_dir": f"m{m}",
         "topology": {"m": m, "area_side_m": area},
         "gnn": {"f1": f1, "f2": f2},
-        "train": {"n_iters": 40, "batch_size": 4, "episode_len": episode_len,
+        "train": {"n_iters": 40, "batch_size": batch_size, "episode_len": episode_len,
                   "checkpoint_every": 20},
         "execution": {"T": 103, "T0": 5},
         "data": {"n_train": n_train, "n_test": n_test},
