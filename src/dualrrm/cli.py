@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -36,7 +35,7 @@ from .config import ExperimentConfig, config_hash, config_to_dict, load_config
 from .core import metrics
 from .datasets import dataset_dir, generate_dataset, load_dataset, write_dataset
 from .errors import ConfigError, NumericalError, RrmError
-from .execution import GnnPolicy, evaluate_suite
+from .execution import GnnPolicy, evaluate_suite, evaluate_suites
 from .policy import Checkpoint, load_checkpoint, require_dims, save_checkpoint
 from .training import train
 from .verify import dual_trace_battery, finite_difference_check
@@ -139,52 +138,39 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _n_updates(run_cfg) -> int:
+    """How many dual windows of a run update, by ``ExecConfig.updates_after``."""
+    return sum(map(run_cfg.updates_after, range(run_cfg.T // run_cfg.T0)))
+
+
 def _eval_policies(cfg: ExperimentConfig, suites, args) -> int:
-    """Run each (name, policy, exec config) suite on the test split."""
+    """Run the (name, policy, exec config) suites on the test split in one pass."""
     dataset, manifest = load_dataset(dataset_dir(cfg, "test"))
     provenance = _provenance(cfg)
     eval_dir = Path(cfg.output_dir) / "eval"
+    results = evaluate_suites([(p, c) for _, p, c in suites], dataset, cfg.problem, args.workers)
     metric_rows, user_rows, timing_rows = [], [], []
-    for name, policy, run_cfg in suites:
-        t0 = time.perf_counter()
-        summary, traces = evaluate_suite(
-            policy, dataset, run_cfg, cfg.problem, workers=args.workers
-        )
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
+    for (name, _, run_cfg), (summary, traces, seconds) in zip(suites, results):
         n_steps = len(dataset) * run_cfg.T
-        timing_rows.append([cfg.problem.m, name, elapsed_ms / n_steps, n_steps])
-        labelled = []
-        for r, trace in enumerate(traces):
-            labelled.append((r, metrics(trace.final_ergodic, cfg.problem)))
-            for u, rate in enumerate(trace.final_ergodic):
-                user_rows.append([name, r, u, rate])
-        for r, stats in labelled + [("pooled", summary)]:
-            metric_rows.append(
-                [name, r, stats.n_users, stats.mean_rate, stats.min_rate_trimmed,
-                 stats.p5_rate, stats.feasibility_fraction]
-            )
+        timing_rows.append([cfg.problem.m, name, seconds * 1e3 / n_steps, n_steps])
+        final = np.stack([trace.final_ergodic for trace in traces])  # (realizations, m)
+        user_rows += [[name, r, u, rate] for (r, u), rate in np.ndenumerate(final)]
+        stats = [*enumerate(metrics(rates, cfg.problem) for rates in final), ("pooled", summary)]
+        metric_rows += [[name, r, s.n_users, s.mean_rate, s.min_rate_trimmed, s.p5_rate,
+                         s.feasibility_fraction] for r, s in stats]
         for r, trace in enumerate(traces[: args.export_trace]):
             # a trailing partial window runs under the dual after the last update
             in_force = np.vstack([trace.duals, trace.final_dual])
-            rows = []
-            for t, mu in enumerate(in_force[np.arange(run_cfg.T) // run_cfg.T0]):
-                for u in range(cfg.problem.m):
-                    rows.append(
-                        [t, u, trace.powers[t, u] / cfg.problem.p_max, trace.rates[t, u],
-                         trace.ergodic_rates[t, u], mu[u]]
-                    )
-            write_csv(
-                eval_dir / f"trace_{name}_r{r:03d}.csv",
-                ["t", "user", "power_norm", "rate", "ergodic_rate", "mu_current"],
-                rows,
-                provenance,
-            )
+            table = np.stack([trace.powers / cfg.problem.p_max, trace.rates, trace.ergodic_rates,
+                              in_force[np.arange(run_cfg.T) // run_cfg.T0]], axis=-1)  # (T, m, 4)
+            rows = [[t, u, *table[t, u]] for t, u in np.ndindex(table.shape[:2])]
+            header = ["t", "user", "power_norm", "rate", "ergodic_rate", "mu_current"]
+            write_csv(eval_dir / f"trace_{name}_r{r:03d}.csv", header, rows, provenance)
         if args.export_cdf:
-            pooled = np.sort(np.concatenate([trace.final_ergodic for trace in traces]))
+            pooled = np.sort(final, axis=None)
             rows = [[rate, (i + 1) / pooled.size] for i, rate in enumerate(pooled)]
-            write_csv(
-                eval_dir / f"cdf_{name}.csv", ["ergodic_rate", "cum_fraction"], rows, provenance
-            )
+            header = ["ergodic_rate", "cum_fraction"]
+            write_csv(eval_dir / f"cdf_{name}.csv", header, rows, provenance)
         print(
             f"{name}: mean={summary.mean_rate:.3f} min={summary.min_rate_trimmed:.3f} "
             f"p5={summary.p5_rate:.3f} feas={summary.feasibility_fraction:.3f} "
@@ -213,6 +199,9 @@ def cmd_eval(args) -> int:
     policy = _policy_for(name, cfg, args.checkpoint)
     if name == "early_stop":
         name, run_cfg = f"early_stop_{args.t_stop}", replace(run_cfg, t_stop=args.t_stop)
+        if _n_updates(run_cfg) == _n_updates(cfg.execution):
+            raise ConfigError(f"--t-stop {args.t_stop} freezes no dual window; the run would "
+                              "be state_augmented")
     return _eval_policies(cfg, [(name, policy, run_cfg)], args)
 
 
@@ -225,9 +214,12 @@ def cmd_baselines(args) -> int:
     ]
     if args.checkpoint is not None:
         gnn_policy = _policy_for("state_augmented", cfg, args.checkpoint)
-        suites.append(("state_augmented", gnn_policy, run_cfg))
+        # a GNN run is fixed by how many dual windows update: keep the first of each count
+        gnn_runs = {_n_updates(run_cfg): ("state_augmented", run_cfg)}
         for t_stop in (0, run_cfg.T // 5, run_cfg.T):
-            suites.append((f"early_stop_{t_stop}", gnn_policy, replace(run_cfg, t_stop=t_stop)))
+            stop_cfg = replace(run_cfg, t_stop=t_stop)
+            gnn_runs.setdefault(_n_updates(stop_cfg), (f"early_stop_{t_stop}", stop_cfg))
+        suites += [(name, gnn_policy, c) for name, c in gnn_runs.values()]
     return _eval_policies(cfg, suites, args)
 
 

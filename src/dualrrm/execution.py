@@ -21,6 +21,7 @@ is how the plain primal-dual baseline is realized.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,10 +107,6 @@ def dual_update(
     return np.maximum(0.0, mu_k - exec_cfg.eta_mu * slack)
 
 
-def _as_policy(policy):
-    return GnnPolicy(policy) if isinstance(policy, GnnParams) else policy
-
-
 def execute(
     policy,
     episode: np.ndarray,
@@ -131,7 +128,7 @@ def execute(
     triggers an update.
     """
     exec_cfg.validate()
-    policy = _as_policy(policy)
+    policy = GnnPolicy(policy) if isinstance(policy, GnnParams) else policy
     n_steps, T0 = exec_cfg.T, exec_cfg.T0
     episode = checked_gain_episode(episode, n_steps, problem.m)
     n_windows = n_steps // T0
@@ -174,9 +171,43 @@ def replay_duals(trace: EpisodeTrace, exec_cfg: ExecConfig, problem: RrmProblemC
     return out
 
 
-def _suite_task(payload) -> EpisodeTrace:
-    policy, realization, exec_cfg, problem = payload
-    return execute(policy, realization.episode(exec_cfg.T), exec_cfg, problem)
+def _realization_task(payload) -> list[tuple[EpisodeTrace, float]]:
+    """Every suite on the realization's one episode, and each run's seconds."""
+    suites, realization, problem = payload
+    episode = realization.episode(max(exec_cfg.T for _, exec_cfg in suites))
+    runs = []
+    for policy, exec_cfg in suites:
+        t0 = time.perf_counter()
+        runs.append((execute(policy, episode, exec_cfg, problem), time.perf_counter() - t0))
+    return runs
+
+
+def evaluate_suites(
+    suites: Sequence[tuple[object, ExecConfig]],
+    dataset: Sequence[Realization],
+    problem: RrmProblemConfig,
+    workers: int = 1,
+) -> list[tuple[MetricsSummary, list[EpisodeTrace], float]]:
+    """Execute each (policy, exec config) suite on every test realization's one
+    episode, synthesized for the longest T.  Per suite: the pooled summary of the
+    final ergodic rates, the traces, and the seconds spent in ``execute``."""
+    if len(dataset) == 0:
+        raise EmptyInput("evaluation dataset is empty")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
+    payloads = [(suites, r, problem) for r in dataset]
+    workers = min(workers, len(dataset))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(_realization_task, payloads))
+    else:
+        runs = [_realization_task(p) for p in payloads]
+    results = []
+    for s in range(len(suites)):
+        traces = [run[s][0] for run in runs]
+        pooled = np.concatenate([tr.final_ergodic for tr in traces])
+        results.append((metrics(pooled, problem), traces, sum(run[s][1] for run in runs)))
+    return results
 
 
 def evaluate_suite(
@@ -187,17 +218,5 @@ def evaluate_suite(
     workers: int = 1,
 ) -> tuple[MetricsSummary, list[EpisodeTrace]]:
     """Execute every test realization and pool the final ergodic rates."""
-    if len(dataset) == 0:
-        raise EmptyInput("evaluation dataset is empty")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-    policy = _as_policy(policy)
-    payloads = [(policy, r, exec_cfg, problem) for r in dataset]
-    workers = min(workers, len(dataset))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_suite_task, payloads))
-    else:
-        traces = [_suite_task(p) for p in payloads]
-    pooled = np.concatenate([tr.final_ergodic for tr in traces])
-    return metrics(pooled, problem), traces
+    summary, traces, _ = evaluate_suites([(policy, exec_cfg)], dataset, problem, workers)[0]
+    return summary, traces

@@ -219,6 +219,21 @@ class TestEval:
         assert err.startswith("config error") and "--policy early_stop --t-stop" in err
         assert not (out / "eval").exists()
 
+    @pytest.mark.parametrize("t_stop", [20, 400])
+    def test_t_stop_that_freezes_no_window_refused(self, workspace, tmp_path, capsys, t_stop):
+        # at T=20, T0=5 the last window ends at step 19, so t_stop >= 20 lets
+        # every window update: the run would be state_augmented under another name
+        _, cfg_path, run, ckpt = workspace
+        out = tmp_path / "out"
+        shutil.copytree(run / "datasets" / "test", out / "datasets" / "test")
+        argv = ["eval", "--config", str(cfg_path), "--policy", "early_stop",
+                "--checkpoint", str(ckpt), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv + ["--t-stop", str(t_stop)]) == EXIT_CONFIG
+        assert "freezes no dual window" in capsys.readouterr().err
+        assert not (out / "eval").exists()
+        assert main(argv + ["--t-stop", "19"]) == EXIT_OK
+
     def test_early_stop_requires_t_stop(self, workspace):
         _, cfg_path, _, ckpt = workspace
         code = main(
@@ -241,10 +256,29 @@ class TestBaselinesCommand:
         ) == EXIT_OK
         _, rows = read_csv(Path(out) / "eval" / "metrics.csv")
         policies = {r["policy"] for r in rows}
-        assert policies == {
-            "full_reuse", "itlinq", "state_augmented",
-            "early_stop_0", "early_stop_4", "early_stop_20",
-        }
+        # at T=20, T0=5 early_stop_20 repeats state_augmented and early_stop_4
+        # (no complete window before step 4) repeats early_stop_0
+        assert policies == {"full_reuse", "itlinq", "state_augmented", "early_stop_0"}
+
+    def test_each_test_realization_synthesized_once(self, workspace, tmp_path, monkeypatch):
+        from dualrrm.channel import Realization
+
+        _, cfg_path, _, ckpt = workspace
+        out = str(tmp_path / "bl")
+        assert main(
+            ["generate", "--config", str(cfg_path), "--split", "test", "--out", out]
+        ) == EXIT_OK
+        real, seen = Realization.episode, []
+
+        def spy(self, n_steps):
+            seen.append(self.fading_seed)
+            return real(self, n_steps)
+
+        monkeypatch.setattr(Realization, "episode", spy)
+        assert main(
+            ["baselines", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--out", out]
+        ) == EXIT_OK
+        assert len(seen) == 2 and len(set(seen)) == 2  # n_test realizations, once each
 
 
 class TestVerificationCommands:

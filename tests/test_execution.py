@@ -20,6 +20,7 @@ from dualrrm.execution import (
     GnnPolicy,
     dual_update,
     evaluate_suite,
+    evaluate_suites,
     execute,
     replay_duals,
 )
@@ -482,6 +483,19 @@ class TestEvaluateSuite:
         for a, b in zip(t1, t4):
             assert np.array_equal(a.rates, b.rates)
             assert np.array_equal(a.duals, b.duals)
+        # mixed suites share one episode per realization, the longest T's,
+        # and equal one evaluate_suite per suite on any pool
+        suites = [(params, cfg), (ItlinqPolicy(ItlinqConfig()), exec_cfg(T=23)),
+                  (params, replace(cfg, t_stop=0)), (params, replace(cfg, t_stop=12))]
+        alone = [evaluate_suite(policy, test_set, c, problem) for policy, c in suites]
+        for workers in (1, 2):
+            together = evaluate_suites(suites, test_set, problem, workers=workers)
+            assert len(together) == len(suites)
+            for (summary, traces), (pooled, shared, seconds) in zip(alone, together):
+                assert pooled == summary and seconds > 0
+                for a, b in zip(traces, shared, strict=True):
+                    for field in ("powers", "rates", "duals", "ergodic_rates", "final_dual"):
+                        assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_pool_no_larger_than_dataset(self, small_run, monkeypatch):
         # a stand-in pool records its size and runs serially, starting no process

@@ -1,5 +1,6 @@
 """Module boundaries of the package: a name with a leading underscore is
-private to the module that defines it, so no other module imports it."""
+private to the module that defines it, so no other module imports it, and
+every public function or class has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,53 @@ def test_scan_sees_relative_and_absolute_imports():
               "from . import __version__\n"
               "from numpy import _core\n")
     assert private_imports(source) == ["_block_budget", "_graph"]
+
+
+REPO = Path(__file__).resolve().parent.parent
+ORACLE_WAITS_FOR_A_CALLER = {"train_per_mu_oracle"}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Module-level functions and classes of ``source`` without a leading underscore."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names, attributes, imported names and identifier strings in ``source``;
+    a module-level definition's references to its own name are not counted."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)  # tracing looks functions up by name
+        found.discard(own)
+    return found
+
+
+def test_every_public_library_name_has_a_caller_outside_the_tests():
+    # a name's own definition, tests/ and bench/test_*.py do not count as callers
+    sources = [p for d in ("src", "bench", "tools") for p in sorted((REPO / d).rglob("*.py"))
+               if not p.name.startswith("test_")]
+    referenced = set().union(*(referenced_names(p.read_text()) for p in sources))
+    uncalled = {f"{path.stem}.{name}" for path in sorted((REPO / "src" / "dualrrm").glob("*.py"))
+                for name in public_definitions(path.read_text())
+                if name not in referenced | ORACLE_WAITS_FOR_A_CALLER}
+    assert uncalled == set()
+
+
+def test_caller_scan_ignores_a_definition_calling_itself():
+    source = ("def lonely(n):\n    return lonely(n - 1) if n else 0\n\n"
+              "class Used:\n    pass\n\n"
+              "def user():\n    return Used()\n")
+    assert public_definitions(source) == ["lonely", "Used", "user"]
+    assert {"lonely", "user"} & referenced_names(source) == set()
+    assert "Used" in referenced_names(source)

@@ -6,7 +6,8 @@ fixed pipeline at m=6, m=20 and m=50 (generate, train with intermediate
 checkpoints, a second training run resumed from the iteration-20 checkpoint
 into its own output directory, a third training run limited to one CPU in
 its own output directory, eval with CDF and trace exports, the same eval on
-a pool of two workers, early-stop eval, baselines, ITLinQ eval under a
+a pool of two workers, early-stop eval, baselines, baselines on a pool of
+two workers with one trace exported per suite, ITLinQ eval under a
 config copy with the by-index ordering, gradcheck, theorem-suite) and keeps
 every file it writes plus the stdout and exit code of each step.  Every
 step runs BLAS on one thread, so training splits its batches across the
@@ -88,6 +89,8 @@ def _steps(m: int) -> list[tuple[str, str, list[str]]]:
         ("eval_early_stop", cfg, ["eval", "--policy", "early_stop", "--t-stop", "37",
                                   "--checkpoint", ckpt]),
         ("baselines", cfg, ["baselines", "--checkpoint", ckpt, "--export-cdf"]),
+        ("baselines_workers", cfg, ["baselines", "--checkpoint", ckpt, "--workers", "2",
+                                    "--export-trace", "1"]),
         ("eval_itlinq_by_index", by_index, ["eval", "--policy", "itlinq"]),
         ("gradcheck", cfg, ["gradcheck", "--steps", "5", "--coords", "20"]),
         ("theorem_suite", cfg, ["theorem-suite", "--checkpoint", ckpt, "--realizations", "4"]),
