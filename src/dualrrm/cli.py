@@ -8,6 +8,10 @@ Subcommands:
     gradcheck      finite-difference verification of the episode gradient
     theorem-suite  dual-dynamics law battery on freshly executed traces
 
+``eval``, ``baselines`` and ``theorem-suite`` run the test realizations on a
+pool of ``dualrrm.parallel_slots()`` processes (``execution.evaluate_suites``),
+the rule by which training splits its batches; no option sets the count.
+
 Exit codes: 0 success; 2 configuration error, which is every package error
 but a ``NumericalError``; 3 numerical failure, a ``NumericalError`` or a
 failed check; 4 I/O error.
@@ -148,7 +152,7 @@ def _eval_policies(cfg: ExperimentConfig, suites, args) -> int:
     dataset, manifest = load_dataset(dataset_dir(cfg, "test"))
     provenance = _provenance(cfg)
     eval_dir = Path(cfg.output_dir) / "eval"
-    results = evaluate_suites([(p, c) for _, p, c in suites], dataset, cfg.problem, args.workers)
+    results = evaluate_suites([(p, c) for _, p, c in suites], dataset, cfg.problem)
     metric_rows, user_rows, timing_rows = [], [], []
     for (name, _, run_cfg), (summary, traces, seconds) in zip(suites, results):
         n_steps = len(dataset) * run_cfg.T
@@ -253,8 +257,7 @@ def cmd_theorem_suite(args) -> int:
     dataset, _ = load_dataset(dataset_dir(cfg, "test"))
     policy = _policy_for("state_augmented", cfg, args.checkpoint)
     subset = dataset[: args.realizations]
-    _, traces = evaluate_suite(policy, subset, cfg.execution, cfg.problem,
-                               workers=args.workers)
+    _, traces = evaluate_suite(policy, subset, cfg.execution, cfg.problem)
     all_ok = True
     for r, trace in enumerate(traces):
         for result in dual_trace_battery(trace, cfg.execution, cfg.problem):
@@ -295,14 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     add_parser = partial(sub.add_parser, allow_abbrev=False)  # not inherited
 
-    def common(p: argparse.ArgumentParser, workers: bool = False) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--m-override", type=int, default=None,
                        help="override the number of user pairs")
-        if workers:
-            p.add_argument("--workers", type=int, default=1)
 
     def exports(p: argparse.ArgumentParser) -> None:
         p.add_argument("--export-trace", type=_at_least(0), default=0, metavar="N",
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = add_parser("eval", help="evaluate one policy on the test split")
-    common(p, workers=True)
+    common(p)
     p.add_argument("--checkpoint", default=None)
     p.add_argument(
         "--policy",
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = add_parser("baselines", help="run the policy comparison suite")
-    common(p, workers=True)
+    common(p)
     p.add_argument("--checkpoint", default=None,
                    help="adds the trained policy and its early-stop ablations")
     exports(p)
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = add_parser("theorem-suite", help="dual-dynamics law battery")
-    common(p, workers=True)
+    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--realizations", type=_at_least(1), default=8)
     p.set_defaults(func=cmd_theorem_suite)

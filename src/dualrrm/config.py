@@ -101,8 +101,6 @@ def _to_jsonable(value):
         return {f.name: _to_jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (list, tuple)):
         return [_to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _to_jsonable(v) for k, v in value.items()}
     return value
 
 

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 # core.rates is looked up at call time, so a patched core.rates takes effect
-from . import core
+from . import core, parallel_slots
 from .channel import Realization
 from .core import (
     MetricsSummary, RrmProblemConfig, block_steps, checked_duals, constraints_g, metrics,
@@ -186,17 +186,18 @@ def evaluate_suites(
     suites: Sequence[tuple[object, ExecConfig]],
     dataset: Sequence[Realization],
     problem: RrmProblemConfig,
-    workers: int = 1,
 ) -> list[tuple[MetricsSummary, list[EpisodeTrace], float]]:
     """Execute each (policy, exec config) suite on every test realization's one
     episode, synthesized for the longest T.  Per suite: the pooled summary of the
-    final ergodic rates, the traces, and the seconds spent in ``execute``."""
+    final ergodic rates, the traces, and the seconds spent in ``execute``.
+
+    The realizations run on a pool of ``min(parallel_slots(), len(dataset))``
+    processes, the rule by which training splits its batches; one process
+    opens no pool."""
     if len(dataset) == 0:
         raise EmptyInput("evaluation dataset is empty")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     payloads = [(suites, r, problem) for r in dataset]
-    workers = min(workers, len(dataset))
+    workers = min(parallel_slots(), len(dataset))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_realization_task, payloads))
@@ -215,8 +216,7 @@ def evaluate_suite(
     dataset: Sequence[Realization],
     exec_cfg: ExecConfig,
     problem: RrmProblemConfig,
-    workers: int = 1,
 ) -> tuple[MetricsSummary, list[EpisodeTrace]]:
     """Execute every test realization and pool the final ergodic rates."""
-    summary, traces, _ = evaluate_suites([(policy, exec_cfg)], dataset, problem, workers)[0]
+    summary, traces, _ = evaluate_suites([(policy, exec_cfg)], dataset, problem)[0]
     return summary, traces

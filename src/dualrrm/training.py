@@ -7,17 +7,17 @@ the duals only condition the policy input and weight the objective.
 
 All randomness is derived statelessly from (seed, purpose, index), so a run
 can be resumed from any checkpoint and continues bit-for-bit identically to
-the uninterrupted run.  Training runs in one process.  With one BLAS thread,
-a batch splits into chunks of whole episodes, one per usable CPU and at most
-one per gradient block (``policy.gradient_blocks``); the caller runs the
-first, a thread pool the rest, and each writes its rows of one (B, P)
-gradient array, summed in batch order, so no bit depends on the split.
+the uninterrupted run.  Training runs in one process.  A batch splits into
+chunks of whole episodes, one per ``parallel_slots()`` (the usable CPUs when
+BLAS runs one thread) and at most one per gradient block
+(``policy.gradient_blocks``); the caller runs the first, a thread pool the
+rest, and each writes its rows of one (B, P) gradient array, summed in batch
+order, so no bit depends on the split.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS
+from . import parallel_slots
 from .channel import Realization
 from .core import RrmProblemConfig, constraints_g
 from .errors import (
@@ -136,12 +136,9 @@ def _checked_seed(cfg: TrainConfig) -> int:
 
 
 def _n_chunks(cfg: TrainConfig, m: int, dims: GnnConfig) -> int:
-    """Chunks per batch: one per usable CPU and gradient block, if BLAS runs one thread."""
-    if {os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ} != {"1"}:
-        return 1
+    """Chunks per batch: one per parallel slot and gradient block."""
     per_block = gradient_blocks(m, cfg.episode_len, dims)[0]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, -(-cfg.batch_size // per_block))
+    return min(parallel_slots(), -(-cfg.batch_size // per_block))
 
 
 def _run_ascent(

@@ -6,7 +6,8 @@ from dualrrm import BLAS_THREAD_VARS
 
 # One BLAS thread, pinned before anything imports numpy, as the CLI, the
 # benchmark and the golden run have it; training then splits its batches
-# across threads (``training._n_chunks``) here too.
+# across threads and the CLI evaluates on a process pool, one per usable
+# CPU (``dualrrm.parallel_slots``), here too.
 for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
 
@@ -21,7 +22,7 @@ from hypothesis import settings
 settings.register_profile("dualrrm", deadline=None, print_blob=True)
 settings.load_profile("dualrrm")
 
-from dualrrm import core
+from dualrrm import core, execution
 from dualrrm.channel import Realization, TopologyConfig, sample_topology
 from dualrrm.core import RrmProblemConfig
 from dualrrm.policy import gradient_blocks
@@ -29,6 +30,36 @@ from dualrrm.seeding import derive_seed
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from run import blas_threads  # the benchmark's probe of the OpenBLAS numpy loaded
+
+
+def force_cpus(mp, cpus):
+    """Give this process ``cpus`` usable CPUs and one BLAS thread, so that
+    ``dualrrm.parallel_slots()`` reads ``cpus``."""
+    for var in BLAS_THREAD_VARS:
+        mp.setenv(var, "1")
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def record_pool_sizes(mp):
+    """Replace evaluation's process pool by a serial stand-in that starts no
+    process; the returned list collects the ``max_workers`` of each pool."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    mp.setattr(execution, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
 def force_block_steps(mp, n, m, dims):

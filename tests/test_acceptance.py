@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dualrrm import execution
 from dualrrm.baselines import FullReusePolicy
 from dualrrm.channel import Realization, TopologyConfig, sample_topology
 from dualrrm.core import RrmProblemConfig, block_steps, constraints_g, rates
@@ -29,7 +30,7 @@ from dualrrm.seeding import derive_seed
 from dualrrm.training import TrainConfig, sample_duals, train, train_per_mu_oracle
 from dualrrm.verify import finite_difference_check
 
-from conftest import make_realizations, relabel_matrix
+from conftest import force_cpus, make_realizations, relabel_matrix
 
 
 def report(criterion, passed, detail):
@@ -367,7 +368,7 @@ class TestCriterion9TwoUserOracle:
 
 
 class TestCriterion10Reproducibility:
-    def test_pipeline_reproducible_across_workers(self, tmp_path):
+    def test_pipeline_reproducible_across_workers(self, tmp_path, monkeypatch):
         from dualrrm.cli import EXIT_OK, main
 
         cfg = {
@@ -391,20 +392,26 @@ class TestCriterion10Reproducibility:
             ckpt,
         ]
 
-        def pipeline(workers):
+        pools, real_pool = [], execution.ProcessPoolExecutor
+        monkeypatch.setattr(execution, "ProcessPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or real_pool(max_workers))
+
+        def pipeline(cpus):
+            force_cpus(monkeypatch, cpus)
             assert main(["generate", "--config", str(cfg_path), "--split", "train"]) == EXIT_OK
             assert main(["generate", "--config", str(cfg_path), "--split", "test"]) == EXIT_OK
             assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
             assert main(
-                ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
-                 "--workers", str(workers)]
+                ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]
             ) == EXIT_OK
             return {str(f): f.read_bytes() for f in watched}
 
-        first = pipeline(workers=1)
-        second = pipeline(workers=4)
+        first = pipeline(cpus=1)
+        second = pipeline(cpus=4)
         identical = all(first[k] == second[k] for k in first)
+        # the 3 test realizations evaluate in this process, then on 3 processes
         report(
-            "10 reproducibility", identical,
-            f"{len(watched)} artifacts byte-identical across runs at workers 1 and 4",
+            "10 reproducibility", identical and pools == [3],
+            f"{len(watched)} artifacts byte-identical across runs on 1 and 4 usable CPUs; "
+            f"evaluation pools {pools}",
         )

@@ -14,7 +14,7 @@ from dualrrm import BLAS_THREAD_VARS, errors
 from dualrrm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from dualrrm.policy import load_checkpoint
 
-from conftest import params_equal
+from conftest import force_cpus, params_equal, record_pool_sizes
 
 
 def read_csv(path):
@@ -197,13 +197,21 @@ class TestEval:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error")
 
-    def test_zero_workers_refused(self, workspace, capsys):
-        _, cfg_path, _, _ = workspace
-        capsys.readouterr()
-        code = main(["eval", "--config", str(cfg_path), "--policy", "full_reuse",
-                     "--workers", "0"])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error")
+    @pytest.mark.parametrize("command", ["eval", "baselines", "theorem-suite"])
+    def test_pool_follows_parallel_slots(self, workspace, tmp_path, monkeypatch, command):
+        # 3 test realizations on 4 usable CPUs run on 3 processes; BLAS on
+        # two threads runs them in this process
+        _, _, _, ckpt = workspace
+        cfg_path = write_cfg(tmp_path, data={"n_test": 3})
+        assert main(["generate", "--config", str(cfg_path), "--split", "test"]) == EXIT_OK
+        argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt)]
+        sizes = record_pool_sizes(monkeypatch)
+        force_cpus(monkeypatch, 4)
+        assert main(argv) == EXIT_OK
+        assert sizes == [3]
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert main(argv) == EXIT_OK
+        assert sizes == [3]
 
     @pytest.mark.parametrize("command", ["eval", "baselines"])
     def test_config_t_stop_refused(self, workspace, tmp_path, capsys, command):
@@ -217,6 +225,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error") and "--policy early_stop --t-stop" in err
+        assert not (out / "eval").exists()
+
+    def test_mu_init_of_wrong_length_refused(self, workspace, tmp_path, capsys):
+        # the config reader cannot know m's length; execute refuses it
+        _, _, run, _ = workspace
+        out = tmp_path / "out"
+        shutil.copytree(run / "datasets" / "test", out / "datasets" / "test")
+        cfg_path = write_cfg(tmp_path, output_dir=str(out), execution={"mu_init": [0.1, 0.2]})
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg_path), "--policy", "full_reuse"])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: mu_init shape (2,)") and "Traceback" not in err
         assert not (out / "eval").exists()
 
     @pytest.mark.parametrize("t_stop", [20, 400])
@@ -275,6 +296,7 @@ class TestBaselinesCommand:
             return real(self, n_steps)
 
         monkeypatch.setattr(Realization, "episode", spy)
+        record_pool_sizes(monkeypatch)  # a pool in this process, where the spy sees it
         assert main(
             ["baselines", "--config", str(cfg_path), "--checkpoint", str(ckpt), "--out", out]
         ) == EXIT_OK
@@ -462,9 +484,11 @@ class TestExitCodes:
             assert code == EXIT_CONFIG
             assert err.startswith("config error: ")
 
-    @pytest.mark.parametrize("argv", [["gradcheck", "--m", "2"], ["eval", "--work", "3"]])
+    @pytest.mark.parametrize("argv", [["gradcheck", "--m", "2"], ["eval", "--export-c"],
+                                      ["eval", "--workers", "2"]])
     def test_abbreviated_flags_refused(self, argv, capsys):
-        # --m and --work are prefixes of --m-override and --workers
+        # --m and --export-c are prefixes of --m-override and --export-cdf;
+        # --workers is gone, as the usable CPUs set the evaluation pool
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_CONFIG
@@ -503,6 +527,12 @@ CONFIG_MUTATIONS = {
     "mu_dist_normal": {"train": {"mu_dist": ["normal", 0.0, 1.0]}},
     "section_null": {"train": None},
     "train_workers": {"train": {"workers": 2}},
+    "eta_phi_zero": {"train": {"eta_phi": 0.0}},
+    "n_iters_negative": {"train": {"n_iters": -1}},
+    "epochs_negative": {"train": {"epochs": -1}},
+    "t_stop_negative": {"execution": {"t_stop": -1}},
+    "n_test_negative": {"data": {"n_test": -1}},
+    "area_side_zero": {"topology": {"area_side_m": 0.0}},
     "problem_m_disagrees": {"problem": {"m": 20}},
     "not_utf8": lambda raw: b"\xff" + raw,
     "deeply_nested": _deeply_nested,
@@ -667,9 +697,9 @@ class TestMalformedDataset:
 
 
 class TestReproducibility:
-    def test_pipeline_byte_identical_across_runs_and_workers(self, tmp_path):
+    def test_pipeline_byte_identical_across_runs_and_workers(self, tmp_path, monkeypatch):
         # two full generate + train + eval passes into the same output root,
-        # once with 1 worker and once with 4, must leave identical bytes
+        # once on 1 usable CPU and once on 4, must leave identical bytes
         cfg_path = write_cfg(tmp_path)
         run = tmp_path / "run"
         ckpt = run / "checkpoints" / "checkpoint_final.json"
@@ -682,18 +712,18 @@ class TestReproducibility:
             ckpt,
         ]
 
-        def run_pipeline(workers):
+        def run_pipeline(cpus):
+            force_cpus(monkeypatch, cpus)
             assert main(["generate", "--config", str(cfg_path), "--split", "train"]) == EXIT_OK
             assert main(["generate", "--config", str(cfg_path), "--split", "test"]) == EXIT_OK
             assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
             assert main(
-                ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
-                 "--workers", str(workers)]
+                ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]
             ) == EXIT_OK
             return {str(f): f.read_bytes() for f in files}
 
-        first = run_pipeline(workers=1)
-        second = run_pipeline(workers=4)
+        first = run_pipeline(cpus=1)
+        second = run_pipeline(cpus=4)
         for name in first:
             assert first[name] == second[name], f"{name} differs across runs"
 

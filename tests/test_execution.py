@@ -30,7 +30,7 @@ from dualrrm.policy import GnnConfig, forward, init_params
 from dualrrm.training import TrainConfig, train
 from dualrrm.verify import dual_trace_battery
 
-from conftest import make_realizations
+from conftest import force_cpus, make_realizations, record_pool_sizes
 
 
 def exec_cfg(**kw):
@@ -474,11 +474,13 @@ class TestEvaluateSuite:
         with pytest.raises(EmptyInput):
             evaluate_suite(params, [], exec_cfg(), problem)
 
-    def test_worker_count_invariance(self, small_run):
+    def test_worker_count_invariance(self, small_run, monkeypatch):
         problem, params, test_set = small_run
         cfg = exec_cfg(T=20)
-        s1, t1 = evaluate_suite(params, test_set, cfg, problem, workers=1)
-        s4, t4 = evaluate_suite(params, test_set, cfg, problem, workers=4)
+        force_cpus(monkeypatch, 1)
+        s1, t1 = evaluate_suite(params, test_set, cfg, problem)
+        force_cpus(monkeypatch, 4)
+        s4, t4 = evaluate_suite(params, test_set, cfg, problem)
         assert s1 == s4
         for a, b in zip(t1, t4):
             assert np.array_equal(a.rates, b.rates)
@@ -488,8 +490,9 @@ class TestEvaluateSuite:
         suites = [(params, cfg), (ItlinqPolicy(ItlinqConfig()), exec_cfg(T=23)),
                   (params, replace(cfg, t_stop=0)), (params, replace(cfg, t_stop=12))]
         alone = [evaluate_suite(policy, test_set, c, problem) for policy, c in suites]
-        for workers in (1, 2):
-            together = evaluate_suites(suites, test_set, problem, workers=workers)
+        for cpus in (1, 2):
+            force_cpus(monkeypatch, cpus)
+            together = evaluate_suites(suites, test_set, problem)
             assert len(together) == len(suites)
             for (summary, traces), (pooled, shared, seconds) in zip(alone, together):
                 assert pooled == summary and seconds > 0
@@ -498,26 +501,11 @@ class TestEvaluateSuite:
                         assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_pool_no_larger_than_dataset(self, small_run, monkeypatch):
-        # a stand-in pool records its size and runs serially, starting no process
         problem, params, test_set = small_run
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(execution, "ProcessPoolExecutor", SerialPool)
-        evaluate_suite(params, test_set[:2], exec_cfg(T=10), problem, workers=4)
-        evaluate_suite(params, test_set[:1], exec_cfg(T=10), problem, workers=4)
+        sizes = record_pool_sizes(monkeypatch)
+        force_cpus(monkeypatch, 4)
+        evaluate_suite(params, test_set[:2], exec_cfg(T=10), problem)
+        evaluate_suite(params, test_set[:1], exec_cfg(T=10), problem)
         assert sizes == [2]
 
     def test_gnn_policy_wrapper_matches_params_dispatch(self, small_run):

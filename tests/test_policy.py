@@ -22,6 +22,7 @@ from dualrrm.policy import (
     GnnConfig,
     _forward_tensors,
     _relu_select,
+    _sigmoid,
     apply_update,
     checkpoint_bytes,
     episode_eval,
@@ -101,6 +102,23 @@ class TestForward:
         for mask in (x > 0.0, any_mask):
             expected = np.where(mask, x, 0.0)
             assert np.array_equal(_relu_select(mask, x.copy()).view(np.uint64), expected.view(np.uint64))
+
+    def test_sigmoid_matches_two_branch_formula(self):
+        # equal bits to the form that exponentiates x on the negative side
+        # and -x on the other, for every finite input, which is all
+        # ``_forward_tensors`` lets through
+        edges = [0.0, 1e-300, 1.0, 36.0, 40.0, 745.0]
+        rng = np.random.default_rng(5)
+        x = np.concatenate([edges, np.negative(edges), rng.normal(0.0, 1.0, 500),
+                            rng.normal(0.0, 40.0, 500), rng.uniform(-800.0, 800.0, 500)])
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        for shape in ((x.size,), (x.size // 6, 6)):
+            got = _sigmoid(x.reshape(shape))
+            assert np.array_equal(got.view(np.uint64), expected.reshape(shape).view(np.uint64))
 
     def test_zero_params_give_half_power(self, rng):
         cfg = small_problem(5)

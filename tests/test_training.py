@@ -29,7 +29,9 @@ from dualrrm.policy import (
 )
 from dualrrm.training import TrainConfig, sample_duals, train, train_per_mu_oracle
 
-from conftest import blas_threads, force_block_steps, make_realizations, params_equal
+from conftest import (
+    blas_threads, force_block_steps, force_cpus, make_realizations, params_equal,
+)
 
 
 SERIES = ("iterations", "mean_lagrangian", "mean_sum_rate", "mean_constraint_slack")
@@ -258,10 +260,7 @@ class TestResumeProperty:
 def force_split(mp, cpus, block_steps=None, m=None, dims=None):
     """Give training ``cpus`` usable CPUs and one BLAS thread, and, if
     given, gradient blocks of ``block_steps`` steps at (m, dims)."""
-    for var in BLAS_THREAD_VARS:
-        mp.setenv(var, "1")
-    mp.setattr(training_module.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-               raising=False)
+    force_cpus(mp, cpus)
     if block_steps is not None:
         force_block_steps(mp, block_steps, m, dims)
 

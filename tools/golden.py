@@ -5,14 +5,15 @@ drives the CLI of this checkout's ``src`` (or of ``--src DIR``) through a
 fixed pipeline at m=6, m=20 and m=50 (generate, train with intermediate
 checkpoints, a second training run resumed from the iteration-20 checkpoint
 into its own output directory, a third training run limited to one CPU in
-its own output directory, eval with CDF and trace exports, the same eval on
-a pool of two workers, early-stop eval, baselines, baselines on a pool of
-two workers with one trace exported per suite, ITLinQ eval under a
-config copy with the by-index ordering, gradcheck, theorem-suite) and keeps
-every file it writes plus the stdout and exit code of each step.  Every
-step runs BLAS on one thread, so training splits its batches across the
-usable CPUs where its gradient blocks allow; the one-CPU run is the unsplit
-twin of each training run.  At m=6 training has the desk layout (f=64,
+its own output directory, eval with CDF and trace exports, eval with a CDF
+export limited to one CPU, early-stop eval, baselines, baselines with one
+trace exported per suite limited to one CPU, ITLinQ eval under a config
+copy with the by-index ordering, gradcheck, theorem-suite) and keeps every
+file it writes plus the stdout and exit code of each step.  Every step runs
+BLAS on one thread, so training splits its batches across the usable CPUs
+where its gradient blocks allow, and evaluation runs the test realizations
+on a pool of one process per usable CPU; the one-CPU steps are the unsplit,
+unpooled twins.  At m=6 training has the desk layout (f=64,
 T=50, B=16): three whole episodes per gradient block, six blocks per batch,
 so the batch splits into chunks of whole episodes.  Training at m=50 runs
 100-step episodes, which the episode gradient takes in two time blocks, so
@@ -43,7 +44,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-ONE_CPU_STEP = "train_one_cpu"  # its child process may run on one CPU only
+# the steps whose child process may run on one CPU only
+ONE_CPU_STEPS = {"train_one_cpu", "eval_one_cpu", "baselines_one_cpu"}
 CKPT = "checkpoints/checkpoint_final.json"
 # m -> (area side in m, n_train, n_test, training episode_len, batch_size,
 # (f1, f2)).  At m=50 channel synthesis runs in 13-step blocks, execution in
@@ -83,14 +85,13 @@ def _steps(m: int) -> list[tuple[str, str, list[str]]]:
         ("generate_resume", cfg, ["generate", "--split", "train", "--out", resume_out]),
         ("train_resume", cfg, ["train", "--out", resume_out, "--resume", mid]),
         ("generate_one_cpu", cfg, ["generate", "--split", "train", "--out", f"m{m}_one_cpu"]),
-        (ONE_CPU_STEP, cfg, ["train", "--out", f"m{m}_one_cpu"]),
+        ("train_one_cpu", cfg, ["train", "--out", f"m{m}_one_cpu"]),
         ("eval", cfg, ["eval", "--checkpoint", ckpt, "--export-cdf", "--export-trace", "2"]),
-        ("eval_workers", cfg, ["eval", "--checkpoint", ckpt, "--workers", "2", "--export-cdf"]),
+        ("eval_one_cpu", cfg, ["eval", "--checkpoint", ckpt, "--export-cdf"]),
         ("eval_early_stop", cfg, ["eval", "--policy", "early_stop", "--t-stop", "37",
                                   "--checkpoint", ckpt]),
         ("baselines", cfg, ["baselines", "--checkpoint", ckpt, "--export-cdf"]),
-        ("baselines_workers", cfg, ["baselines", "--checkpoint", ckpt, "--workers", "2",
-                                    "--export-trace", "1"]),
+        ("baselines_one_cpu", cfg, ["baselines", "--checkpoint", ckpt, "--export-trace", "1"]),
         ("eval_itlinq_by_index", by_index, ["eval", "--policy", "itlinq"]),
         ("gradcheck", cfg, ["gradcheck", "--steps", "5", "--coords", "20"]),
         ("theorem_suite", cfg, ["theorem-suite", "--checkpoint", ckpt, "--realizations", "4"]),
@@ -120,7 +121,7 @@ def run(out: Path, src: Path) -> int:
             proc = subprocess.run(
                 [sys.executable, "-m", "dualrrm.cli", *argv, "--config", cfg],
                 cwd=out, env=env, capture_output=True, text=True,
-                preexec_fn=_one_cpu if name == ONE_CPU_STEP else None,
+                preexec_fn=_one_cpu if name in ONE_CPU_STEPS else None,
             )
             (logs / f"{name}.txt").write_text(f"exit {proc.returncode}\n{proc.stdout}")
             if proc.returncode != 0:
