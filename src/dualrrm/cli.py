@@ -8,9 +8,10 @@ Subcommands:
     gradcheck      finite-difference verification of the episode gradient
     theorem-suite  dual-dynamics law battery on freshly executed traces
 
-``eval``, ``baselines`` and ``theorem-suite`` run the test realizations on a
-pool of ``dualrrm.parallel_slots()`` processes (``execution.evaluate_suites``),
-the rule by which training splits its batches; no option sets the count.
+``eval``, ``baselines`` and ``theorem-suite`` run the test realizations in
+blocks of whole episodes on a pool of up to ``dualrrm.parallel_slots()``
+processes (``execution.evaluate_suites``), the rule by which training splits
+its batches; no option sets the count or the block size.
 
 Exit codes: 0 success; 2 configuration error, which is every package error
 but a ``NumericalError``; 3 numerical failure, a ``NumericalError`` or a
@@ -101,7 +102,6 @@ def cmd_train(args) -> int:
     cfg = _load_experiment(args)
     dataset, _ = load_dataset(dataset_dir(cfg, "train"))
     ckpt_dir = Path(cfg.output_dir) / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     init = None
     start_iter = 0
     if args.resume is not None:
@@ -111,6 +111,7 @@ def cmd_train(args) -> int:
     echo = config_to_dict(cfg)
 
     def save(iteration: int, params, name: str | None = None) -> Path:
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
         path = ckpt_dir / f"checkpoint_{name or f'{iteration:06d}'}.json"
         save_checkpoint(
             path,

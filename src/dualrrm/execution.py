@@ -17,6 +17,9 @@ for bit.  A violated constraint raises its user's dual, which the trained
 policy answers with more transmit power; satisfied constraints bleed the dual
 back toward zero.  An optional freeze step stops the dual updates early and
 is how the plain primal-dual baseline is realized.
+
+Several realizations run as one: their episodes stacked on axis 1, time
+staying on axis 0, each under its own duals, bit for bit like one at a time.
 """
 
 from __future__ import annotations
@@ -65,13 +68,14 @@ class ExecConfig:
 
 @dataclass
 class EpisodeTrace:
-    """Everything one execution run produced, in step order."""
+    """Everything one execution run produced, in step order; ``...`` are
+    the realization axes of the episode, none for one realization."""
 
-    powers: np.ndarray  # (T, m)
-    rates: np.ndarray  # (T, m)
-    duals: np.ndarray  # (K, m): multiplier in force during window k
-    ergodic_rates: np.ndarray  # (T, m): running average of rates up to t
-    final_dual: np.ndarray  # (m,): multiplier after the last boundary update
+    powers: np.ndarray  # (T, ..., m)
+    rates: np.ndarray  # (T, ..., m)
+    duals: np.ndarray  # (K, ..., m): multiplier in force during window k
+    ergodic_rates: np.ndarray  # (T, ..., m): running average of rates up to t
+    final_dual: np.ndarray  # (..., m): multiplier after the last boundary update
 
     @property
     def final_ergodic(self) -> np.ndarray:
@@ -96,14 +100,17 @@ def dual_update(
     exec_cfg: ExecConfig,
     problem: RrmProblemConfig,
 ) -> np.ndarray:
-    """One projected dual-descent step on the window-average rates."""
+    """One projected dual-descent step on the window-average rates, for
+    duals ``mu_k`` (..., m) and a window of shape (T0,) + mu_k.shape."""
     mu_k = checked_duals(mu_k)
     window_rates = np.asarray(window_rates, dtype=float)
-    if window_rates.ndim != 2 or window_rates.shape[0] != exec_cfg.T0:
+    if window_rates.shape != (exec_cfg.T0,) + mu_k.shape:
         raise WindowLengthMismatch(
-            f"window has shape {window_rates.shape}, expected ({exec_cfg.T0}, m)"
+            f"window has shape {window_rates.shape}, expected {(exec_cfg.T0,) + mu_k.shape}"
         )
-    slack = constraints_g(window_rates.mean(axis=0), problem)
+    # summed step by step, as numpy's mean sums a stacked window; it sums a
+    # (T0, 1) window pairwise, which would tie the bits to the stacking
+    slack = constraints_g(sum(window_rates[1:], window_rates[0]) / exec_cfg.T0, problem)
     return np.maximum(0.0, mu_k - exec_cfg.eta_mu * slack)
 
 
@@ -113,17 +120,19 @@ def execute(
     exec_cfg: ExecConfig,
     problem: RrmProblemConfig,
 ) -> EpisodeTrace:
-    """Run the policy over one gain episode with dual descent.
+    """Run the policy over gain episodes with dual descent.
 
     ``episode`` holds the gains |h|^2 of at least ``exec_cfg.T`` steps,
-    (T, m, m), as ``Realization.episode`` returns them; complex channels are
-    refused.  ``policy`` is either trained GnnParams or any object with a
-    ``windows(abs_h2, problem)`` method.  It receives the gains of one time
-    block, (n, m, m), made of whole dual windows except possibly the
-    episode's last, and returns a function
+    (T, ..., m, m): one episode as ``Realization.episode`` returns it, or
+    several stacked on the axes after time, each run under its own duals
+    from ``mu_init``; the trace takes the same leading axes.  Complex
+    channels are refused.  ``policy`` is either trained GnnParams or any
+    object with a ``windows(abs_h2, problem)`` method.  It receives the
+    gains of one time block, (n, ..., m, m), made of whole dual windows
+    except possibly the episode's last, and returns a function
     ``powers(steps, mu)`` that maps a window's slice of the block and the
-    duals ``mu`` (m,) in force to that window's powers, (len, m).  The dual
-    update fires after each complete window k for which
+    duals ``mu`` (..., m) in force to that window's powers, (len, ..., m).
+    The dual update fires after each complete window k for which
     ``exec_cfg.updates_after(k)`` holds; a trailing partial window never
     triggers an update.
     """
@@ -135,11 +144,12 @@ def execute(
     mu = checked_duals(np.zeros(problem.m) if exec_cfg.mu_init is None else exec_cfg.mu_init)
     if mu.shape != (problem.m,):
         raise DimensionMismatch(f"mu_init shape {mu.shape} inconsistent with m")
+    mu = np.broadcast_to(mu, episode.shape[1:-1]).copy()  # (..., m)
 
-    powers = np.empty((n_steps, problem.m))
-    rates_t = np.empty((n_steps, problem.m))
-    duals = np.empty((n_windows, problem.m))
-    n_block = block_steps(8 * problem.m**2, T0)  # the (n, m, m) float64 tensors
+    powers = np.empty((n_steps,) + mu.shape)
+    rates_t = np.empty((n_steps,) + mu.shape)
+    duals = np.empty((n_windows,) + mu.shape)
+    n_block = block_steps(8 * problem.m * mu.size, T0)  # the (n, ..., m, m) float64 tensors
     for k, t0 in enumerate(range(0, n_steps, T0)):
         if t0 % n_block == 0:
             abs_h2 = episode[t0 : min(t0 + n_block, n_steps)]
@@ -151,7 +161,7 @@ def execute(
             duals[k] = mu
             if exec_cfg.updates_after(k):
                 mu = dual_update(mu, rates_t[win], exec_cfg, problem)
-    ergodic = np.cumsum(rates_t, axis=0) / np.arange(1, n_steps + 1)[:, None]
+    ergodic = np.cumsum(rates_t, axis=0) / np.arange(1, n_steps + 1).reshape(-1, *[1] * mu.ndim)
     return EpisodeTrace(
         powers=powers, rates=rates_t, duals=duals, ergodic_rates=ergodic,
         final_dual=mu,
@@ -171,14 +181,17 @@ def replay_duals(trace: EpisodeTrace, exec_cfg: ExecConfig, problem: RrmProblemC
     return out
 
 
-def _realization_task(payload) -> list[tuple[EpisodeTrace, float]]:
-    """Every suite on the realization's one episode, and each run's seconds."""
-    suites, realization, problem = payload
-    episode = realization.episode(max(exec_cfg.T for _, exec_cfg in suites))
+def _block_task(payload) -> list[tuple[EpisodeTrace, float]]:
+    """Every suite on the block's episodes stacked on axis 1, and each run's seconds."""
+    suites, block, problem = payload
+    n_steps = max(exec_cfg.T for _, exec_cfg in suites)
+    episodes = [r.episode(n_steps) for r in block]
+    # one episode runs as a view: a copy costs a tenth of its run at m=50
+    stacked = np.stack(episodes, axis=1) if len(episodes) > 1 else episodes[0][:, None]
     runs = []
     for policy, exec_cfg in suites:
         t0 = time.perf_counter()
-        runs.append((execute(policy, episode, exec_cfg, problem), time.perf_counter() - t0))
+        runs.append((execute(policy, stacked, exec_cfg, problem), time.perf_counter() - t0))
     return runs
 
 
@@ -189,23 +202,31 @@ def evaluate_suites(
 ) -> list[tuple[MetricsSummary, list[EpisodeTrace], float]]:
     """Execute each (policy, exec config) suite on every test realization's one
     episode, synthesized for the longest T.  Per suite: the pooled summary of the
-    final ergodic rates, the traces, and the seconds spent in ``execute``.
+    final ergodic rates, the traces, one per realization, and the seconds spent
+    in ``execute``.
 
-    The realizations run on a pool of ``min(parallel_slots(), len(dataset))``
-    processes, the rule by which training splits its batches; one process
-    opens no pool."""
+    The realizations run in blocks of whole episodes, as many as the
+    ``core.block_steps`` budget holds at the longest T, as training sizes its
+    gradient blocks, and at most ceil(n / ``parallel_slots()``).  The blocks
+    run on a pool of up to ``parallel_slots()`` processes, the rule by which
+    training splits its batches; one process opens no pool.  No bit depends
+    on the blocks or the pool."""
     if len(dataset) == 0:
         raise EmptyInput("evaluation dataset is empty")
-    payloads = [(suites, r, problem) for r in dataset]
-    workers = min(parallel_slots(), len(dataset))
+    n_steps, slots = max(exec_cfg.T for _, exec_cfg in suites), parallel_slots()
+    size = min(block_steps(8 * problem.m**2, n_steps) // n_steps, -(-len(dataset) // slots))
+    payloads = [(suites, dataset[i : i + size], problem) for i in range(0, len(dataset), size)]
+    workers = min(slots, len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_realization_task, payloads))
+            runs = list(pool.map(_block_task, payloads))
     else:
-        runs = [_realization_task(p) for p in payloads]
+        runs = [_block_task(p) for p in payloads]
     results = []
     for s in range(len(suites)):
-        traces = [run[s][0] for run in runs]
+        blocks = [run[s][0] for run in runs]  # each realization's trace sits on axis -2
+        traces = [EpisodeTrace(**{k: v[..., r, :] for k, v in vars(block).items()})
+                  for block in blocks for r in range(len(block.final_dual))]
         pooled = np.concatenate([tr.final_ergodic for tr in traces])
         results.append((metrics(pooled, problem), traces, sum(run[s][1] for run in runs)))
     return results

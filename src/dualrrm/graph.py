@@ -45,12 +45,13 @@ class RrmGraph:
 
 
 def checked_gain_episode(gain: np.ndarray, n_steps: int, m: int) -> np.ndarray:
-    """``gain`` as an array, if it is a real (T, m, m) gain episode |h|^2 of
-    at least ``n_steps`` steps."""
+    """``gain`` as an array, if it holds real gains |h|^2 of at least
+    ``n_steps`` steps, (T, ..., m, m): one episode, or several stacked on
+    the axes between time and users."""
     gain = np.asarray(gain)
     if np.iscomplexobj(gain):
         raise DimensionMismatch("the episode holds complex channels; pass the gains |h|^2")
-    if gain.ndim != 3 or gain.shape[0] < n_steps or gain.shape[1:] != (m, m):
+    if gain.ndim < 3 or gain.shape[0] < n_steps or gain.shape[-2:] != (m, m):
         raise DimensionMismatch(f"episode shape {gain.shape} cannot cover T={n_steps}, m={m}")
     return gain
 

@@ -195,10 +195,11 @@ def _forward_tensors(
     """Batched forward; leading axes of y0/edges/in_sums broadcast together.
 
     y0: (..., m, 1), edges: (..., m, m), in_sums: (..., m), the in-sums of
-    edges.  A y0 of shape (m, 1), or (k, 1, m, 1) for k episodes, computes
-    the layer-1 products y0 * W once for every step.  Returns the
-    pre-sigmoid node scalars with shape (..., m), and the activations the
-    backward pass reads, which live in ``_WORK``.
+    edges.  A y0 of shape (m, 1), (R, m, 1) for R realizations, or
+    (k, 1, m, 1) for k episodes, computes the layer-1 products y0 * W once
+    for every step.  Returns the pre-sigmoid node scalars with shape
+    (..., m), and the activations the backward pass reads, which live in
+    ``_WORK``.
     """
     w1, w2, w3, b = params.w1, params.w2, params.w3, params.b
     s = in_sums[..., None]
@@ -287,11 +288,14 @@ def _backward_tensors(
 
 def forward(graph: RrmGraph, mu: np.ndarray, params: GnnParams, p_max: float) -> np.ndarray:
     """Transmit powers p_max * sigmoid(pre-activation), (..., m), for every
-    step of a graph under one dual vector ``mu`` (m,), the node features."""
+    step of a graph under the duals ``mu``, the node features, whose shape
+    is that of the graph's trailing in-sum axes: (m,) for one dual vector
+    shared by every step, or (R, m) for a graph of (n, R, m, m) steps of R
+    realizations, each under its own duals."""
     mu = checked_duals(mu)
-    if mu.shape != graph.in_sums.shape[-1:]:
+    if mu.ndim == 0 or graph.in_sums.shape[-mu.ndim:] != mu.shape:
         raise DimensionMismatch(f"duals {mu.shape} inconsistent with graph {graph.edges.shape}")
-    pre, _ = _forward_tensors(mu[:, None], graph.edges, graph.in_sums, params)
+    pre, _ = _forward_tensors(mu[..., None], graph.edges, graph.in_sums, params)
     return p_max * _sigmoid(pre)
 
 
@@ -429,8 +433,8 @@ def _checkpoint_from_dict(d: dict) -> Checkpoint:
     records, dims, config_echo = d.get("arrays"), d.get("dims"), d.get("config_echo", {})
     if not all(isinstance(x, dict) for x in (records, dims, config_echo)):
         raise ConfigError("needs arrays, dims and config_echo objects")
-    if not (is_int(d.get("seed")) and is_int(d.get("iteration"))):
-        raise ConfigError("seed and iteration must be integers")
+    if not (is_int(d.get("seed")) and is_int(d.get("iteration")) and d["iteration"] >= 0):
+        raise ConfigError("seed and iteration must be integers, the iteration at least 0")
     f1, f2, use_bias = dims.get("f1"), dims.get("f2"), dims.get("use_bias")
     if not (is_int(f1) and is_int(f2) and min(f1, f2) >= 1 and isinstance(use_bias, bool)):
         raise ConfigError("dims needs integer widths f1, f2 >= 1 and a boolean use_bias")

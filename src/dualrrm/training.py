@@ -158,6 +158,9 @@ def _run_ascent(
     if len(dataset) == 0:
         raise EmptyInput("training dataset is empty")
     n_iters = cfg.resolved_n_iters(len(dataset))
+    if not 0 <= start_iter <= n_iters:
+        raise ConfigError(f"start iteration {start_iter} lies outside the schedule of "
+                          f"{n_iters} iterations")
     eta_base = cfg.resolved_eta_phi(problem.m)
     params = init if init is not None else init_params(dims, derive_seed(seed, PARAM_INIT))
     log = TrainingLog()

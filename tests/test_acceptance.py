@@ -386,6 +386,7 @@ class TestCriterion10Reproducibility:
         ckpt = run / "checkpoints" / "checkpoint_final.json"
         watched = [
             run / "datasets" / "train" / "manifest.json",
+            run / "datasets" / "test" / "realization_00000.json",
             run / "training_log.csv",
             run / "eval" / "metrics.csv",
             run / "eval" / "rates.csv",
@@ -409,7 +410,8 @@ class TestCriterion10Reproducibility:
         first = pipeline(cpus=1)
         second = pipeline(cpus=4)
         identical = all(first[k] == second[k] for k in first)
-        # the 3 test realizations evaluate in this process, then on 3 processes
+        # the 3 test realizations evaluate in this process as one stacked
+        # block, then as three one-realization blocks on 3 processes
         report(
             "10 reproducibility", identical and pools == [3],
             f"{len(watched)} artifacts byte-identical across runs on 1 and 4 usable CPUs; "

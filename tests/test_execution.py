@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import itertools
 import math
 
 import numpy as np
@@ -65,6 +66,9 @@ class TestDualUpdate:
         problem = RrmProblemConfig(m=2)
         with pytest.raises(WindowLengthMismatch):
             dual_update(np.zeros(2), np.zeros((4, 2)), exec_cfg(), problem)
+        # stacked duals (R, m) need a (T0, R, m) window
+        with pytest.raises(WindowLengthMismatch, match=r"expected \(5, 3, 2\)"):
+            dual_update(np.zeros((3, 2)), np.zeros((5, 2)), exec_cfg(), problem)
 
     def test_negative_dual_rejected(self):
         problem = RrmProblemConfig(m=2)
@@ -387,6 +391,70 @@ class TestExecutionBlocks:
         assert np.array_equal(trace.final_dual, final)
 
 
+TRACE_FIELDS = ("powers", "rates", "duals", "ergodic_rates", "final_dual")
+
+
+class TestRealizationAxis:
+    @settings(max_examples=40)
+    @given(
+        n_real=st.integers(1, 4),
+        m=st.integers(1, 6),
+        T0=st.integers(2, 9),
+        n_windows=st.integers(1, 5),
+        tail=st.integers(1, 8),
+        t_stop=st.one_of(st.none(), st.integers(0, 60)),
+        mu_init=st.one_of(st.none(), st.lists(st.floats(0.0, 1e3), min_size=6, max_size=6)),
+        block_windows=st.integers(1, 5),
+        f_min=st.floats(0.1, 12.0),
+        policy_name=st.sampled_from(["gnn", "full_reuse", "itlinq_snr"]),
+        seed=st.integers(0, 2**16),
+    )
+    # at m=1 a window of 8 or more steps is where numpy's mean sums a
+    # one-realization window pairwise and a stacked one step by step; an
+    # f_min above the rates keeps the duals off zero, where the sums show
+    @example(n_real=2, m=1, T0=8, n_windows=3, tail=1, t_stop=None, mu_init=None,
+             block_windows=1, f_min=10.0, policy_name="full_reuse", seed=1)
+    def test_stack_equals_single_runs(self, n_real, m, T0, n_windows, tail, t_stop, mu_init,
+                                      block_windows, f_min, policy_name, seed):
+        # R episodes stacked on axis 1 run as R single runs, bit for bit, with
+        # a trailing partial window and a time-block edge inside the stack
+        T = n_windows * T0 + 1 + tail % (T0 - 1)
+        block_windows = min(block_windows, n_windows)
+        problem = RrmProblemConfig(m=m, f_min_bps_hz=f_min)
+        policy = POLICIES[policy_name](init_params(GnnConfig(f1=8, f2=8), seed))
+        cfg = ExecConfig(T=T, T0=T0, t_stop=t_stop,
+                         mu_init=None if mu_init is None else tuple(mu_init[:m]))
+        episodes = [r.episode(T) for r in make_realizations(m=m, count=n_real, seed=seed,
+                                                            area=1000.0)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK_BYTES", block_windows * T0 * 8 * m * m * n_real)
+            assert core.block_steps(8 * m * m * n_real, T0) == block_windows * T0
+            stacked = execute(policy, np.stack(episodes, axis=1), cfg, problem)
+            singles = [execute(policy, episode, cfg, problem) for episode in episodes]
+        assert stacked.powers.shape == (T, n_real, m)
+        assert stacked.final_dual.shape == (n_real, m)
+        for r, single in enumerate(singles):
+            for name in TRACE_FIELDS:
+                got, want = getattr(stacked, name)[..., r, :], getattr(single, name)
+                assert np.array_equal(got, want), name
+        assert np.array_equal(replay_duals(stacked, cfg, problem), stacked.duals)
+
+    def test_duals_must_match_the_trailing_axes(self, small_run):
+        problem, params, test_set = small_run
+        graph = build_graph(np.stack([r.episode(5) for r in test_set[:2]], axis=1), problem)
+        mu = np.array([[0.5, 0.0, 1.0], [2.0, 0.1, 0.0]])
+        both = forward(graph, mu, params, problem.p_max)
+        for r in range(2):
+            alone = forward(build_graph(test_set[r].episode(5), problem), mu[r], params,
+                            problem.p_max)
+            assert np.array_equal(both[:, r], alone)
+        # (m,) duals are shared by every realization; (3, m) match no axis
+        shared = forward(graph, mu[0], params, problem.p_max)
+        assert np.array_equal(shared[:, 0], both[:, 0])
+        with pytest.raises(DimensionMismatch):
+            forward(graph, np.zeros((3, 3)), params, problem.p_max)
+
+
 class TestRelabeling:
     @settings(max_examples=30)
     @given(m=st.integers(1, 12), seed=st.integers(0, 2**16), data=st.data())
@@ -486,19 +554,25 @@ class TestEvaluateSuite:
             assert np.array_equal(a.rates, b.rates)
             assert np.array_equal(a.duals, b.duals)
         # mixed suites share one episode per realization, the longest T's,
-        # and equal one evaluate_suite per suite on any pool
+        # and equal one single-realization execute per suite and realization
+        # on any pool, with blocks of the default budget's size (all three
+        # realizations on one CPU) and blocks of 1, 2 and 3 forced
         suites = [(params, cfg), (ItlinqPolicy(ItlinqConfig()), exec_cfg(T=23)),
                   (params, replace(cfg, t_stop=0)), (params, replace(cfg, t_stop=12))]
-        alone = [evaluate_suite(policy, test_set, c, problem) for policy, c in suites]
-        for cpus in (1, 2):
+        alone = [[execute(policy, r.episode(23), c, problem) for r in test_set]
+                 for policy, c in suites]
+        for per_block, cpus in itertools.product([None, 1, 2, 3], [1, 2]):
             force_cpus(monkeypatch, cpus)
+            if per_block is not None:  # blocks of per_block 23-step episodes at m=3
+                monkeypatch.setattr(core, "_BLOCK_BYTES", per_block * 23 * 8 * 9)
             together = evaluate_suites(suites, test_set, problem)
             assert len(together) == len(suites)
-            for (summary, traces), (pooled, shared, seconds) in zip(alone, together):
-                assert pooled == summary and seconds > 0
+            for traces, (pooled, shared, seconds) in zip(alone, together):
+                final = np.concatenate([trace.final_ergodic for trace in traces])
+                assert pooled == metrics(final, problem) and seconds > 0
                 for a, b in zip(traces, shared, strict=True):
-                    for field in ("powers", "rates", "duals", "ergodic_rates", "final_dual"):
-                        assert np.array_equal(getattr(a, field), getattr(b, field))
+                    for field in TRACE_FIELDS:
+                        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_pool_no_larger_than_dataset(self, small_run, monkeypatch):
         problem, params, test_set = small_run

@@ -12,15 +12,19 @@ copy with the by-index ordering, gradcheck, theorem-suite) and keeps every
 file it writes plus the stdout and exit code of each step.  Every step runs
 BLAS on one thread, so training splits its batches across the usable CPUs
 where its gradient blocks allow, and evaluation runs the test realizations
-on a pool of one process per usable CPU; the one-CPU steps are the unsplit,
-unpooled twins.  At m=6 training has the desk layout (f=64,
-T=50, B=16): three whole episodes per gradient block, six blocks per batch,
-so the batch splits into chunks of whole episodes.  Training at m=50 runs
+in blocks of whole episodes on a pool of up to one process per usable CPU;
+the one-CPU steps are the unsplit, unpooled twins.  At m=6 training has the
+desk layout (f=64, T=50, B=16): three whole episodes per gradient block, six
+blocks per batch, so the batch splits into chunks of whole episodes.  Training at m=50 runs
 100-step episodes, which the episode gradient takes in two time blocks, so
 the golden run crosses a block edge of every blocked stage: synthesis,
 training and execution; its batch splits into one-episode chunks.  At m=20
 the batch is one gradient block, and the two message-passing layers have
-different widths (16 and 24).
+different widths (16 and 24).  On 2 CPUs, the default ``eval`` and
+``baselines`` steps at m=6 run the 4 test realizations, 103 steps each, as
+2 blocks of 2 on 2 processes, and their one-CPU twins as one block of 4, so
+the compare checks stacked against split execution; at m=20 and m=50 every
+block holds one realization.
 ``compare`` lists every file that is missing from either tree or differs,
 and exits nonzero if there is any.
 
@@ -52,7 +56,9 @@ CKPT = "checkpoints/checkpoint_final.json"
 # 25-step blocks and the training gradient (f=16) in 81-step blocks, so a
 # 100-step training episode is one block of 81 steps and one of 19.  At m=6
 # (f=64) a gradient block holds 170 steps, three 50-step episodes; at m=6
-# and m=20 synthesis and execution take a whole episode at once.
+# and m=20 synthesis and execution take a whole episode at once.  The
+# evaluation blocks at m=6 take up to 17 whole 103-step episodes, so 2 CPUs
+# split the 4 test realizations into 2 blocks of 2 and one CPU runs one of 4.
 SIZES = {
     6: (500.0, 16, 4, 50, 16, (64, 64)),
     20: (1000.0, 8, 4, 20, 4, (16, 24)),
