@@ -712,6 +712,38 @@ class TestMalformedDataset:
         assert err.startswith("config error") and "Traceback" not in err
 
 
+class TestReproducibility:
+    def test_pipeline_byte_identical_across_runs_and_workers(self, tmp_path, monkeypatch):
+        # two full generate + train + eval passes into the same output root,
+        # once on 1 usable CPU and once on 4, must leave identical bytes
+        cfg_path = write_cfg(tmp_path)
+        run = tmp_path / "run"
+        ckpt = run / "checkpoints" / "checkpoint_final.json"
+        files = [
+            run / "datasets" / "train" / "manifest.json",
+            run / "datasets" / "test" / "realization_00000.json",
+            run / "training_log.csv",
+            run / "eval" / "metrics.csv",
+            run / "eval" / "rates.csv",
+            ckpt,
+        ]
+
+        def run_pipeline(cpus):
+            force_cpus(monkeypatch, cpus)
+            assert main(["generate", "--config", str(cfg_path), "--split", "train"]) == EXIT_OK
+            assert main(["generate", "--config", str(cfg_path), "--split", "test"]) == EXIT_OK
+            assert main(["train", "--config", str(cfg_path)]) == EXIT_OK
+            assert main(
+                ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]
+            ) == EXIT_OK
+            return {str(f): f.read_bytes() for f in files}
+
+        first = run_pipeline(cpus=1)
+        second = run_pipeline(cpus=4)
+        for name in first:
+            assert first[name] == second[name], f"{name} differs across runs"
+
+
 # Imports the CLI in a fresh interpreter and reports the BLAS thread variables,
 # the OpenBLAS thread count and the desk shape's chunk count.
 BLAS_PROBE = """
