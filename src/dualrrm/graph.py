@@ -102,6 +102,8 @@ class GainEpisode:
     norm: np.ndarray = field(init=False)  # (T,) Z of every step
 
     def __post_init__(self):
+        if self.gain.ndim != 3:  # execution's stacked (T, R, m, m) episodes are not one
+            raise DimensionMismatch(f"episode shape {self.gain.shape} is not (T, m, m)")
         self.norm = _normalized_logs(self.gain, self.cfg)[1]
 
 

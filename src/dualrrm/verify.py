@@ -28,7 +28,13 @@ from .policy import (
 from .seeding import generator
 from .training import sample_duals
 
-DEFAULT_FD_STEP = 1e-6
+# Acceptance 1's setting, the one check every caller runs: episode length,
+# coordinates, central step and relative tolerance are never resized or loosened.
+FD_STEPS = 10
+FD_COORDS = 50
+FD_STEP = 1e-6
+FD_TOL = 1e-4
+
 # Draws per picked coordinate while both its derivatives come out exactly 0.
 # In acceptance 1 and the golden runs at most 60% of any tensor's entries
 # have a zero gradient at init, so at most 0.6**8 = 1.7% of picks stay so.
@@ -45,10 +51,11 @@ class CoordinateCheck:
     abs_err: float
     noise_floor: float  # rounding bound of the central difference itself
 
-    def within(self, rtol: float) -> bool:
+    @property
+    def within(self) -> bool:
         # Central differences cannot resolve better than ~ulp(objective)/step,
         # so the relative tolerance carries that floor as an additive term.
-        return self.abs_err <= rtol * max(abs(self.analytic), abs(self.numeric)) + self.noise_floor
+        return self.abs_err <= FD_TOL * max(abs(self.analytic), abs(self.numeric)) + self.noise_floor
 
     @property
     def vacuous(self) -> bool:
@@ -61,37 +68,32 @@ class CoordinateCheck:
 class GradCheckReport:
     checks: list[CoordinateCheck] = field(default_factory=list)
 
-    def max_measurable_rel_err(self, tol: float = 1e-4) -> float:
+    @property
+    def max_measurable_rel_err(self) -> float:
         """The largest relative error among coordinates whose derivative
-        stands clear of the central-difference noise floor at ``tol``; below
-        it the relative error is rounding noise that ``passed`` forgives."""
+        stands clear of the central-difference noise floor at ``FD_TOL``;
+        below it the relative error is rounding noise that ``passed`` forgives."""
         return max((c.rel_err for c in self.checks
-                    if max(abs(c.analytic), abs(c.numeric)) > c.noise_floor / tol), default=0.0)
+                    if max(abs(c.analytic), abs(c.numeric)) > c.noise_floor / FD_TOL), default=0.0)
 
     @property
     def n_vacuous(self) -> int:
         return sum(c.vacuous for c in self.checks)
 
-    def passed(self, tol: float = 1e-4) -> bool:
-        return all(c.within(tol) for c in self.checks)
+    @property
+    def passed(self) -> bool:
+        return all(c.within for c in self.checks)
 
 
 def finite_difference_check(
-    problem: RrmProblemConfig,
-    dims: GnnConfig,
-    *,
-    topology: TopologyConfig | None = None,
-    n_steps: int = 10,
-    n_coords: int = 50,
-    step: float = DEFAULT_FD_STEP,
-    seed: int = 0,
+    problem: RrmProblemConfig, dims: GnnConfig, topology: TopologyConfig, seed: int
 ) -> GradCheckReport:
-    """Analytic episode gradient vs central differences on random coordinates."""
-    topology = topology or TopologyConfig(m=problem.m, area_side_m=500.0)
+    """Analytic episode gradient vs central differences on ``FD_COORDS``
+    random coordinates of an ``FD_STEPS``-step episode."""
     if topology.m != problem.m:
         raise ConfigError("topology and problem disagree on m")
     large = sample_topology(topology, seed)
-    gain = Realization(large, seed + 1, DEFAULT_FADING_RHO, seed).episode(n_steps)
+    gain = Realization(large, seed + 1, DEFAULT_FADING_RHO, seed).episode(FD_STEPS)
     episode = episode_tensors(gain, problem)
     mu = sample_duals(problem.m, 1, ("uniform", 0.0, 1.0), seed + 2)[0]
     params = init_params(dims, seed + 3)
@@ -104,16 +106,16 @@ def finite_difference_check(
         shifted = params.copy()
         target = dict(shifted.named_arrays())[name]
         original = target[index]
-        target[index] = original + step
+        target[index] = original + FD_STEP
         up, _, _ = episode_eval(episode, mu, shifted, problem)
-        target[index] = original - step
+        target[index] = original - FD_STEP
         down, _, _ = episode_eval(episode, mu, shifted, problem)
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * FD_STEP)
         analytic = float(grad_named[name][index])
         abs_err = abs(analytic - numeric)
         rel = abs_err / max(abs(analytic), abs(numeric), 1e-300)
         # a handful of ulps of the objective, divided through by the step
-        noise = 8.0 * eps * max(abs(up), abs(down), 1.0) / (2.0 * step)
+        noise = 8.0 * eps * max(abs(up), abs(down), 1.0) / (2.0 * FD_STEP)
         return CoordinateCheck(
             tensor=name, index=tuple(int(i) for i in index),
             analytic=analytic, numeric=numeric, rel_err=rel,
@@ -124,10 +126,10 @@ def finite_difference_check(
     # random index of its tensor; a vacuous pick is redrawn within the same
     # tensor, up to MAX_DRAWS draws from the one stream.
     rng = generator(seed + 4)
-    live = [(name, a) for name, a in params.named_arrays() if a.size > 0]
+    arrays = params.named_arrays()
     report = GradCheckReport()
-    for i in range(n_coords):
-        name, a = live[i % len(live)]
+    for i in range(FD_COORDS):
+        name, a = arrays[i % len(arrays)]
         for _ in range(MAX_DRAWS):
             coord = check(name, np.unravel_index(int(rng.integers(a.size)), a.shape))
             if not coord.vacuous:

@@ -28,7 +28,7 @@ from dualrrm.policy import (
 )
 from dualrrm.seeding import derive_seed
 from dualrrm.training import TrainConfig, sample_duals, train, train_per_mu_oracle
-from dualrrm.verify import finite_difference_check
+from dualrrm.verify import FD_COORDS, FD_STEP, FD_STEPS, FD_TOL, finite_difference_check
 
 from conftest import force_cpus, make_realizations, relabel_matrix
 
@@ -73,14 +73,15 @@ class TestCriterion1Gradient:
         start = time.time()
         report_obj = finite_difference_check(
             RrmProblemConfig(m=6), GnnConfig(f1=16, f2=16),
-            n_steps=10, n_coords=50, step=1e-6, seed=2024,
+            TopologyConfig(m=6, area_side_m=500.0), seed=2024,
         )
         elapsed = time.time() - start
         tensors = {c.tensor for c in report_obj.checks}
         worst_abs = max(c.abs_err for c in report_obj.checks)
-        measurable_rel = report_obj.max_measurable_rel_err(1e-4)
+        measurable_rel = report_obj.max_measurable_rel_err
         passed = (
-            report_obj.passed(1e-4)
+            (FD_STEPS, FD_COORDS, FD_STEP, FD_TOL) == (10, 50, 1e-6, 1e-4)
+            and report_obj.passed
             and elapsed < 30.0
             and len(report_obj.checks) == 50
             and len(tensors) == 10  # every weight tensor represented

@@ -321,9 +321,7 @@ class TestBaselinesCommand:
 class TestVerificationCommands:
     def test_gradcheck_passes(self, tmp_path):
         cfg_path = write_cfg(tmp_path)
-        assert main(
-            ["gradcheck", "--config", str(cfg_path), "--steps", "5", "--coords", "20"]
-        ) == EXIT_OK
+        assert main(["gradcheck", "--config", str(cfg_path)]) == EXIT_OK
 
     def test_gradcheck_runs_at_config_m_and_topology(self, tmp_path, monkeypatch):
         # 50 transmitters do not fit the check's default 500 m square; the
@@ -332,15 +330,13 @@ class TestVerificationCommands:
 
         real, seen = cli.finite_difference_check, []
 
-        def spy(problem, dims, **kwargs):
-            seen.append((problem.m, kwargs["topology"].m, kwargs["topology"].area_side_m))
-            return real(problem, dims, **kwargs)
+        def spy(problem, dims, topology, seed):
+            seen.append((problem.m, topology.m, topology.area_side_m))
+            return real(problem, dims, topology, seed)
 
         monkeypatch.setattr(cli, "finite_difference_check", spy)
         cfg_path = write_cfg(tmp_path, topology={"m": 50, "area_side_m": 2000.0})
-        assert main(
-            ["gradcheck", "--config", str(cfg_path), "--steps", "2", "--coords", "4"]
-        ) == EXIT_OK
+        assert main(["gradcheck", "--config", str(cfg_path)]) == EXIT_OK
         assert seen == [(50, 50, 2000.0)]
 
     def test_numeric_failure_exit_code(self, tmp_path):
@@ -364,8 +360,7 @@ class TestVerificationCommands:
     def test_theorem_suite(self, workspace):
         _, cfg_path, _, ckpt = workspace
         assert main(
-            ["theorem-suite", "--config", str(cfg_path), "--checkpoint", str(ckpt),
-             "--realizations", "2"]
+            ["theorem-suite", "--config", str(cfg_path), "--checkpoint", str(ckpt)]
         ) == EXIT_OK
 
 
@@ -432,15 +427,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["gradcheck", "--coords", "0"],
-            ["gradcheck", "--steps", "0"],
-            ["theorem-suite", "--checkpoint", "c.json", "--realizations", "0"],
-            ["theorem-suite", "--checkpoint", "c.json", "--realizations", "-1"],
             ["eval", "--policy", "full_reuse", "--export-trace", "-2"],
             ["baselines", "--export-trace", "-1"],
         ],
-        ids=["coords_0", "steps_0", "realizations_0", "realizations_-1", "eval_trace_-2",
-             "baselines_trace_-1"],
+        ids=["eval_trace_-2", "baselines_trace_-1"],
     )
     def test_counts_that_check_nothing_refused(self, tmp_path, argv, capsys):
         cfg_path = write_cfg(tmp_path)
@@ -460,17 +450,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error") and "seed" in err
-
-    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-0.5", "1e400", "1", "2", "1e9"])
-    def test_gradcheck_tol_needs_finite_positive_bound(self, tmp_path, capsys, tol):
-        # an infinite bound, or any relative bound of 1 or more, would print
-        # GRADCHECK PASS for a zero gradient
-        cfg_path = write_cfg(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["gradcheck", "--steps", "2", "--coords", "3", f"--tol={tol}",
-                  "--config", str(cfg_path)])
-        assert exc.value.code == EXIT_CONFIG
-        assert "must be a finite number above 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "error",
@@ -499,11 +478,23 @@ class TestExitCodes:
             assert code == EXIT_CONFIG
             assert err.startswith("config error: ")
 
-    @pytest.mark.parametrize("argv", [["gradcheck", "--m", "2"], ["eval", "--export-c"],
-                                      ["eval", "--workers", "2"]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradcheck", "--m", "2"],
+            ["eval", "--export-c"],
+            ["eval", "--workers", "2"],
+            ["gradcheck", "--tol", "0.5"],
+            ["gradcheck", "--steps", "5"],
+            ["gradcheck", "--coords", "5"],
+            ["theorem-suite", "--checkpoint", "c.json", "--realizations", "2"],
+        ],
+    )
     def test_abbreviated_flags_refused(self, argv, capsys):
         # --m and --export-c are prefixes of --m-override and --export-cdf;
-        # --workers is gone, as the usable CPUs set the evaluation pool
+        # --workers is gone, as the usable CPUs set the evaluation pool;
+        # gradcheck always runs acceptance 1's check and theorem-suite checks
+        # every test realization, so no flag resizes or loosens either
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_CONFIG

@@ -193,3 +193,12 @@ class TestGainEpisode:
         gain[2, 0, 1] = 0.0
         with pytest.raises(ZeroChannel):
             episode_tensors(gain, cfg)
+
+    def test_stacked_episodes_refused(self):
+        # execution stacks realizations on axis 1; a training episode is one
+        # (T, m, m) realization, and block_graph cannot stack a stack
+        cfg = RrmProblemConfig(m=3)
+        rng = np.random.default_rng(2)
+        stacked = np.stack([random_gains(rng, 4, 3) for _ in range(2)], axis=1)
+        with pytest.raises(DimensionMismatch, match=r"\(4, 2, 3, 3\) is not \(T, m, m\)"):
+            episode_tensors(stacked, cfg)

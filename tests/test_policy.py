@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from dualrrm import verify
+from dualrrm.channel import TopologyConfig
 from dualrrm.core import RrmProblemConfig, block_steps, rates
 from dualrrm.errors import (
     CheckpointDimMismatch,
@@ -41,6 +42,9 @@ from conftest import force_block_steps, make_realizations, params_equal, relabel
 
 def small_problem(m):
     return RrmProblemConfig(m=m)
+
+
+SQUARE_4 = TopologyConfig(m=4, area_side_m=500.0)  # 4 users for the gradient checks
 
 
 def random_graph(rng, cfg, mu=None):
@@ -227,10 +231,8 @@ class TestEpisodeObjective:
         assert value == pytest.approx(closed, abs=1e-10)
 
     def test_gradient_matches_finite_differences(self):
-        report = finite_difference_check(
-            small_problem(4), GnnConfig(f1=8, f2=8), n_steps=6, n_coords=30, seed=5
-        )
-        assert report.passed(1e-4), f"max rel err {report.max_measurable_rel_err(1e-4)}"
+        report = finite_difference_check(small_problem(4), GnnConfig(f1=8, f2=8), SQUARE_4, 5)
+        assert report.passed, f"max rel err {report.max_measurable_rel_err}"
 
     def test_inert_bias_coordinates_reported_vacuous(self, monkeypatch):
         # with use_bias off every bias entry has both derivatives exactly 0,
@@ -238,15 +240,14 @@ class TestEpisodeObjective:
         evals = []
         monkeypatch.setattr(verify, "episode_eval", lambda *a: evals.append(1) or episode_eval(*a))
         report = finite_difference_check(
-            small_problem(4), GnnConfig(f1=8, f2=8, use_bias=False),
-            n_steps=6, n_coords=20, seed=5,
+            small_problem(4), GnnConfig(f1=8, f2=8, use_bias=False), SQUARE_4, 5
         )
         inert = [c for c in report.checks if c.tensor in ("layer1.b", "layer2.b")]
-        assert len(report.checks) == 20 and len(inert) == 4
-        assert all(c.vacuous for c in inert) and report.n_vacuous == 4
-        assert report.passed(1e-4)
+        assert len(report.checks) == 50 and len(inert) == 10
+        assert all(c.vacuous for c in inert) and report.n_vacuous == 10
+        assert report.passed
         # one gradient, then two evaluations per draw
-        assert 1 + 2 * (4 * MAX_DRAWS + 16) <= len(evals) <= 1 + 2 * 20 * MAX_DRAWS
+        assert 1 + 2 * (10 * MAX_DRAWS + 40) <= len(evals) <= 1 + 2 * 50 * MAX_DRAWS
 
     @pytest.mark.parametrize("b_out", [50.0, 800.0, -800.0])
     def test_saturated_head_has_exactly_zero_gradient(self, b_out):
@@ -338,8 +339,8 @@ class TestTimeBlocks:
     def test_finite_differences_with_three_step_blocks(self, monkeypatch):
         dims = GnnConfig(f1=8, f2=8)
         force_block_steps(monkeypatch, 3, 4, dims)
-        report = finite_difference_check(small_problem(4), dims, n_steps=7, n_coords=30, seed=5)
-        assert report.passed(1e-4), f"max rel err {report.max_measurable_rel_err(1e-4)}"
+        report = finite_difference_check(small_problem(4), dims, SQUARE_4, 5)
+        assert report.passed, f"max rel err {report.max_measurable_rel_err}"
 
     def test_block_rule(self):
         # (whole episodes, steps) per gradient block: 20-step time blocks at
@@ -542,9 +543,9 @@ class TestGradCheckReport:
         # coordinate passes on the floor with a relative error of 0.2
         below, above = coord(2e-8, 2.5e-8), coord(1.0, 1.0 + 2e-5)
         report = verify.GradCheckReport([below, above])
-        assert report.passed(1e-4) and below.rel_err == pytest.approx(0.2)
-        assert report.max_measurable_rel_err(1e-4) == above.rel_err
-        assert verify.GradCheckReport([below]).max_measurable_rel_err(1e-4) == 0.0
+        assert report.passed and below.rel_err == pytest.approx(0.2)
+        assert report.max_measurable_rel_err == above.rel_err
+        assert verify.GradCheckReport([below]).max_measurable_rel_err == 0.0
 
 
 class TestApplyUpdate:

@@ -99,8 +99,8 @@ def _steps(m: int) -> list[tuple[str, str, list[str]]]:
         ("baselines", cfg, ["baselines", "--checkpoint", ckpt, "--export-cdf"]),
         ("baselines_one_cpu", cfg, ["baselines", "--checkpoint", ckpt, "--export-trace", "1"]),
         ("eval_itlinq_by_index", by_index, ["eval", "--policy", "itlinq"]),
-        ("gradcheck", cfg, ["gradcheck", "--steps", "5", "--coords", "20"]),
-        ("theorem_suite", cfg, ["theorem-suite", "--checkpoint", ckpt, "--realizations", "4"]),
+        ("gradcheck", cfg, ["gradcheck"]),
+        ("theorem_suite", cfg, ["theorem-suite", "--checkpoint", ckpt]),
     ]
 
 
