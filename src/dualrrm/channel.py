@@ -11,7 +11,9 @@ process.  The channel matrix at time t is
 where G holds the large-scale power gains (transmitter i to receiver j,
 linear scale) and c the unit-power complex fading coefficients at t.  Every
 consumer reads only the gains |h|^2 = G |c|^2, so an episode is synthesized
-straight into them; the complex coefficients never leave this module.
+straight into them: the recurrence runs on the real and imaginary parts of
+c as two real planes, and only sqrt(G) c is complex, for one |.| per time
+block.  The complex coefficients never leave this module.
 """
 
 from __future__ import annotations
@@ -193,16 +195,20 @@ class Realization:
         from counter slots 0 and t of the Philox stream keyed by
         ``fading_seed`` (the real parts, then the imaginary parts), so any
         episode replays from the seed alone.  The steps are synthesized in
-        time blocks sized by ``core.block_steps``: the normal draws, the
-        complex innovations and the gains |sqrt(G) c|^2 take a few calls per
-        block, and the recurrence one multiply-add per step.
+        time blocks sized by ``core.block_steps``.  The recurrence runs in
+        place on the real and imaginary planes of each block's draws, with
+        the products and sums that complex arithmetic would take, bit for
+        bit: the scalings take a few calls per block and the recurrence one
+        multiply-add per step.  sqrt(G) times each plane fills one complex
+        buffer, and one complex |.| per block, squared, gives the gains.
         """
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError("rho must lie in [0, 1]")
         m, slots = self.m, SlotGenerator(self.fading_seed)
         sqrt_gain = np.sqrt(self.large.gains_linear)
         innovation = math.sqrt(1.0 - self.rho**2)
-        n_block = min(block_steps(16 * m * m), max(n_steps, 1))  # the (n, 2, m, m) draws
+        # 16 m^2 bytes a step: the two float64 planes of one step's draws
+        n_block = min(block_steps(16 * m * m), max(n_steps, 1))
         planes = np.empty((n_block, 2, m, m))
         coeffs = np.empty((n_block, m, m), dtype=complex)
         out = np.empty((n_steps, m, m))
@@ -210,16 +216,17 @@ class Realization:
             n = min(n_block, n_steps - t0)
             for i in range(n):
                 slots.at(t0 + i).standard_normal(out=planes[i])
-            c = np.multiply(1j, planes[:n, 1], out=coeffs[:n])
-            c += planes[:n, 0]
-            c /= math.sqrt(2.0)
+            c = planes[:n]
+            c *= 1.0 / math.sqrt(2.0)  # the bits of numpy's complex division by a real
             first = int(t0 == 0)  # c_0 is the first draw itself
             c[first:] *= innovation
             for i in range(first, n):
                 c[i] += self.rho * (c[i - 1] if i else last)
             last = c[-1].copy()
-            c *= sqrt_gain
-            gain = np.abs(c, out=out[t0 : t0 + n])
+            h = coeffs[:n]
+            np.multiply(c[:, 0], sqrt_gain, out=h.real)
+            np.multiply(c[:, 1], sqrt_gain, out=h.imag)
+            gain = np.abs(h, out=out[t0 : t0 + n])
             gain **= 2
         return out
 

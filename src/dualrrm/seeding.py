@@ -41,12 +41,18 @@ class SlotGenerator:
     Slot s starts at Philox counter s * 2**64, that is, with counter word 1
     set to s; one slot never consumes anywhere near 2**64 outputs, so slots
     cannot overlap.  One generator is repositioned for every slot, which is
-    much cheaper than building a generator per slot.
+    much cheaper than building a generator per slot.  The start state holds
+    its counter, key and buffer as Python ints, not arrays: Philox's state
+    setter reads them entry by entry, and a list hands over its ints for
+    less than an array's entries cost to convert.
     """
 
     def __init__(self, seed: int):
         self._rng = generator(seed)
-        self._start = self._rng.bit_generator.state  # counter 0, nothing buffered
+        start = self._rng.bit_generator.state  # counter 0, nothing buffered
+        start["state"] = {k: v.tolist() for k, v in start["state"].items()}
+        start["buffer"] = start["buffer"].tolist()
+        self._start = start
 
     def at(self, slot: int) -> np.random.Generator:
         """The generator at the start of ``slot``: the position that

@@ -18,6 +18,7 @@ from dualrrm.channel import (
     save_realization,
 )
 from dualrrm.errors import ConfigError, DimensionMismatch, PlacementInfeasible
+from dualrrm.seeding import SlotGenerator
 
 from conftest import make_realizations
 
@@ -118,6 +119,28 @@ def complex_normal_at(seed, slot, m):
     re = rng.standard_normal((m, m))
     im = rng.standard_normal((m, m))
     return (re + 1j * im) / math.sqrt(2.0)
+
+
+class TestSlotGenerator:
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    @pytest.mark.parametrize("slot", [0, 1, 7, 2**63, 2**64 - 1])
+    def test_at_restarts_a_part_consumed_slot(self, seed, slot):
+        # an odd count of normals, then one uint32, leaves the generator
+        # mid-buffer with a half-used 64-bit word; at() must clear both
+        slots = SlotGenerator(seed)
+        used = slots.at(3)
+        used.standard_normal(5)
+        used.integers(0, 2**32, dtype=np.uint32)
+        assert used.bit_generator.state["has_uint32"] == 1
+        got = slots.at(slot).bit_generator.state
+        want = np.random.Philox(key=seed).advance(slot << 64).state
+        for part in ("counter", "key"):
+            assert np.array_equal(got["state"][part], want["state"][part])
+        assert np.array_equal(got["buffer"], want["buffer"])
+        for key in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[key] == want[key]
+        ref = np.random.Generator(np.random.Philox(key=seed).advance(slot << 64))
+        assert np.array_equal(slots.at(slot).standard_normal(7), ref.standard_normal(7))
 
 
 def lag1_correlation(x):
@@ -264,3 +287,10 @@ class TestSynthesisBlocks:
             assert core.block_steps(16 * m * m) == n
             episode = real.episode(n_steps)
         assert np.array_equal(episode, manual_episode(real, n_steps))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.956, 1.0])
+    def test_paper_scale_blocks_match_slot_by_slot(self, rho):
+        # m=50, T=27: two natural 13-step blocks, then a 1-step tail
+        (real,) = make_realizations(m=50, count=1, seed=61, area=2000.0, rho=rho)
+        assert core.block_steps(16 * 50 * 50) == 13
+        assert np.array_equal(real.episode(27), manual_episode(real, 27))
