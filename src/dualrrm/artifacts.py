@@ -5,8 +5,10 @@ the output CSVs.
 A file is written to a temporary file in the target's directory and then
 moved over the target with ``os.replace``.  A run that is killed or raises
 mid-write therefore leaves the previous file intact, so ``--resume`` never
-reads a truncated checkpoint.  The temporary file is not fsynced: this
-guards against an interrupted process, not against a power loss.
+reads a truncated checkpoint.  A writer killed mid-write can leave its
+temporary file, ``.<name>.<pid>.tmp``, beside the target; nothing reads it.
+The temporary file is not fsynced: this guards against an interrupted
+process, not against a power loss.
 
 Each JSON object is read by ``load_json`` and checked by the artifact's own
 schema function with the shared field checks ``is_int`` and ``number_array``;

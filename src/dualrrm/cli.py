@@ -167,7 +167,9 @@ def _eval_policies(cfg: ExperimentConfig, suites, args) -> int:
         for r, trace in enumerate(traces[: args.export_trace]):
             # a trailing partial window runs under the dual after the last update
             in_force = np.vstack([trace.duals, trace.final_dual])
-            table = np.stack([trace.powers / cfg.problem.p_max, trace.rates, trace.ergodic_rates,
+            # the running mean of the rates up to each step; its last row is final_ergodic
+            ergodic = np.cumsum(trace.rates, axis=0) / np.arange(1, run_cfg.T + 1)[:, None]
+            table = np.stack([trace.powers / cfg.problem.p_max, trace.rates, ergodic,
                               in_force[np.arange(run_cfg.T) // run_cfg.T0]], axis=-1)  # (T, m, 4)
             rows = [[t, u, *table[t, u]] for t, u in np.ndindex(table.shape[:2])]
             header = ["t", "user", "power_norm", "rate", "ergodic_rate", "mu_current"]

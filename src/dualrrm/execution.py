@@ -20,6 +20,13 @@ is how the plain primal-dual baseline is realized.
 
 Several realizations run as one: their episodes stacked on axis 1, time
 staying on axis 0, each under its own duals, bit for bit like one at a time.
+
+A trace keeps what execution decides: the powers and rates of every step,
+the duals in force in every window, the final duals and the final ergodic
+(time-average) rates.  A running average over time is computed from the
+rates by the caller that reads it.  ``window_slack`` is the one definition
+of a window's slack g, which ``dual_update`` and the law battery of
+``verify`` both read.
 """
 
 from __future__ import annotations
@@ -74,12 +81,8 @@ class EpisodeTrace:
     powers: np.ndarray  # (T, ..., m)
     rates: np.ndarray  # (T, ..., m)
     duals: np.ndarray  # (K, ..., m): multiplier in force during window k
-    ergodic_rates: np.ndarray  # (T, ..., m): running average of rates up to t
+    final_ergodic: np.ndarray  # (..., m): ergodic (time-average) rate over all T steps
     final_dual: np.ndarray  # (..., m): multiplier after the last boundary update
-
-    @property
-    def final_ergodic(self) -> np.ndarray:
-        return self.ergodic_rates[-1]
 
 
 @dataclass
@@ -92,6 +95,14 @@ class GnnPolicy:
         """The block's edges once; each window then runs only the forward pass."""
         graph = build_graph(abs_h2, cfg)
         return lambda steps, mu: forward(graph[steps], mu, self.params, cfg.p_max)
+
+
+def window_slack(window_rates: np.ndarray, exec_cfg: ExecConfig,
+                 problem: RrmProblemConfig) -> np.ndarray:
+    """Constraint slack g of a window's average rates: (T0, ..., m) -> (..., m)."""
+    # summed step by step, as numpy's mean sums a stacked window; it sums a
+    # (T0, 1) window pairwise, which would tie the bits to the stacking
+    return constraints_g(sum(window_rates[1:], window_rates[0]) / exec_cfg.T0, problem)
 
 
 def dual_update(
@@ -108,10 +119,7 @@ def dual_update(
         raise WindowLengthMismatch(
             f"window has shape {window_rates.shape}, expected {(exec_cfg.T0,) + mu_k.shape}"
         )
-    # summed step by step, as numpy's mean sums a stacked window; it sums a
-    # (T0, 1) window pairwise, which would tie the bits to the stacking
-    slack = constraints_g(sum(window_rates[1:], window_rates[0]) / exec_cfg.T0, problem)
-    return np.maximum(0.0, mu_k - exec_cfg.eta_mu * slack)
+    return np.maximum(0.0, mu_k - exec_cfg.eta_mu * window_slack(window_rates, exec_cfg, problem))
 
 
 def execute(
@@ -161,11 +169,8 @@ def execute(
             duals[k] = mu
             if exec_cfg.updates_after(k):
                 mu = dual_update(mu, rates_t[win], exec_cfg, problem)
-    ergodic = np.cumsum(rates_t, axis=0) / np.arange(1, n_steps + 1).reshape(-1, *[1] * mu.ndim)
-    return EpisodeTrace(
-        powers=powers, rates=rates_t, duals=duals, ergodic_rates=ergodic,
-        final_dual=mu,
-    )
+    return EpisodeTrace(powers=powers, rates=rates_t, duals=duals,
+                        final_ergodic=np.cumsum(rates_t, axis=0)[-1] / n_steps, final_dual=mu)
 
 
 def replay_duals(trace: EpisodeTrace, exec_cfg: ExecConfig, problem: RrmProblemConfig) -> np.ndarray:

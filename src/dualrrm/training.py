@@ -6,13 +6,14 @@ the batch-averaged gradient step.  No dual update ever runs during training;
 the duals only condition the policy input and weight the objective.
 
 All randomness is derived statelessly from (seed, purpose, index), so a run
-can be resumed from any checkpoint and continues bit-for-bit identically to
-the uninterrupted run.  Training runs in one process.  A batch splits into
-chunks of whole episodes, one per ``parallel_slots()`` (the usable CPUs when
-BLAS runs one thread) and at most one per gradient block
-(``policy.gradient_blocks``); the caller runs the first, a thread pool the
-rest, and each writes its rows of one (B, P) gradient array, summed in batch
-order, so no bit depends on the split.
+resumed from any checkpoint reaches the uninterrupted run's parameters bit
+for bit.  Its log holds only the iterations from the checkpoint on: a
+resumed ``training_log.csv`` lacks the earlier rows.  Training runs in one
+process.  A batch splits into chunks of whole episodes, one per
+``parallel_slots()`` (the usable CPUs when BLAS runs one thread) and at
+most one per gradient block (``policy.gradient_blocks``); the caller runs
+the first, a thread pool the rest, and each writes its rows of one (B, P)
+gradient array, summed in batch order, so no bit depends on the split.
 """
 
 from __future__ import annotations

@@ -341,14 +341,10 @@ class TestCriterion9TwoUserOracle:
                 topology_seed=inst,
             )
             g2 = real.episode(1)[0]
-            best = -np.inf
-            for p1 in grid:
-                f = np.array([rates(g2, np.array([p1, p2]), problem) for p2 in grid])
-                feasible = (f >= problem.f_min_bps_hz).all(axis=1)
-                if feasible.any():
-                    sums = f.sum(axis=1)
-                    sums[~feasible] = -np.inf
-                    best = max(best, float(sums.max()))
+            # the whole grid in one call: f[i, j] are the rates at (grid[i], grid[j])
+            f = rates(g2, np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1), problem)
+            sums = np.where((f >= problem.f_min_bps_hz).all(axis=-1), f.sum(axis=-1), -np.inf)
+            best = float(sums.max())
             assert np.isfinite(best), f"instance {inst} has no feasible grid point"
             cfg = TrainConfig(n_iters=300, batch_size=16, episode_len=4, seed=inst)
             params, _ = train(cfg, problem, GnnConfig(), [real])

@@ -390,6 +390,17 @@ class TestExports:
                 )
                 if (t % 5) != 0:
                     assert r["mu_current"] == prev["mu_current"]
+        # the ergodic column is the running mean of the file's own rate column,
+        # and its last step is the realization's row in rates.csv
+        rate, ergodic = np.empty((20, 3)), np.empty((20, 3))
+        for r in rows:
+            t, u = int(r["t"]), int(r["user"])
+            rate[t, u], ergodic[t, u] = float(r["rate"]), float(r["ergodic_rate"])
+        assert np.array_equal(ergodic, np.cumsum(rate, axis=0) / np.arange(1, 21)[:, None])
+        _, user_rows = read_csv(Path(out) / "eval" / "rates.csv")
+        final = {int(r["user"]): float(r["ergodic_rate"]) for r in user_rows
+                 if r["policy"] == "state_augmented" and r["realization"] == "0"}
+        assert [final[u] for u in range(3)] == list(ergodic[-1])
         _, timing_rows = read_csv(Path(out) / "eval" / "timing.csv")
         assert list(timing_rows[0]) == ["m", "policy", "mean_step_ms", "n_steps"]
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import itertools
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dualrrm.execution import (
     evaluate_suites,
     execute,
     replay_duals,
+    window_slack,
 )
 from dualrrm.baselines import FullReusePolicy, ItlinqConfig, ItlinqPolicy
 from dualrrm.graph import build_graph
@@ -212,10 +214,16 @@ class TestExecute:
         assert trace.powers.shape == (10, 7)
 
     def test_ergodic_rates_are_running_means(self, small_run):
+        # the final ergodic rates are the last row of the running mean of the
+        # rates, bit for bit, for one episode and for a one-realization stack
         problem, params, test_set = small_run
-        trace = execute(params, test_set[0].episode(20), exec_cfg(), problem)
-        manual = np.cumsum(trace.rates, axis=0) / np.arange(1, 21)[:, None]
-        assert np.array_equal(trace.ergodic_rates, manual)
+        episode = test_set[0].episode(20)
+        for gains in (episode, episode[:, None]):
+            trace = execute(params, gains, exec_cfg(), problem)
+            steps = np.arange(1, 21).reshape((-1,) + (1,) * (trace.rates.ndim - 1))
+            running = np.cumsum(trace.rates, axis=0) / steps
+            assert trace.final_ergodic.shape == trace.rates.shape[1:]
+            assert np.array_equal(trace.final_ergodic, running[-1])
 
 
 def failed_laws(trace, cfg, problem):
@@ -236,9 +244,9 @@ def battery_case():
     (real,) = make_realizations(m=3, count=1, seed=32, area=400.0)
     cfg = exec_cfg(T=30)
 
-    def run(f_min=0.6, mu_init=None):
+    def run(f_min=0.6, mu_init=None, t_stop=None):
         problem = RrmProblemConfig(m=3, f_min_bps_hz=f_min)
-        run_cfg = replace(cfg, mu_init=mu_init)
+        run_cfg = replace(cfg, mu_init=mu_init, t_stop=t_stop)
         trace = execute(FullReusePolicy(), real.episode(30), run_cfg, problem)
         assert failed_laws(trace, run_cfg, problem) == set()
         return trace, run_cfg, problem
@@ -265,6 +273,15 @@ class TestTraceBatteryCatches:
         nudged = np.nextafter(trace.duals[2, 0], np.inf)
         assert "replay_bit_exact" in failed_laws(with_dual(trace, 2, 0, nudged), cfg, problem)
 
+    @pytest.mark.parametrize("t_stop", [None, 12])
+    def test_final_dual_off_by_one_ulp(self, battery_case, t_stop):
+        # the replay recomputes the final dual: from the last window's update,
+        # or as the last recorded dual when the duals are frozen
+        trace, cfg, problem = battery_case(t_stop=t_stop)
+        assert cfg.updates_after(len(trace.duals) - 1) == (t_stop is None)
+        nudged = replace(trace, final_dual=np.nextafter(trace.final_dual, np.inf))
+        assert "replay_bit_exact" in failed_laws(nudged, cfg, problem)
+
     def test_violated_window_without_raise(self, battery_case):
         trace, cfg, problem = battery_case(f_min=10.0)
         assert trace.duals[3, 2] > trace.duals[2, 2]
@@ -289,6 +306,78 @@ class TestTraceBatteryCatches:
 
         monkeypatch.setattr(execution, "dual_update", doubled)
         assert "telescoping_bound" in failed_laws(trace, cfg, problem)
+
+
+def recorded_trace(rates_t, cfg, problem):
+    """The trace the online algorithm records for the rates ``rates_t`` (T, m):
+    each applied update by ``execution.dual_update``, looked up at call time."""
+    n_windows = len(rates_t) // cfg.T0
+    mu = np.zeros(problem.m) if cfg.mu_init is None else np.array(cfg.mu_init)
+    duals = np.empty((n_windows, problem.m))
+    for k in range(n_windows):
+        duals[k] = mu
+        if cfg.updates_after(k):
+            mu = execution.dual_update(mu, rates_t[k * cfg.T0 : (k + 1) * cfg.T0], cfg, problem)
+    return EpisodeTrace(powers=np.zeros_like(rates_t), rates=rates_t, duals=duals,
+                        final_ergodic=rates_t.mean(axis=0), final_dual=mu)
+
+
+def sign_flipped(mu, window, cfg, problem):
+    return np.maximum(0.0, mu + cfg.eta_mu * window_slack(window, cfg, problem))
+
+
+def min_for_max(mu, window, cfg, problem):
+    return np.minimum(0.0, mu - cfg.eta_mu * window_slack(window, cfg, problem))
+
+
+MAX_RATES = 41 * 5  # T <= 6 * 6 + 5 steps of m <= 5 users
+
+
+class TestDualLawsProperty:
+    @settings(max_examples=80)
+    @given(
+        m=st.integers(1, 5),
+        T0=st.integers(1, 6),
+        n_windows=st.integers(1, 6),
+        tail=st.integers(0, 5),
+        eta=st.floats(0.1, 50.0),
+        t_stop=st.one_of(st.none(), st.integers(0, 40)),
+        mu_init=st.one_of(st.none(), st.lists(st.floats(0.0, 1e3), min_size=5, max_size=5)),
+        f_min=st.integers(0, 64),
+        eighths=st.lists(st.integers(0, 64), min_size=MAX_RATES, max_size=MAX_RATES),
+    )
+    # at f_min = 2: user 0 falls short in both summed windows; user 1 falls
+    # short in sum, but not in window 1, where a sign flip climbs past the bound
+    @example(m=2, T0=1, n_windows=3, tail=0, eta=1.0, t_stop=None, mu_init=None, f_min=16,
+             eighths=[8, 0, 8, 30, 8, 8] + [0] * (MAX_RATES - 6))
+    def test_honest_update_passes_and_mutations_fail(self, m, T0, n_windows, tail, eta, t_stop,
+                                                     mu_init, f_min, eighths):
+        # rates and f_min on a grid of eighths: window sums are exact, so a
+        # nonzero slack is at least 1/(8 T0) and moves a dual by far more
+        # than an ulp, and the signs below are decided in integers
+        T = n_windows * T0 + tail % T0
+        problem = RrmProblemConfig(m=m, f_min_bps_hz=f_min / 8)
+        cfg = ExecConfig(T=T, T0=T0, eta_mu=eta, t_stop=t_stop,
+                         mu_init=None if mu_init is None else tuple(mu_init[:m]))
+        eighths = np.array(eighths[: T * m]).reshape(T, m)
+        rates_t = eighths / 8
+        assert failed_laws(recorded_trace(rates_t, cfg, problem), cfg, problem) == set()
+
+        # the windows whose update the telescoping bound sums, (|ks|, m) sums
+        ks = [k for k in range(n_windows - 1) if cfg.updates_after(k)]
+        sums = eighths[: n_windows * T0].reshape(n_windows, T0, m).sum(axis=1)[ks]
+        short = sums < T0 * f_min  # window slack g < 0
+        summed_negative = np.any(sums.sum(axis=0) < len(ks) * T0 * f_min)
+        # min for max ends every updated dual at or below zero, under a bound
+        # above mu_0 wherever a user's summed slack is negative; a sign flip
+        # never raises a dual whose slack is negative in every window, but
+        # one whose slack changes sign can climb past the bound
+        for mutation, caught in ((min_for_max, summed_negative),
+                                 (sign_flipped, bool(ks) and np.any(short.all(axis=0)))):
+            with patch.object(execution, "dual_update", mutation):
+                laws = failed_laws(recorded_trace(rates_t, cfg, problem), cfg, problem)
+            if caught:
+                assert "telescoping_bound" in laws, mutation.__name__
 
 
 def stepwise_reference(policy, episode, cfg, problem):
@@ -391,7 +480,7 @@ class TestExecutionBlocks:
         assert np.array_equal(trace.final_dual, final)
 
 
-TRACE_FIELDS = ("powers", "rates", "duals", "ergodic_rates", "final_dual")
+TRACE_FIELDS = ("powers", "rates", "duals", "final_ergodic", "final_dual")
 
 
 class TestRealizationAxis:
@@ -483,8 +572,8 @@ class TestRelabeling:
         cfg = ExecConfig(T=20, T0=5, mu_init=tuple(mu))
         trace = execute(params, episode, cfg, problem)
         trace_perm = execute(params, relabeled, replace(cfg, mu_init=tuple(mu[perm])), problem)
-        for name in ("powers", "rates", "duals", "ergodic_rates"):
-            got, want = getattr(trace_perm, name), getattr(trace, name)[:, perm]
+        for name in ("powers", "rates", "duals", "final_ergodic"):
+            got, want = getattr(trace_perm, name), getattr(trace, name)[..., perm]
             assert np.max(np.abs(got - want)) < 1e-9, name
 
 
