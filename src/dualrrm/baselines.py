@@ -75,17 +75,15 @@ def itlinq_schedule(
 
 @dataclass
 class FullReusePolicy:
-    def windows(self, abs_h2: np.ndarray, cfg: RrmProblemConfig):
-        """Powers ignore the duals: one pass over the block (see ``execute``)."""
-        powers = full_reuse(abs_h2, cfg)
-        return lambda steps, mu: powers[steps]
+    def windows(self, abs_h2: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
+        """Powers ignore the duals: the block's powers (see ``execute``)."""
+        return full_reuse(abs_h2, cfg)
 
 
 @dataclass
 class ItlinqPolicy:
     cfg: ItlinqConfig
 
-    def windows(self, abs_h2: np.ndarray, problem: RrmProblemConfig):
-        """Schedules ignore the duals: one pass over the block (see ``execute``)."""
-        powers = itlinq_schedule(abs_h2, problem, self.cfg)
-        return lambda steps, mu: powers[steps]
+    def windows(self, abs_h2: np.ndarray, problem: RrmProblemConfig) -> np.ndarray:
+        """Schedules ignore the duals: the block's powers (see ``execute``)."""
+        return itlinq_schedule(abs_h2, problem, self.cfg)

@@ -9,17 +9,25 @@ constraint slack and project them back onto the nonnegative orthant:
 
 Only the duals change between windows, so the channel work is done once per
 time block of whole windows sized by ``core.block_steps``: the policy turns
-the block's gains |h|^2 once into a window function (for the GNN, the
-block's normalized edges; for full reuse and ITLinQ, which ignore the duals,
-the block's powers).  Each window then costs one policy call, one rate call
-and the dual update, and the result equals the step-by-step computation bit
-for bit.  A violated constraint raises its user's dual, which the trained
-policy answers with more transmit power; satisfied constraints bleed the dual
-back toward zero.  An optional freeze step stops the dual updates early and
-is how the plain primal-dual baseline is realized.
+the block's gains |h|^2 once into either a function of the duals (for the
+GNN, over the block's normalized edges) or, when its powers ignore the
+duals, as for full reuse and ITLinQ, the block's powers.  The block then
+runs in segments, each one policy call and one rate call: one window while
+the powers read duals that can still move, the rest of the block once they
+cannot, from the start for powers that ignore the duals and from the freeze
+on for the others.  One ``window_slack`` call gives the slacks of a
+segment's complete windows, and each window then records its dual and takes
+the projected step that ``dual_update`` takes; the result equals the
+step-by-step computation bit for bit.  A violated constraint raises its
+user's dual, which the trained policy answers with more transmit power;
+satisfied constraints bleed the dual back toward zero.  An optional freeze
+step stops the dual updates early and is how the plain primal-dual baseline
+is realized.
 
 Several realizations run as one: their episodes stacked on axis 1, time
-staying on axis 0, each under its own duals, bit for bit like one at a time.
+staying on axis 0, each under its own duals, bit for bit like one at a time;
+a realization axis of length one is dropped for the run and restored in the
+trace.
 
 A trace keeps what execution decides: the powers and rates of every step,
 the duals in force in every window, the final duals and the final ergodic
@@ -92,7 +100,7 @@ class GnnPolicy:
     params: GnnParams
 
     def windows(self, abs_h2: np.ndarray, cfg: RrmProblemConfig):
-        """The block's edges once; each window then runs only the forward pass."""
+        """The block's edges once; each segment then runs only the forward pass."""
         graph = build_graph(abs_h2, cfg)
         return lambda steps, mu: forward(graph[steps], mu, self.params, cfg.p_max)
 
@@ -103,6 +111,11 @@ def window_slack(window_rates: np.ndarray, exec_cfg: ExecConfig,
     # summed step by step, as numpy's mean sums a stacked window; it sums a
     # (T0, 1) window pairwise, which would tie the bits to the stacking
     return constraints_g(sum(window_rates[1:], window_rates[0]) / exec_cfg.T0, problem)
+
+
+def _projected_step(mu_k: np.ndarray, g: np.ndarray, exec_cfg: ExecConfig) -> np.ndarray:
+    """mu_{k+1} = max(0, mu_k - eta_mu * g_k), for checked duals ``mu_k``."""
+    return np.maximum(0.0, mu_k - exec_cfg.eta_mu * g)
 
 
 def dual_update(
@@ -119,7 +132,7 @@ def dual_update(
         raise WindowLengthMismatch(
             f"window has shape {window_rates.shape}, expected {(exec_cfg.T0,) + mu_k.shape}"
         )
-    return np.maximum(0.0, mu_k - exec_cfg.eta_mu * window_slack(window_rates, exec_cfg, problem))
+    return _projected_step(mu_k, window_slack(window_rates, exec_cfg, problem), exec_cfg)
 
 
 def execute(
@@ -137,9 +150,10 @@ def execute(
     channels are refused.  ``policy`` is either trained GnnParams or any
     object with a ``windows(abs_h2, problem)`` method.  It receives the
     gains of one time block, (n, ..., m, m), made of whole dual windows
-    except possibly the episode's last, and returns a function
-    ``powers(steps, mu)`` that maps a window's slice of the block and the
-    duals ``mu`` (..., m) in force to that window's powers, (len, ..., m).
+    except possibly the episode's last, and returns either the block's
+    powers (n, ..., m), when they ignore the duals, or a function
+    ``powers(steps, mu)`` that maps a slice of the block and the duals
+    ``mu`` (..., m) in force to the slice's powers, (len, ..., m).
     The dual update fires after each complete window k for which
     ``exec_cfg.updates_after(k)`` holds; a trailing partial window never
     triggers an update.
@@ -148,6 +162,10 @@ def execute(
     policy = GnnPolicy(policy) if isinstance(policy, GnnParams) else policy
     n_steps, T0 = exec_cfg.T, exec_cfg.T0
     episode = checked_gain_episode(episode, n_steps, problem.m)
+    axes = episode.shape[1:-1]  # the caller's realization axes and users
+    # unit realization axes change no bit and cost a broadcast in every call
+    episode = episode.reshape(episode.shape[:1] + tuple(n for n in axes[:-1] if n != 1)
+                              + episode.shape[-2:])
     n_windows = n_steps // T0
     mu = checked_duals(np.zeros(problem.m) if exec_cfg.mu_init is None else exec_cfg.mu_init)
     if mu.shape != (problem.m,):
@@ -158,19 +176,33 @@ def execute(
     rates_t = np.empty((n_steps,) + mu.shape)
     duals = np.empty((n_windows,) + mu.shape)
     n_block = block_steps(8 * problem.m * mu.size, T0)  # the (n, ..., m, m) float64 tensors
-    for k, t0 in enumerate(range(0, n_steps, T0)):
-        if t0 % n_block == 0:
-            abs_h2 = episode[t0 : min(t0 + n_block, n_steps)]
-            window_powers = policy.windows(abs_h2, problem)
-        local, win = slice(t0 % n_block, t0 % n_block + T0), slice(t0, min(t0 + T0, n_steps))
-        powers[win] = window_powers(local, mu)
-        rates_t[win] = core.rates(abs_h2[local], powers[win], problem)
-        if k < n_windows:
-            duals[k] = mu
-            if exec_cfg.updates_after(k):
-                mu = dual_update(mu, rates_t[win], exec_cfg, problem)
-    return EpisodeTrace(powers=powers, rates=rates_t, duals=duals,
-                        final_ergodic=np.cumsum(rates_t, axis=0)[-1] / n_steps, final_dual=mu)
+    for b0 in range(0, n_steps, n_block):
+        abs_h2 = episode[b0 : min(b0 + n_block, n_steps)]
+        block_powers = policy.windows(abs_h2, problem)
+        reads_duals, n, s0 = callable(block_powers), len(abs_h2), 0
+        while s0 < n:
+            # a segment: one window while the powers read duals that can
+            # still move, the rest of the block once they cannot
+            k0 = (b0 + s0) // T0
+            s1 = min(s0 + T0, n) if reads_duals and exec_cfg.updates_after(k0) else n
+            seg = slice(b0 + s0, b0 + s1)
+            powers[seg] = block_powers(slice(s0, s1), mu) if reads_duals else block_powers[s0:s1]
+            rates_t[seg] = core.rates(abs_h2[s0:s1], powers[seg], problem)
+            k1 = (b0 + s1) // T0  # the segment's complete windows are k0 .. k1-1
+            g = window_slack(rates_t[k0 * T0 : k1 * T0].reshape((k1 - k0, T0) + mu.shape)
+                             .swapaxes(0, 1), exec_cfg, problem)
+            for k in range(k0, k1):
+                duals[k] = mu
+                if exec_cfg.updates_after(k):
+                    mu = _projected_step(mu, g[k - k0], exec_cfg)
+            s0 = s1
+    # every dual an update read, refused as dual_update refuses it
+    checked_duals(duals[[exec_cfg.updates_after(k) for k in range(n_windows)]])
+    fields = dict(powers=powers, rates=rates_t, duals=duals,
+                  final_ergodic=np.cumsum(rates_t, axis=0)[-1] / n_steps, final_dual=mu)
+    # back on the caller's realization axes
+    return EpisodeTrace(**{name: a.reshape(a.shape[: a.ndim - mu.ndim] + axes)
+                           for name, a in fields.items()})
 
 
 def replay_duals(trace: EpisodeTrace, exec_cfg: ExecConfig, problem: RrmProblemConfig) -> np.ndarray:

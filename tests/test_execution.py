@@ -307,6 +307,46 @@ class TestTraceBatteryCatches:
         monkeypatch.setattr(execution, "dual_update", doubled)
         assert "telescoping_bound" in failed_laws(trace, cfg, problem)
 
+    def test_violation_under_half_an_ulp_of_the_dual(self):
+        # rates an ulp below f_min: eta * g is under half an ulp of a dual of
+        # 1e3, so the honest update leaves the violated user's dual as it was
+        problem = RrmProblemConfig(m=1, f_min_bps_hz=0.6)
+        cfg = ExecConfig(T=10, T0=5, eta_mu=20.0, mu_init=(1e3,))
+        rates_t = np.full((10, 1), 0.6 - 1e-16)
+        assert window_slack(rates_t[:5], cfg, problem)[0] < 0.0
+        trace = recorded_trace(rates_t, cfg, problem)
+        assert trace.duals[1, 0] == trace.duals[0, 0] == 1e3
+        assert failed_laws(trace, cfg, problem) == set()
+
+
+def mutated_duals(trace, mutation, r):
+    """The duals of a stacked ``trace`` with realization r's mutated."""
+    duals = trace.duals.copy()
+    if mutation == "jump":
+        duals[2, r, 0] += 1e3
+    elif mutation == "ulp":
+        duals[2, r, 0] = np.nextafter(duals[2, r, 0], np.inf)
+    elif mutation == "held":
+        duals[3, r, 2] = duals[2, r, 2]
+    return duals
+
+
+class TestStackedBattery:
+    @pytest.mark.parametrize("mutation", ["honest", "jump", "ulp", "held"])
+    def test_stacked_trace_passes_when_each_realization_passes(self, mutation):
+        # two realizations stacked on axis 1; f_min above every rate, so each
+        # update raises every dual; the mutation touches realization 1 only
+        problem = RrmProblemConfig(m=3, f_min_bps_hz=10.0)
+        cfg = ExecConfig(T=20, T0=5)
+        episodes = [r.episode(20) for r in make_realizations(m=3, count=2, seed=32, area=400.0)]
+        trace = execute(FullReusePolicy(), np.stack(episodes, axis=1), cfg, problem)
+        trace = replace(trace, duals=mutated_duals(trace, mutation, 1))
+        alone = [failed_laws(EpisodeTrace(**{k: v[..., r, :] for k, v in vars(trace).items()}),
+                             cfg, problem) for r in range(2)]
+        assert alone[0] == set()
+        assert (alone[1] == set()) == (mutation == "honest")
+        assert failed_laws(trace, cfg, problem) == alone[0] | alone[1]
+
 
 def recorded_trace(rates_t, cfg, problem):
     """The trace the online algorithm records for the rates ``rates_t`` (T, m):
@@ -392,7 +432,8 @@ def stepwise_reference(policy, episode, cfg, problem):
         if t % cfg.T0 == 0 and t // cfg.T0 < cfg.T // cfg.T0:
             duals.append(mu)
         g2 = episode[t]
-        powers[t] = policy.windows(g2, problem)(..., mu)
+        step_powers = policy.windows(g2, problem)
+        powers[t] = step_powers(..., mu) if callable(step_powers) else step_powers
         rates_t[t] = rates(g2, powers[t], problem)
         if (t + 1) % cfg.T0 == 0 and (cfg.t_stop is None or t < cfg.t_stop):
             mu = dual_update(mu, rates_t[t + 1 - cfg.T0 : t + 1], cfg, problem)
@@ -457,6 +498,10 @@ class TestExecutionBlocks:
     )
     @example(m=3, T0=5, T=23, t_stop=10, policy_name="gnn", blocks="two", seed=7)
     @example(m=3, T0=5, T=23, t_stop=12, policy_name="gnn", blocks="two", seed=7)
+    # powers that ignore the duals, frozen on a block edge and inside the
+    # trailing partial window
+    @example(m=3, T0=5, T=23, t_stop=10, policy_name="full_reuse", blocks="two", seed=7)
+    @example(m=3, T0=5, T=23, t_stop=21, policy_name="itlinq_snr", blocks="two", seed=7)
     def test_blocks_equal_stepwise_reference(self, m, T0, T, t_stop, policy_name, blocks, seed):
         # blocks of one window, two windows or the whole episode: the duals
         # must cross a block edge exactly as they cross a window edge inside
@@ -478,6 +523,35 @@ class TestExecutionBlocks:
         assert np.array_equal(trace.rates, rates_t)
         assert np.array_equal(trace.duals, duals)
         assert np.array_equal(trace.final_dual, final)
+
+
+class TestSegments:
+    @pytest.mark.parametrize("block_windows", [None, 2])
+    @pytest.mark.parametrize("policy_name, t_stop, counted, per", [
+        ("full_reuse", None, "rates", "block"),
+        ("itlinq_snr", None, "rates", "block"),
+        ("gnn", 0, "forward", "block"),
+        ("gnn", None, "forward", "window"),
+    ])
+    def test_calls_per_segment(self, monkeypatch, block_windows, policy_name, t_stop, counted,
+                               per):
+        # powers that ignore the duals, or read frozen ones, cost one call per
+        # time block; duals that can still move, one per window
+        m, T0, T = 6, 5, 100
+        if block_windows is not None:
+            monkeypatch.setattr(core, "_BLOCK_BYTES", block_windows * T0 * 8 * m * m)
+        calls = {"rates": 0, "forward": 0}
+        for owner, name in ((core, "rates"), (execution, "forward")):
+            def counting(*args, _real=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counting)
+        (real,) = make_realizations(m=m, count=1, seed=5)
+        policy = POLICIES[policy_name](init_params(GnnConfig(f1=8, f2=8), 5))
+        execute(policy, real.episode(T), ExecConfig(T=T, T0=T0, t_stop=t_stop),
+                RrmProblemConfig(m=m))
+        n_block = core.block_steps(8 * m * m, T0)
+        assert calls[counted] == {"block": -(-T // n_block), "window": T // T0}[per]
 
 
 TRACE_FIELDS = ("powers", "rates", "duals", "final_ergodic", "final_dual")
