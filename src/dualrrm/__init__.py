@@ -8,19 +8,55 @@ baselines, a seeded channel simulator, and a CSV-emitting experiment CLI are
 included.
 """
 
+import ctypes
+import functools
 import os
 
 __version__ = "0.1.0"
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+_OPENBLAS_COUNTS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads")
+_pool_worker = False  # set by ``one_slot_process`` in a pool worker
+
+
+@functools.cache
+def blas_threads() -> int | None:
+    """Thread count of the OpenBLAS that numpy loaded, or None if unknown;
+    OpenBLAS fixes it from the variables when it loads, so it is read once."""
+    import numpy  # noqa: F401  the library is mapped once numpy is loaded
+
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in _OPENBLAS_COUNTS:
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return fn()
+    return None
+
+
+def one_slot_process() -> None:
+    """Make ``parallel_slots()`` read 1 in this process: a worker of a pool
+    that ``parallel_slots()`` already sized."""
+    global _pool_worker
+    _pool_worker = True
+
 
 def parallel_slots() -> int:
     """How many threads or processes a stage may split its work over: the
-    usable CPUs when at least one BLAS thread variable is set and every one
-    that is set reads 1, and 1 otherwise, so that BLAS threads and the split
-    never compete for cores."""
-    if {os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ} != {"1"}:
+    usable CPUs when at least one BLAS thread variable is set, every one
+    that is set reads 1 and the OpenBLAS numpy loaded took one thread, and
+    1 otherwise, so that BLAS threads and the split never compete for cores.
+    A pool worker (``one_slot_process``) is one slot, so splits never nest."""
+    blas_vars = {os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ}
+    if _pool_worker or blas_vars != {"1"} or blas_threads() != 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return cpus or 1

@@ -14,16 +14,27 @@ consumer reads only the gains |h|^2 = G |c|^2, so an episode is synthesized
 straight into them: the recurrence runs on the real and imaginary parts of
 c as two real planes, and only sqrt(G) c is complex, for one |.| per time
 block.  The complex coefficients never leave this module.
+
+Every time step's draws sit in their own counter slot of the fading stream,
+so the time blocks of an episode can be drawn apart: synthesis is the third
+stage that ``dualrrm.parallel_slots()`` sizes, after training's batch split
+and the evaluation pool.  An episode's blocks run on up to that many
+threads, at most one per block, and only the fading recurrence passes from
+block to block, in block order; an episode of one block starts no thread,
+and an evaluation pool worker, being one slot, never starts one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import parallel_slots
 from .artifacts import atomic_open, is_int, load_json, number_array
 from .core import block_steps
 from .errors import ConfigError, PlacementInfeasible
@@ -201,33 +212,67 @@ class Realization:
         bit: the scalings take a few calls per block and the recurrence one
         multiply-add per step.  sqrt(G) times each plane fills one complex
         buffer, and one complex |.| per block, squared, gives the gains.
+
+        The blocks run on up to ``parallel_slots()`` threads, this one
+        included, at most one per block, the rule of training's batch
+        split.  Each thread, with its own ``SlotGenerator`` and buffers,
+        takes the next block in order, draws its slots, and runs its
+        recurrence once the previous block's last c is carried over, so the
+        recurrence still runs in block order and no bit depends on the
+        threads.  An episode of one block, and any episode in an evaluation
+        pool worker, which is one slot, starts no thread; the threads end
+        before the call returns.
         """
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError("rho must lie in [0, 1]")
-        m, slots = self.m, SlotGenerator(self.fading_seed)
+        m, rho = self.m, self.rho
         sqrt_gain = np.sqrt(self.large.gains_linear)
-        innovation = math.sqrt(1.0 - self.rho**2)
+        innovation = math.sqrt(1.0 - rho**2)
         # 16 m^2 bytes a step: the two float64 planes of one step's draws
         n_block = min(block_steps(16 * m * m), max(n_steps, 1))
-        planes = np.empty((n_block, 2, m, m))
-        coeffs = np.empty((n_block, m, m), dtype=complex)
+        starts = range(0, n_steps, n_block)
         out = np.empty((n_steps, m, m))
-        for t0 in range(0, n_steps, n_block):
-            n = min(n_block, n_steps - t0)
-            for i in range(n):
-                slots.at(t0 + i).standard_normal(out=planes[i])
-            c = planes[:n]
-            c *= 1.0 / math.sqrt(2.0)  # the bits of numpy's complex division by a real
-            first = int(t0 == 0)  # c_0 is the first draw itself
-            c[first:] *= innovation
-            for i in range(first, n):
-                c[i] += self.rho * (c[i - 1] if i else last)
-            last = c[-1].copy()
-            h = coeffs[:n]
-            np.multiply(c[:, 0], sqrt_gain, out=h.real)
-            np.multiply(c[:, 1], sqrt_gain, out=h.imag)
-            gain = np.abs(h, out=out[t0 : t0 + n])
-            gain **= 2
+        ends = [None] * len(starts)  # c at the last step of each block
+        carried = [threading.Event() for _ in starts]  # set once ends[k] is written
+        blocks = iter(range(len(starts)))  # handed out in order, each to one thread
+
+        def synthesize() -> None:
+            slots = SlotGenerator(self.fading_seed)
+            planes = np.empty((n_block, 2, m, m))
+            coeffs = np.empty((n_block, m, m), dtype=complex)
+            for k in blocks:
+                t0 = starts[k]
+                n = min(n_block, n_steps - t0)
+                c, h = planes[:n], coeffs[:n]
+                try:
+                    for i in range(n):
+                        slots.at(t0 + i).standard_normal(out=c[i])
+                    c *= 1.0 / math.sqrt(2.0)  # the bits of numpy's complex division by a real
+                    first = int(t0 == 0)  # c_0 is the first draw itself
+                    c[first:] *= innovation
+                    if k:
+                        carried[k - 1].wait()
+                        if ends[k - 1] is None:
+                            return  # an earlier block failed, and its thread raises
+                    for i in range(first, n):
+                        c[i] += rho * (c[i - 1] if i else ends[k - 1])
+                    ends[k] = c[-1].copy()
+                finally:
+                    carried[k].set()  # also on a failure, so that no thread waits forever
+                np.multiply(c[:, 0], sqrt_gain, out=h.real)
+                np.multiply(c[:, 1], sqrt_gain, out=h.imag)
+                gain = np.abs(h, out=out[t0 : t0 + n])
+                gain **= 2
+
+        threads = min(parallel_slots(), len(starts))
+        if threads > 1:
+            with ThreadPoolExecutor(threads - 1) as pool:
+                rest = [pool.submit(synthesize) for _ in range(threads - 1)]
+                synthesize()
+                for done in rest:
+                    done.result()
+        else:
+            synthesize()
         return out
 
 

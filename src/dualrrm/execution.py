@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 # core.rates is looked up at call time, so a patched core.rates takes effect
-from . import core, parallel_slots
+from . import core, one_slot_process, parallel_slots
 from .channel import Realization
 from .core import (
     MetricsSummary, RrmProblemConfig, block_steps, checked_duals, constraints_g, metrics,
@@ -218,9 +218,23 @@ def replay_duals(trace: EpisodeTrace, exec_cfg: ExecConfig, problem: RrmProblemC
     return out
 
 
-def _block_task(payload) -> list[tuple[EpisodeTrace, float]]:
+_WORKER_SUITES = None  # (suites, problem), set once in each pool worker
+
+
+def _init_worker(suites, problem) -> None:
+    """Receive the suites once, and make this worker one slot wide."""
+    global _WORKER_SUITES
+    one_slot_process()
+    _WORKER_SUITES = suites, problem
+
+
+def _worker_task(block: Sequence[Realization]) -> list[tuple[EpisodeTrace, float]]:
+    return _run_block(*_WORKER_SUITES, block)
+
+
+def _run_block(suites, problem: RrmProblemConfig,
+               block: Sequence[Realization]) -> list[tuple[EpisodeTrace, float]]:
     """Every suite on the block's episodes stacked on axis 1, and each run's seconds."""
-    suites, block, problem = payload
     n_steps = max(exec_cfg.T for _, exec_cfg in suites)
     episodes = [r.episode(n_steps) for r in block]
     # one episode runs as a view: a copy costs a tenth of its run at m=50
@@ -246,19 +260,26 @@ def evaluate_suites(
     ``core.block_steps`` budget holds at the longest T, as training sizes its
     gradient blocks, and at most ceil(n / ``parallel_slots()``).  The blocks
     run on a pool of up to ``parallel_slots()`` processes, the rule by which
-    training splits its batches; one process opens no pool.  No bit depends
-    on the blocks or the pool."""
+    training splits its batches; one process opens no pool.  Each worker
+    receives the suites and the problem once, through the pool's
+    initializer, and each task only its block.  A worker is one slot
+    (``dualrrm.one_slot_process``), so its channel synthesis, the third
+    stage ``parallel_slots()`` sizes, starts no thread; when a single block
+    runs in this process, synthesis runs a multi-block episode on up to
+    ``parallel_slots()`` threads.  No bit depends on the blocks, the pool or
+    the threads."""
     if len(dataset) == 0:
         raise EmptyInput("evaluation dataset is empty")
     n_steps, slots = max(exec_cfg.T for _, exec_cfg in suites), parallel_slots()
     size = min(block_steps(8 * problem.m**2, n_steps) // n_steps, -(-len(dataset) // slots))
-    payloads = [(suites, dataset[i : i + size], problem) for i in range(0, len(dataset), size)]
-    workers = min(slots, len(payloads))
+    tasks = [dataset[i : i + size] for i in range(0, len(dataset), size)]
+    workers = min(slots, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_block_task, payloads))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(suites, problem)) as pool:
+            runs = list(pool.map(_worker_task, tasks))
     else:
-        runs = [_block_task(p) for p in payloads]
+        runs = [_run_block(suites, problem, block) for block in tasks]
     results = []
     for s in range(len(suites)):
         blocks = [run[s][0] for run in runs]  # each realization's trace sits on axis -2

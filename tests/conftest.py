@@ -1,13 +1,13 @@
 import os
-import sys
-from pathlib import Path
 
-from dualrrm import BLAS_THREAD_VARS
+import dualrrm
+from dualrrm import BLAS_THREAD_VARS, blas_threads  # the OpenBLAS count the tests read
 
 # One BLAS thread, pinned before anything imports numpy, as the CLI, the
 # benchmark and the golden run have it; training then splits its batches
-# across threads and the CLI evaluates on a process pool, one per usable
-# CPU (``dualrrm.parallel_slots``), here too.
+# across threads, channel synthesis draws its blocks on threads and the CLI
+# evaluates on a process pool, one per usable CPU
+# (``dualrrm.parallel_slots``), here too.
 for _var in BLAS_THREAD_VARS:
     os.environ[_var] = "1"
 
@@ -28,9 +28,6 @@ from dualrrm.core import RrmProblemConfig
 from dualrrm.policy import gradient_blocks
 from dualrrm.seeding import derive_seed
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-from run import blas_threads  # the benchmark's probe of the OpenBLAS numpy loaded
-
 
 def force_cpus(mp, cpus):
     """Give this process ``cpus`` usable CPUs and one BLAS thread, so that
@@ -42,17 +39,22 @@ def force_cpus(mp, cpus):
 
 def record_pool_sizes(mp):
     """Replace evaluation's process pool by a serial stand-in that starts no
-    process; the returned list collects the ``max_workers`` of each pool."""
+    process; the returned list collects the ``max_workers`` of each pool.
+    The stand-in runs the pool's initializer in this process, as a worker
+    would, and undoes the worker's state when the pool closes."""
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            self.worker_state = dualrrm._pool_worker, execution._WORKER_SUITES
+            initializer(*initargs)
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
+            dualrrm._pool_worker, execution._WORKER_SUITES = self.worker_state
             return False
 
         def map(self, fn, items):

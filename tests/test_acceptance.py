@@ -392,7 +392,8 @@ class TestCriterion10Reproducibility:
 
         pools, real_pool = [], execution.ProcessPoolExecutor
         monkeypatch.setattr(execution, "ProcessPoolExecutor",
-                            lambda max_workers: pools.append(max_workers) or real_pool(max_workers))
+                            lambda max_workers, **kw: pools.append(max_workers)
+                            or real_pool(max_workers, **kw))
 
         def pipeline(cpus):
             force_cpus(monkeypatch, cpus)

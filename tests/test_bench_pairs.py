@@ -22,9 +22,15 @@ def test_one_smoke_pair_is_recorded(tmp_path):
     runs = record["runs"]
     assert [(r["side"], r["first"]) for r in runs] == [("parent", True), ("change", False)]
     assert all(r["result"]["correct"] and r["probe_ms"] > 0 for r in runs)
+    # the two-thread probe: a speed-up, so positive and finite, whatever the cores
+    assert all(0 < r["pair_speedup"] < float("inf") for r in runs)
+    assert "pair_speedup" in record["probe"]
     assert record["trees"]["parent"] == record["trees"]["change"]
     row = record["summary"]["train-desk"]["seed 1 smoke"]
     assert row["parent"]["failed"] == row["change"]["failed"] == 0
+    low, high = sorted(r["pair_speedup"] for r in runs)
+    spread = row["pair_speedup"]
+    assert low <= spread["q1"] <= spread["median"] == (low + high) / 2 <= spread["q3"] <= high
     for metric in SPEC["end_to_end"]:
         stats = row[metric["name"]]
         assert stats["pairs"] == 1

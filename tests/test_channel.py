@@ -1,10 +1,13 @@
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dualrrm import core
+import dualrrm
+from dualrrm import channel, core
 from dualrrm.channel import (
     LinkGainMatrix,
     PathlossConfig,
@@ -20,7 +23,7 @@ from dualrrm.channel import (
 from dualrrm.errors import ConfigError, DimensionMismatch, PlacementInfeasible
 from dualrrm.seeding import SlotGenerator
 
-from conftest import make_realizations
+from conftest import force_cpus, make_realizations
 
 
 class TestPathloss:
@@ -273,24 +276,83 @@ class TestSynthesisBlocks:
         n_steps=st.integers(1, 40),
         rho=st.sampled_from([0.0, 0.956, 1.0]),
         split=st.sampled_from(["one", "two", "uneven", "whole"]),
+        cpus=st.sampled_from([1, 2, 3]),
         seed=st.integers(0, 2**16),
     )
-    @example(m=1, n_steps=7, rho=0.0, split="two", seed=3)
-    @example(m=1, n_steps=7, rho=1.0, split="uneven", seed=3)
-    def test_blocks_match_slot_by_slot(self, m, n_steps, rho, split, seed):
-        # the recurrence must carry c across every block edge unchanged
+    @example(m=1, n_steps=7, rho=0.0, split="two", cpus=1, seed=3)
+    @example(m=1, n_steps=7, rho=1.0, split="uneven", cpus=2, seed=3)
+    @example(m=2, n_steps=9, rho=0.956, split="two", cpus=3, seed=5)  # 4 blocks of 2, then 1
+    @example(m=3, n_steps=1, rho=0.956, split="one", cpus=3, seed=4)  # T=1: one block, no thread
+    def test_blocks_match_slot_by_slot(self, m, n_steps, rho, split, cpus, seed):
+        # the recurrence must carry c across every block edge unchanged,
+        # whichever thread drew the block
         (real,) = make_realizations(m=m, count=1, seed=seed, area=1000.0, rho=rho)
         # "uneven": a block longer than half the episode, then a shorter one
         n = {"one": 1, "two": 2, "uneven": n_steps // 2 + 1, "whole": n_steps}[split]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_BLOCK_BYTES", n * 16 * m * m)
             assert core.block_steps(16 * m * m) == n
+            force_cpus(mp, cpus)
+            assert dualrrm.parallel_slots() == cpus
             episode = real.episode(n_steps)
         assert np.array_equal(episode, manual_episode(real, n_steps))
 
     @pytest.mark.parametrize("rho", [0.0, 0.956, 1.0])
-    def test_paper_scale_blocks_match_slot_by_slot(self, rho):
-        # m=50, T=27: two natural 13-step blocks, then a 1-step tail
+    def test_paper_scale_blocks_match_slot_by_slot(self, rho, monkeypatch):
+        # m=50, T=27: two natural 13-step blocks, then a 1-step tail, on one
+        # thread and on threads of two and three slots
         (real,) = make_realizations(m=50, count=1, seed=61, area=2000.0, rho=rho)
         assert core.block_steps(16 * 50 * 50) == 13
-        assert np.array_equal(real.episode(27), manual_episode(real, 27))
+        manual = manual_episode(real, 27)
+        for cpus in (1, 2, 3):
+            force_cpus(monkeypatch, cpus)
+            assert np.array_equal(real.episode(27), manual), cpus
+
+    def test_threads_only_for_several_blocks(self, monkeypatch):
+        # this thread and at most one more per further block, none for one
+        # block or in a pool worker, and every thread gone when the call returns
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kw):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kw)
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool, raising=False)
+        (real,) = make_realizations(m=6, count=1, seed=2)
+        n_block = core.block_steps(16 * 6 * 6)
+        before = threading.active_count()
+        force_cpus(monkeypatch, 2)
+        one = real.episode(n_block)
+        assert pools == []
+        several = real.episode(2 * n_block + 1)
+        assert pools == [1]
+        force_cpus(monkeypatch, 3)
+        assert np.array_equal(real.episode(n_block + 1), several[: n_block + 1])
+        assert np.array_equal(real.episode(2 * n_block + 1), several)
+        assert pools == [1, 1, 2]
+        monkeypatch.setattr(dualrrm, "_pool_worker", True)
+        assert np.array_equal(real.episode(2 * n_block + 1), several)
+        assert pools == [1, 1, 2]
+        assert threading.active_count() == before
+        assert np.array_equal(several[:n_block], one)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("failing_block", [0, 1, 2])
+    def test_a_failing_block_raises_its_error(self, monkeypatch, cpus, failing_block):
+        # the blocks after it stop, whichever thread holds them, and none waits forever
+        (real,) = make_realizations(m=6, count=1, seed=2)
+        n_block = core.block_steps(16 * 6 * 6)
+        at = SlotGenerator.at
+
+        def failing(self, slot):
+            if slot == failing_block * n_block + 1:
+                raise RuntimeError("slot unavailable")
+            return at(self, slot)
+
+        monkeypatch.setattr(SlotGenerator, "at", failing)
+        force_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="slot unavailable"):
+            real.episode(3 * n_block)
+        assert threading.active_count() == before

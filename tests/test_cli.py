@@ -760,7 +760,32 @@ print(json.dumps([env, blas_threads(), chunks]))
 """
 
 
+# Loads numpy with no BLAS thread variable set, so OpenBLAS takes a thread
+# per CPU, then sets them all to 1 and reports the count and the slots.
+LATE_BLAS_VARS = """
+import json, os
+import numpy
+import dualrrm
+for v in dualrrm.BLAS_THREAD_VARS:
+    os.environ[v] = "1"
+print(json.dumps([dualrrm.blas_threads(), dualrrm.parallel_slots()]))
+"""
+
+
 class TestBlasThreads:
+    def test_variables_set_after_numpy_loaded_give_one_slot(self):
+        # the variables read 1, but the OpenBLAS already loaded runs more
+        # threads, so no stage may split across the cores
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one usable CPU: one slot whatever BLAS took")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = str(Path(dualrrm.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", LATE_BLAS_VARS], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        threads, slots = json.loads(done.stdout.splitlines()[-1])
+        assert threads != 1
+        assert slots == 1
+
     @pytest.mark.parametrize("openblas", [None, "3"])
     def test_cli_sets_one_blas_thread_unless_the_user_did(self, openblas):
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}

@@ -1,3 +1,4 @@
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import itertools
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dualrrm
 from dualrrm import core, execution
 from dualrrm.core import RrmProblemConfig, metrics, rates
 from dualrrm.errors import (
@@ -744,6 +746,20 @@ class TestEvaluateSuite:
         evaluate_suite(params, test_set[:2], exec_cfg(T=10), problem)
         evaluate_suite(params, test_set[:1], exec_cfg(T=10), problem)
         assert sizes == [2]
+
+    def test_pool_worker_is_one_slot_and_holds_the_suites(self, small_run, monkeypatch):
+        # a worker forked from a process of 4 slots reads 1, so its channel
+        # synthesis starts no thread, and tasks carry only their block
+        problem, params, test_set = small_run
+        force_cpus(monkeypatch, 4)
+        suites = [(params, exec_cfg(T=10))]
+        with ProcessPoolExecutor(1, initializer=execution._init_worker,
+                                 initargs=(suites, problem)) as pool:
+            assert pool.submit(dualrrm.parallel_slots).result() == 1
+            (run,) = pool.submit(execution._worker_task, test_set[:1]).result()
+        assert dualrrm.parallel_slots() == 4
+        alone = execute(params, test_set[0].episode(10), suites[0][1], problem)
+        assert np.array_equal(run[0].rates[:, 0], alone.rates)
 
     def test_gnn_policy_wrapper_matches_params_dispatch(self, small_run):
         problem, params, test_set = small_run

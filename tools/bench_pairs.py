@@ -8,7 +8,10 @@ For each workload, runs ``python3 bench/run.py --workload W --seed S
 alternating which side runs first, and reads each run's result from the
 last JSON line of its output.  Beside every run it times one fixed numpy
 product on one BLAS thread, the speed probe: a host that switches between a
-fast and a slow state shows there, apart from the code.
+fast and a slow state shows there, apart from the code.  It also times two
+such products at once on two threads and records their speed-up over one
+after the other: near 2 when a second core was free for the run, near 1
+when not, so a claim that rests on ``dualrrm.parallel_slots()`` can be read.
 
 It writes ``BENCH_<date>_<sha>.json`` at the root of this checkout (or in
 ``--out``), ``sha`` being this checkout's HEAD: every run, and per workload
@@ -31,6 +34,7 @@ import statistics
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,17 +46,23 @@ PROBE_N = 400  # a (400, 400) @ (400, 400) product: about 2 ms on one core
 PROBE_REPEATS = 7
 
 
-def speed_probe() -> float:
-    """Median ms of one fixed matrix product."""
+def speed_probe() -> tuple[float, float]:
+    """Median ms of one fixed matrix product, and the speed-up of two such
+    products on two threads at once over the two one after the other."""
     import numpy as np  # imported after main set one BLAS thread
 
     a = np.random.default_rng(0).standard_normal((PROBE_N, PROBE_N))
-    times = []
-    for _ in range(PROBE_REPEATS):
-        t0 = time.perf_counter()
-        a @ a
-        times.append((time.perf_counter() - t0) * 1e3)
-    return statistics.median(times)
+    one, two = [], []
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(PROBE_REPEATS):
+            t0 = time.perf_counter()
+            a @ a
+            one.append((time.perf_counter() - t0) * 1e3)
+            t0 = time.perf_counter()
+            for product in [pool.submit(np.matmul, a, a) for _ in range(2)]:
+                product.result()
+            two.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(one), 2 * statistics.median(one) / statistics.median(two)
 
 
 def src_digest(tree: Path) -> str:
@@ -69,7 +79,7 @@ def bench_run(tree: Path, workload: str, seed: int, smoke: bool) -> dict:
            "--seconds", str(SMOKE_SECONDS if smoke else SECONDS), "--trace", "0"]
     if smoke:
         cmd.append("--smoke")
-    probe_ms = speed_probe()
+    probe_ms, pair_speedup = speed_probe()
     t0 = time.perf_counter()
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     wall_s = time.perf_counter() - t0
@@ -78,8 +88,9 @@ def bench_run(tree: Path, workload: str, seed: int, smoke: bool) -> dict:
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
-    return {"probe_ms": probe_ms, "wall_s": wall_s, "returncode": done.returncode,
-            "result": result, "stderr_tail": done.stderr[-2000:] if done.returncode else ""}
+    return {"probe_ms": probe_ms, "pair_speedup": pair_speedup, "wall_s": wall_s,
+            "returncode": done.returncode, "result": result,
+            "stderr_tail": done.stderr[-2000:] if done.returncode else ""}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -100,7 +111,8 @@ def metric_value(run: dict, name: str):
 
 def summarize(runs: list[dict], spec: dict) -> dict:
     """Per workload and seed, smoke runs apart: the operations each side
-    attempted and failed, and per end-to-end metric each side's quartiles,
+    attempted and failed, the quartiles of every run's two-thread probe, and
+    per end-to-end metric each side's quartiles,
     the pairs each side won and whether the change's median is worse than
     the bound allows."""
     out = {}
@@ -112,6 +124,7 @@ def summarize(runs: list[dict], spec: dict) -> dict:
         pairs = [p for p in pairs.values() if len(p) == 2]
         row = {side: {key: sum((p[side]["result"] or {}).get(key, 0) for p in pairs)
                       for key in ("attempted", "failed")} for side in ("parent", "change")}
+        row["pair_speedup"] = quartiles([r["pair_speedup"] for p in pairs for r in p.values()])
         for metric in spec["end_to_end"]:
             name = metric["name"]
             values = [(metric_value(p["parent"], name), metric_value(p["change"], name))
@@ -177,7 +190,8 @@ def main(argv=None) -> int:
                              "side": side, "first": position == 0, "smoke": args.smoke, **run})
                 values = (run["result"] or {}).get("metrics", {})
                 print(f"{workload} seed {args.seed} pair {pair} {side:6s} "
-                      f"probe {run['probe_ms']:.2f} ms rc {run['returncode']} "
+                      f"probe {run['probe_ms']:.2f} ms x{run['pair_speedup']:.2f} "
+                      f"rc {run['returncode']} "
                       + " ".join(f"{k}={v['value']:.6g}" for k, v in values.items()),
                       flush=True)
 
@@ -186,7 +200,8 @@ def main(argv=None) -> int:
                    f"{SECONDS:g} --trace 0 (smoke runs: --seconds {SMOKE_SECONDS:g} --smoke)",
         "date": now.isoformat(timespec="seconds"),
         "probe": f"median ms of {PROBE_REPEATS} ({PROBE_N}, {PROBE_N}) float64 products, "
-                 "one BLAS thread, just before each run",
+                 "one BLAS thread, just before each run; pair_speedup: two such products "
+                 "on two threads at once against one after the other, medians of as many",
         "trees": sources,
         "summary": summarize(runs, spec),
         "runs": runs,
