@@ -10,15 +10,16 @@ included.
 
 import ctypes
 import functools
+import multiprocessing
 import os
 
 __version__ = "0.1.0"
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+_MAPS = "/proc/self/maps"  # the mappings of this process, one a line
 _OPENBLAS_COUNTS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                     "openblas_get_num_threads64_", "openblas_get_num_threads")
-_pool_worker = False  # set by ``one_slot_process`` in a pool worker
 
 
 @functools.cache
@@ -28,12 +29,17 @@ def blas_threads() -> int | None:
     import numpy  # noqa: F401  the library is mapped once numpy is loaded
 
     try:
-        with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+        with open(_MAPS) as f:
+            # the path is the sixth field, spaces and all
+            paths = {line.split(maxsplit=5)[-1].rstrip("\n").removesuffix(" (deleted)")
+                     for line in f if "openblas" in line.lower()}
     except OSError:
         return None
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
+    for lib in sorted(paths):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
         for symbol in _OPENBLAS_COUNTS:
             fn = getattr(handle, symbol, None)
             if fn is not None:
@@ -42,21 +48,16 @@ def blas_threads() -> int | None:
     return None
 
 
-def one_slot_process() -> None:
-    """Make ``parallel_slots()`` read 1 in this process: a worker of a pool
-    that ``parallel_slots()`` already sized."""
-    global _pool_worker
-    _pool_worker = True
-
-
 def parallel_slots() -> int:
     """How many threads or processes a stage may split its work over: the
     usable CPUs when at least one BLAS thread variable is set, every one
     that is set reads 1 and the OpenBLAS numpy loaded took one thread, and
     1 otherwise, so that BLAS threads and the split never compete for cores.
-    A pool worker (``one_slot_process``) is one slot, so splits never nest."""
+    A process that ``multiprocessing`` started, such as a worker of the
+    evaluation pool, is one slot: its parent already split the work, and
+    splits never nest."""
     blas_vars = {os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ}
-    if _pool_worker or blas_vars != {"1"} or blas_threads() != 1:
+    if multiprocessing.parent_process() is not None or blas_vars != {"1"} or blas_threads() != 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return cpus or 1

@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 # core.rates is looked up at call time, so a patched core.rates takes effect
-from . import core, one_slot_process, parallel_slots
+from . import core, parallel_slots
 from .channel import Realization
 from .core import (
     MetricsSummary, RrmProblemConfig, block_steps, checked_duals, constraints_g, metrics,
@@ -222,9 +222,8 @@ _WORKER_SUITES = None  # (suites, problem), set once in each pool worker
 
 
 def _init_worker(suites, problem) -> None:
-    """Receive the suites once, and make this worker one slot wide."""
+    """Receive the suites once."""
     global _WORKER_SUITES
-    one_slot_process()
     _WORKER_SUITES = suites, problem
 
 
@@ -262,12 +261,12 @@ def evaluate_suites(
     run on a pool of up to ``parallel_slots()`` processes, the rule by which
     training splits its batches; one process opens no pool.  Each worker
     receives the suites and the problem once, through the pool's
-    initializer, and each task only its block.  A worker is one slot
-    (``dualrrm.one_slot_process``), so its channel synthesis, the third
-    stage ``parallel_slots()`` sizes, starts no thread; when a single block
-    runs in this process, synthesis runs a multi-block episode on up to
-    ``parallel_slots()`` threads.  No bit depends on the blocks, the pool or
-    the threads."""
+    initializer, and each task only its block.  A worker, a process that
+    ``multiprocessing`` started, is one slot, so its channel synthesis, the
+    third stage ``parallel_slots()`` sizes, starts no thread; when a single
+    block runs in this process, synthesis runs a multi-block episode on up
+    to ``parallel_slots()`` threads.  No bit depends on the blocks, the pool
+    or the threads."""
     if len(dataset) == 0:
         raise EmptyInput("evaluation dataset is empty")
     n_steps, slots = max(exec_cfg.T for _, exec_cfg in suites), parallel_slots()

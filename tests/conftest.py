@@ -31,9 +31,11 @@ from dualrrm.seeding import derive_seed
 
 def force_cpus(mp, cpus):
     """Give this process ``cpus`` usable CPUs and one BLAS thread, so that
-    ``dualrrm.parallel_slots()`` reads ``cpus``."""
+    ``dualrrm.parallel_slots()`` reads ``cpus`` whatever BLAS numpy loaded;
+    ``TestBlasThreads`` covers the real probe."""
     for var in BLAS_THREAD_VARS:
         mp.setenv(var, "1")
+    mp.setattr(dualrrm, "blas_threads", lambda: 1)
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
@@ -41,26 +43,25 @@ def record_pool_sizes(mp):
     """Replace evaluation's process pool by a serial stand-in that starts no
     process; the returned list collects the ``max_workers`` of each pool.
     The stand-in runs the pool's initializer in this process, as a worker
-    would, and undoes the worker's state when the pool closes."""
+    would; the worker's suites are dropped when the test ends."""
     sizes = []
 
     class SerialPool:
         def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
-            self.worker_state = dualrrm._pool_worker, execution._WORKER_SUITES
             initializer(*initargs)
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
-            dualrrm._pool_worker, execution._WORKER_SUITES = self.worker_state
             return False
 
         def map(self, fn, items):
             return map(fn, items)
 
     mp.setattr(execution, "ProcessPoolExecutor", SerialPool)
+    mp.setattr(execution, "_WORKER_SUITES", None)
     return sizes
 
 

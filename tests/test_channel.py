@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -331,7 +332,7 @@ class TestSynthesisBlocks:
         assert np.array_equal(real.episode(n_block + 1), several[: n_block + 1])
         assert np.array_equal(real.episode(2 * n_block + 1), several)
         assert pools == [1, 1, 2]
-        monkeypatch.setattr(dualrrm, "_pool_worker", True)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())  # a pool worker
         assert np.array_equal(real.episode(2 * n_block + 1), several)
         assert pools == [1, 1, 2]
         assert threading.active_count() == before

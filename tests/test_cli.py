@@ -786,6 +786,29 @@ class TestBlasThreads:
         assert threads != 1
         assert slots == 1
 
+    @pytest.mark.parametrize("suffix", ["", " (deleted)"])
+    def test_mapped_path_is_read_whole(self, tmp_path, monkeypatch, suffix):
+        # a mapping's path is its sixth field, spaces and all; a file replaced
+        # after it was mapped reads "(deleted)" after the path
+        with open("/proc/self/maps") as f:
+            libs = [line[line.index("/"):].strip() for line in f if "openblas" in line.lower()]
+        if not libs:
+            pytest.skip("numpy loaded no OpenBLAS")
+        spaced = tmp_path / "a dir" / "libopenblas copy.so"
+        spaced.parent.mkdir()
+        spaced.symlink_to(libs[0].removesuffix(" (deleted)"))
+        maps = tmp_path / "maps"
+        maps.write_text(f"7f00-7f01 r-xp 00000000 08:01 123      {spaced}{suffix}\n")
+        monkeypatch.setattr(dualrrm, "_MAPS", str(maps))
+        assert dualrrm.blas_threads.__wrapped__() == dualrrm.blas_threads()
+
+    def test_unloadable_mapping_reads_unknown(self, tmp_path, monkeypatch):
+        # a mapped file that no longer loads gives one slot, not an error
+        maps = tmp_path / "maps"
+        maps.write_text(f"7f00-7f01 r-xp 00000000 08:01 123      {tmp_path}/libopenblas.so\n")
+        monkeypatch.setattr(dualrrm, "_MAPS", str(maps))
+        assert dualrrm.blas_threads.__wrapped__() is None
+
     @pytest.mark.parametrize("openblas", [None, "3"])
     def test_cli_sets_one_blas_thread_unless_the_user_did(self, openblas):
         env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
