@@ -1,6 +1,8 @@
 import math
 import multiprocessing
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -308,6 +310,30 @@ class TestSynthesisBlocks:
         for cpus in (1, 2, 3):
             force_cpus(monkeypatch, cpus)
             assert np.array_equal(real.episode(27), manual), cpus
+
+    @pytest.mark.parametrize("slow_block", [0, 3])
+    def test_a_slow_block_holds_back_the_later_ones(self, monkeypatch, slow_block):
+        # more threads than cores and a thread switch every microsecond; one
+        # block's draws stall, so the threads holding the later blocks reach
+        # their recurrence first and must wait for its last c
+        (real,) = make_realizations(m=4, count=1, seed=9, area=1000.0)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * 16 * 4 * 4)  # two steps a block
+        manual = manual_episode(real, 16)
+        at = SlotGenerator.at
+
+        def slow(self, slot):
+            if slot == 2 * slow_block:
+                time.sleep(0.05)
+            return at(self, slot)
+
+        monkeypatch.setattr(SlotGenerator, "at", slow)
+        force_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert np.array_equal(real.episode(16), manual)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_threads_only_for_several_blocks(self, monkeypatch):
         # this thread and at most one more per further block, none for one
