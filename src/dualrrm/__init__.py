@@ -50,14 +50,12 @@ def blas_threads() -> int | None:
 
 def parallel_slots() -> int:
     """How many threads or processes a stage may split its work over: the
-    usable CPUs when at least one BLAS thread variable is set, every one
-    that is set reads 1 and the OpenBLAS numpy loaded took one thread, and
-    1 otherwise, so that BLAS threads and the split never compete for cores.
-    A process that ``multiprocessing`` started, such as a worker of the
-    evaluation pool, is one slot: its parent already split the work, and
-    splits never nest."""
-    blas_vars = {os.environ[v] for v in BLAS_THREAD_VARS if v in os.environ}
-    if multiprocessing.parent_process() is not None or blas_vars != {"1"} or blas_threads() != 1:
+    usable CPUs when the OpenBLAS numpy loaded runs one thread, and 1 when
+    it runs more or its count cannot be read, so that BLAS threads and the
+    split never compete for cores.  A process that ``multiprocessing``
+    started, such as a worker of the evaluation pool, is one slot: its
+    parent already split the work, and splits never nest."""
+    if multiprocessing.parent_process() is not None or blas_threads() != 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return cpus or 1

@@ -39,6 +39,7 @@ of a window's slack g, which ``dual_update`` and the law battery of
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -218,19 +219,6 @@ def replay_duals(trace: EpisodeTrace, exec_cfg: ExecConfig, problem: RrmProblemC
     return out
 
 
-_WORKER_SUITES = None  # (suites, problem), set once in each pool worker
-
-
-def _init_worker(suites, problem) -> None:
-    """Receive the suites once."""
-    global _WORKER_SUITES
-    _WORKER_SUITES = suites, problem
-
-
-def _worker_task(block: Sequence[Realization]) -> list[tuple[EpisodeTrace, float]]:
-    return _run_block(*_WORKER_SUITES, block)
-
-
 def _run_block(suites, problem: RrmProblemConfig,
                block: Sequence[Realization]) -> list[tuple[EpisodeTrace, float]]:
     """Every suite on the block's episodes stacked on axis 1, and each run's seconds."""
@@ -259,9 +247,10 @@ def evaluate_suites(
     ``core.block_steps`` budget holds at the longest T, as training sizes its
     gradient blocks, and at most ceil(n / ``parallel_slots()``).  The blocks
     run on a pool of up to ``parallel_slots()`` processes, the rule by which
-    training splits its batches; one process opens no pool.  Each worker
-    receives the suites and the problem once, through the pool's
-    initializer, and each task only its block.  A worker, a process that
+    training splits its batches; one process opens no pool.  A block runs
+    the same call in this process or in a worker: each task carries the
+    suites and the problem with its block, and a worker keeps nothing
+    between tasks.  A worker, a process that
     ``multiprocessing`` started, is one slot, so its channel synthesis, the
     third stage ``parallel_slots()`` sizes, starts no thread; when a single
     block runs in this process, synthesis runs a multi-block episode on up
@@ -272,13 +261,12 @@ def evaluate_suites(
     n_steps, slots = max(exec_cfg.T for _, exec_cfg in suites), parallel_slots()
     size = min(block_steps(8 * problem.m**2, n_steps) // n_steps, -(-len(dataset) // slots))
     tasks = [dataset[i : i + size] for i in range(0, len(dataset), size)]
-    workers = min(slots, len(tasks))
+    workers, run = min(slots, len(tasks)), functools.partial(_run_block, suites, problem)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(suites, problem)) as pool:
-            runs = list(pool.map(_worker_task, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(run, tasks))
     else:
-        runs = [_run_block(suites, problem, block) for block in tasks]
+        runs = list(map(run, tasks))
     results = []
     for s in range(len(suites)):
         blocks = [run[s][0] for run in runs]  # each realization's trace sits on axis -2

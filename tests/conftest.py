@@ -33,23 +33,18 @@ def force_cpus(mp, cpus):
     """Give this process ``cpus`` usable CPUs and one BLAS thread, so that
     ``dualrrm.parallel_slots()`` reads ``cpus`` whatever BLAS numpy loaded;
     ``TestBlasThreads`` covers the real probe."""
-    for var in BLAS_THREAD_VARS:
-        mp.setenv(var, "1")
     mp.setattr(dualrrm, "blas_threads", lambda: 1)
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def record_pool_sizes(mp):
     """Replace evaluation's process pool by a serial stand-in that starts no
-    process; the returned list collects the ``max_workers`` of each pool.
-    The stand-in runs the pool's initializer in this process, as a worker
-    would; the worker's suites are dropped when the test ends."""
+    process; the returned list collects the ``max_workers`` of each pool."""
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -61,7 +56,6 @@ def record_pool_sizes(mp):
             return map(fn, items)
 
     mp.setattr(execution, "ProcessPoolExecutor", SerialPool)
-    mp.setattr(execution, "_WORKER_SUITES", None)
     return sizes
 
 

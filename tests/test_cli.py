@@ -215,7 +215,8 @@ class TestEval:
     @pytest.mark.parametrize("command", ["eval", "baselines", "theorem-suite"])
     def test_pool_follows_parallel_slots(self, workspace, tmp_path, monkeypatch, command):
         # 3 test realizations on 4 usable CPUs run on 3 processes; BLAS on
-        # two threads runs them in this process
+        # two threads, or of a count the probe cannot read, runs them in
+        # this process
         _, _, _, ckpt = workspace
         cfg_path = write_cfg(tmp_path, data={"n_test": 3})
         assert main(["generate", "--config", str(cfg_path), "--split", "test"]) == EXIT_OK
@@ -224,9 +225,10 @@ class TestEval:
         force_cpus(monkeypatch, 4)
         assert main(argv) == EXIT_OK
         assert sizes == [3]
-        monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        assert main(argv) == EXIT_OK
-        assert sizes == [3]
+        for threads in (2, None):
+            monkeypatch.setattr(dualrrm, "blas_threads", lambda: threads)
+            assert main(argv) == EXIT_OK
+            assert sizes == [3]
 
     @pytest.mark.parametrize("command", ["eval", "baselines"])
     def test_config_t_stop_refused(self, workspace, tmp_path, capsys, command):
@@ -772,7 +774,38 @@ print(json.dumps([dualrrm.blas_threads(), dualrrm.parallel_slots()]))
 """
 
 
+# Imports the CLI in a fresh interpreter and reports the OpenBLAS thread
+# count and the slots.
+CLI_SLOTS = """
+import json
+import dualrrm.cli
+print(json.dumps([dualrrm.blas_threads(), dualrrm.parallel_slots()]))
+"""
+
+
 class TestBlasThreads:
+    @pytest.mark.parametrize("var", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
+    def test_slots_follow_the_blas_that_runs(self, var):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS, so the
+        # CLI's 1 wins over a user's OMP_NUM_THREADS=2 and the run splits
+        # across the cores; a user's OPENBLAS_NUM_THREADS=2 runs two BLAS
+        # threads and one slot
+        cpus = len(os.sched_getaffinity(0))
+        if cpus < 2:
+            pytest.skip("one usable CPU: one slot whatever BLAS took")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env[var] = "2"
+        env["PYTHONPATH"] = str(Path(dualrrm.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", CLI_SLOTS], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        threads, slots = json.loads(done.stdout.splitlines()[-1])
+        if threads is None:
+            pytest.skip("numpy loaded no OpenBLAS")
+        if var == "OMP_NUM_THREADS":
+            assert (threads, slots) == (1, cpus)
+        else:
+            assert (threads, slots) == (2, 1)
+
     def test_variables_set_after_numpy_loaded_give_one_slot(self):
         # the variables read 1, but the OpenBLAS already loaded runs more
         # threads, so no stage may split across the cores

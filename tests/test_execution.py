@@ -1,3 +1,4 @@
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -747,19 +748,22 @@ class TestEvaluateSuite:
         evaluate_suite(params, test_set[:1], exec_cfg(T=10), problem)
         assert sizes == [2]
 
-    def test_pool_worker_is_one_slot_and_holds_the_suites(self, small_run, monkeypatch):
+    def test_pool_worker_is_one_slot_and_runs_the_block(self, small_run, monkeypatch):
         # a worker forked from a process of 4 slots reads 1, so its channel
-        # synthesis starts no thread, and tasks carry only their block
+        # synthesis starts no thread, and a task, which carries the suites
+        # with its block, runs there bit for bit as here
         problem, params, test_set = small_run
         force_cpus(monkeypatch, 4)
         suites = [(params, exec_cfg(T=10))]
-        with ProcessPoolExecutor(1, initializer=execution._init_worker,
-                                 initargs=(suites, problem)) as pool:
+        run = functools.partial(execution._run_block, suites, problem)
+        with ProcessPoolExecutor(1) as pool:
             assert pool.submit(dualrrm.parallel_slots).result() == 1
-            (run,) = pool.submit(execution._worker_task, test_set[:1]).result()
+            (pooled,) = pool.map(run, [test_set[:1]])
         assert dualrrm.parallel_slots() == 4
         alone = execute(params, test_set[0].episode(10), suites[0][1], problem)
-        assert np.array_equal(run[0].rates[:, 0], alone.rates)
+        for field in TRACE_FIELDS:
+            assert np.array_equal(getattr(pooled[0][0], field)[..., 0, :],
+                                  getattr(alone, field)), field
 
     def test_gnn_policy_wrapper_matches_params_dispatch(self, small_run):
         problem, params, test_set = small_run

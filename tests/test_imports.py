@@ -1,6 +1,7 @@
 """Module boundaries of the package: a name with a leading underscore is
-private to the module that defines it, so no other module imports it, and
-every public function or class has a caller outside the tests."""
+private to the module that defines it, so no other module imports it,
+every public function or class has a caller outside the tests, and no
+function rebinds a module-level name."""
 
 import ast
 from pathlib import Path
@@ -34,6 +35,24 @@ def test_scan_sees_relative_and_absolute_imports():
               "from . import __version__\n"
               "from numpy import _core\n")
     assert private_imports(source) == ["_block_budget", "_graph"]
+
+
+def global_statements(source: str) -> list[str]:
+    """Names that a ``global`` statement in ``source`` declares."""
+    return [name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)
+            for name in node.names]
+
+
+def test_no_module_rebinds_a_global():
+    offenders = {path.name: names for path in sorted(SRC.glob("*.py"))
+                 if (names := global_statements(path.read_text()))}
+    assert offenders == {}
+
+
+def test_global_scan_sees_nested_functions():
+    source = ("STATE = None\n\n"
+              "def outer():\n    def inner():\n        global STATE, OTHER\n    return inner\n")
+    assert global_statements(source) == ["STATE", "OTHER"]
 
 
 REPO = Path(__file__).resolve().parent.parent

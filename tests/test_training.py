@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dualrrm import BLAS_THREAD_VARS
+import dualrrm
 from dualrrm import training as training_module
 from dualrrm.core import RrmProblemConfig
 from dualrrm.errors import (
@@ -394,14 +394,13 @@ class TestBatchSplit:
         force_split(monkeypatch, 12)
         assert training_module._n_chunks(TrainConfig(batch_size=8), 50, GnnConfig()) == 8
 
-    @pytest.mark.parametrize("value", ["2", "0", ""])
-    def test_no_split_unless_blas_has_one_thread(self, monkeypatch, value):
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_no_split_unless_blas_has_one_thread(self, monkeypatch, threads):
+        # BLAS on two threads, or of a count the probe cannot read
         cfg = TrainConfig(batch_size=16, episode_len=50)
         force_split(monkeypatch, 4)
-        monkeypatch.setenv("OMP_NUM_THREADS", value)
-        assert training_module._n_chunks(cfg, 6, GnnConfig()) == 1
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var)
+        assert training_module._n_chunks(cfg, 6, GnnConfig()) == 4
+        monkeypatch.setattr(dualrrm, "blas_threads", lambda: threads)
         assert training_module._n_chunks(cfg, 6, GnnConfig()) == 1
 
     def test_later_chunk_failure_reports_iteration(self, monkeypatch):
