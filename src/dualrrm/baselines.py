@@ -6,6 +6,7 @@ The early-stopped-duals baseline is the trained policy run under an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,12 @@ class ItlinqConfig:
     def validate(self) -> None:
         if not (0.0 < self.eta_exponent <= 1.0):
             raise ConfigError("eta_exponent must lie in (0, 1]")
-        if not np.isfinite(self.m_margin_db):
-            raise ConfigError("m_margin_db must be finite")
+        try:  # 10 ** (dB / 10) beyond the float range, as ExperimentConfig bounds p_max
+            margin = 10.0 ** (self.m_margin_db / 10.0)
+        except OverflowError:
+            margin = math.inf
+        if not (math.isfinite(margin) and math.isfinite(self.m_margin_db)):
+            raise ConfigError("m_margin_db must be finite, and 10 ** (m_margin_db / 10) too")
         if self.ordering not in ("by-SNR-desc", "by-index"):
             raise ConfigError(f"unknown ordering {self.ordering!r}")
 

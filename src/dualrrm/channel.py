@@ -20,16 +20,17 @@ so the time blocks of an episode can be drawn apart: synthesis is the third
 stage that ``dualrrm.parallel_slots()`` sizes, after training's batch split
 and the evaluation pool.  An episode's blocks run on up to that many
 threads, at most one per block, and only the fading recurrence passes from
-block to block, in block order; an episode of one block starts no thread,
-and an evaluation pool worker, being one slot, never starts one.
+block to block, in block order, through one future per block that holds
+the block's last coefficients or its error.  One code path serves any
+slot count: an episode of one block starts no thread, and an evaluation
+pool worker, being one slot, never starts one.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -216,12 +217,15 @@ class Realization:
         The blocks run on up to ``parallel_slots()`` threads, this one
         included, at most one per block, the rule of training's batch
         split.  Each thread, with its own ``SlotGenerator`` and buffers,
-        takes the next block in order, draws its slots, and runs its
-        recurrence once the previous block's last c is carried over, so the
-        recurrence still runs in block order and no bit depends on the
-        threads.  An episode of one block, and any episode in an evaluation
-        pool worker, which is one slot, starts no thread; the threads end
-        before the call returns.
+        takes the next block in order, draws and scales its slots, and runs
+        its recurrence once the previous block's future yields that block's
+        last c, so the recurrence still runs in block order and no bit
+        depends on the threads.  A block that raises sets the error on its
+        own future instead, so every later block raises it too rather than
+        wait.  The pool starts a thread only for each further slot it is
+        given work for: an episode of one block, and any episode in an
+        evaluation pool worker, which is one slot, starts no thread; the
+        threads end before the call returns.
         """
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError("rho must lie in [0, 1]")
@@ -232,16 +236,14 @@ class Realization:
         n_block = min(block_steps(16 * m * m), max(n_steps, 1))
         starts = range(0, n_steps, n_block)
         out = np.empty((n_steps, m, m))
-        ends = [None] * len(starts)  # c at the last step of each block
-        carried = [threading.Event() for _ in starts]  # set once ends[k] is written
-        blocks = iter(range(len(starts)))  # handed out in order, each to one thread
+        ends = [Future() for _ in starts]  # c at the last step of each block, or its error
+        blocks = iter(enumerate(starts))  # handed out in order, each to one thread
 
         def synthesize() -> None:
             slots = SlotGenerator(self.fading_seed)
             planes = np.empty((n_block, 2, m, m))
             coeffs = np.empty((n_block, m, m), dtype=complex)
-            for k in blocks:
-                t0 = starts[k]
+            for k, t0 in blocks:
                 n = min(n_block, n_steps - t0)
                 c, h = planes[:n], coeffs[:n]
                 try:
@@ -250,29 +252,23 @@ class Realization:
                     c *= 1.0 / math.sqrt(2.0)  # the bits of numpy's complex division by a real
                     first = int(t0 == 0)  # c_0 is the first draw itself
                     c[first:] *= innovation
-                    if k:
-                        carried[k - 1].wait()
-                        if ends[k - 1] is None:
-                            return  # an earlier block failed, and its thread raises
-                    for i in range(first, n):
-                        c[i] += rho * (c[i - 1] if i else ends[k - 1])
-                    ends[k] = c[-1].copy()
-                finally:
-                    carried[k].set()  # also on a failure, so that no thread waits forever
+                    for i in range(first, n):  # block k > 0 waits for its carry, or its error
+                        c[i] += rho * (c[i - 1] if i else ends[k - 1].result())
+                except BaseException as exc:
+                    ends[k].set_exception(exc)  # so that no later block waits forever
+                    raise
+                ends[k].set_result(c[-1].copy())
                 np.multiply(c[:, 0], sqrt_gain, out=h.real)
                 np.multiply(c[:, 1], sqrt_gain, out=h.imag)
                 gain = np.abs(h, out=out[t0 : t0 + n])
                 gain **= 2
 
         threads = min(parallel_slots(), len(starts))
-        if threads > 1:
-            with ThreadPoolExecutor(threads - 1) as pool:
-                rest = [pool.submit(synthesize) for _ in range(threads - 1)]
-                synthesize()
-                for done in rest:
-                    done.result()
-        else:
+        with ThreadPoolExecutor(max(1, threads - 1)) as pool:  # starts a thread per submit only
+            rest = [pool.submit(synthesize) for _ in range(threads - 1)]
             synthesize()
+            for done in rest:
+                done.result()
         return out
 
 
@@ -292,13 +288,16 @@ def realization_to_dict(r: Realization, config_echo: dict | None = None) -> dict
 
 
 def realization_from_dict(d: dict) -> Realization:
-    """A realization from its JSON object.  A missing or mistyped key, a rho
-    outside [0, 1], a non-finite array entry or a gain that is not positive
-    raises ConfigError; gains or positions that disagree with m raise
+    """A realization from its JSON object.  A missing or mistyped key, a seed
+    outside Philox's key range [0, 2**128), a rho outside [0, 1], a
+    non-finite array entry or a gain that is not positive raises
+    ConfigError; gains or positions that disagree with m raise
     DimensionMismatch."""
-    for key in ("m", "topology_seed", "fading_seed"):
-        if not is_int(d.get(key)):
-            raise ConfigError(f"{key} is missing or mistyped: {d.get(key)!r}")
+    if not is_int(d.get("m")):
+        raise ConfigError(f"m is missing or mistyped: {d.get('m')!r}")
+    for key in ("topology_seed", "fading_seed"):
+        if not (is_int(d.get(key)) and 0 <= d[key] < 2**128):  # Philox's key range
+            raise ConfigError(f"{key} must be an integer in [0, 2**128), not {d.get(key)!r}")
     rho, m = d.get("rho"), d["m"]
     if not (type(rho) in (int, float) and 0.0 <= rho <= 1.0):
         raise ConfigError(f"rho must be a number in [0, 1], not {rho!r}")

@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import sys
@@ -247,6 +248,19 @@ class TestRealizationIO:
         with pytest.raises(ConfigError, match="rho"):
             load_realization(tmp_path / "r.json")
 
+    @pytest.mark.parametrize("key", ["fading_seed", "topology_seed"])
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range_refused(self, tmp_path, key, seed):
+        # the edges of [0, 2**128) still load, and replay their fading
+        (real,) = make_realizations(m=2, count=1, seed=3)
+        d = realization_to_dict(real)
+        for edge in (0, 2**128 - 1):
+            assert realization_from_dict({**d, key: edge}).episode(2).shape == (2, 2, 2)
+        d[key] = seed
+        (tmp_path / "r.json").write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match=key):
+            load_realization(tmp_path / "r.json")
+
     def test_dict_shape_validation(self):
         (real,) = make_realizations(m=3, count=1, seed=1)
         d = realization_to_dict(real)
@@ -338,29 +352,33 @@ class TestSynthesisBlocks:
     def test_threads_only_for_several_blocks(self, monkeypatch):
         # this thread and at most one more per further block, none for one
         # block or in a pool worker, and every thread gone when the call returns
-        pools = []
+        submitted = []  # the workers each call hands its pool
 
         class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers, **kw):
-                pools.append(max_workers)
-                super().__init__(max_workers, **kw)
+            def __init__(self, *args, **kw):
+                submitted.append(0)
+                super().__init__(*args, **kw)
 
-        monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool, raising=False)
+            def submit(self, *args, **kw):
+                submitted[-1] += 1
+                return super().submit(*args, **kw)
+
+        monkeypatch.setattr(channel, "ThreadPoolExecutor", RecordingPool)
         (real,) = make_realizations(m=6, count=1, seed=2)
         n_block = core.block_steps(16 * 6 * 6)
         before = threading.active_count()
         force_cpus(monkeypatch, 2)
         one = real.episode(n_block)
-        assert pools == []
+        assert submitted == [0]
         several = real.episode(2 * n_block + 1)
-        assert pools == [1]
+        assert submitted == [0, 1]
         force_cpus(monkeypatch, 3)
         assert np.array_equal(real.episode(n_block + 1), several[: n_block + 1])
         assert np.array_equal(real.episode(2 * n_block + 1), several)
-        assert pools == [1, 1, 2]
+        assert submitted == [0, 1, 1, 2]
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())  # a pool worker
         assert np.array_equal(real.episode(2 * n_block + 1), several)
-        assert pools == [1, 1, 2]
+        assert submitted == [0, 1, 1, 2, 0]
         assert threading.active_count() == before
         assert np.array_equal(several[:n_block], one)
 

@@ -544,6 +544,10 @@ CONFIG_MUTATIONS = {
     "mu_dist_bound_string": {"train": {"mu_dist": ["uniform", "0", 1]}},
     "mu_dist_two_entries": {"train": {"mu_dist": ["uniform", 0.0]}},
     "mu_dist_normal": {"train": {"mu_dist": ["normal", 0.0, 1.0]}},
+    "mu_dist_string": {"train": {"mu_dist": "uniform"}},
+    "mu_init_number": {"execution": {"mu_init": 0.5}},
+    "m_margin_int_beyond_float": {"itlinq": {"m_margin_db": 2**64}},
+    "m_margin_overflows_linear": {"itlinq": {"m_margin_db": 1e300}},
     "section_null": {"train": None},
     "train_workers": {"train": {"workers": 2}},
     "eta_phi_zero": {"train": {"eta_phi": 0.0}},

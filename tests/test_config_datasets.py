@@ -1,15 +1,19 @@
+import copy
 import errno
 import json
-from dataclasses import fields, is_dataclass
+import operator
+from dataclasses import fields, is_dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dualrrm import artifacts
 from dualrrm.artifacts import atomic_open, write_csv
-from dualrrm.channel import TopologyConfig, load_realization, save_realization
+from dualrrm.baselines import itlinq_schedule
+from dualrrm.channel import TopologyConfig, load_realization, realization_to_dict, save_realization
 from dualrrm.config import (
     DatasetConfig,
     ExperimentConfig,
@@ -20,8 +24,18 @@ from dualrrm.config import (
     load_config,
 )
 from dualrrm.datasets import generate_dataset, load_dataset, write_dataset
-from dualrrm.errors import ConfigError
-from dualrrm.policy import Checkpoint, GnnConfig, init_params, load_checkpoint, save_checkpoint
+from dualrrm.core import RrmProblemConfig
+from dualrrm.errors import ConfigError, RrmError
+from dualrrm.graph import build_graph
+from dualrrm.policy import (
+    Checkpoint,
+    GnnConfig,
+    checkpoint_bytes,
+    forward,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 from conftest import make_realizations
 
@@ -347,6 +361,74 @@ def byte_mutations(draw, raw: bytes) -> bytes:
     return opening * depth + raw + closing * depth
 
 
+# The JSON object of a valid config, checkpoint and realization, and the first
+# use of each once loaded: one ITLinQ schedule, one forward pass, one episode.
+(FUZZ_REALIZATION,) = make_realizations(m=3, count=1, seed=1)
+FUZZ_GAINS = FUZZ_REALIZATION.episode(2)
+FUZZ_PROBLEM = RrmProblemConfig(m=3)
+VALID_OBJECTS = {
+    "config": config_to_dict(small_experiment(Path("fuzz"), seed=1)),
+    "checkpoint": json.loads(checkpoint_bytes(
+        Checkpoint(init_params(GnnConfig(f1=4, f2=4), 1), seed=1, iteration=1))),
+    "realization": realization_to_dict(FUZZ_REALIZATION),
+}
+
+
+def _schedule_once(path):
+    cfg = load_config(path)  # the gains keep m=3 whatever topology.m a mutation sets
+    itlinq_schedule(FUZZ_GAINS, replace(cfg.problem, m=3), cfg.itlinq)
+
+
+def _forward_once(path):
+    graph = build_graph(FUZZ_GAINS, FUZZ_PROBLEM)
+    forward(graph, np.full(3, 0.5), load_checkpoint(path).params, FUZZ_PROBLEM.p_max)
+
+
+FIRST_USE = {
+    "config": _schedule_once,
+    "checkpoint": _forward_once,
+    "realization": lambda path: load_realization(path).episode(3),
+}
+REMOVED = object()  # an edit that deletes the key or entry
+
+
+def _field_paths(obj, path=()):
+    """The path of every key and list entry of a JSON object, at any depth."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+FIELD_PATHS = {name: list(_field_paths(obj)) for name, obj in VALID_OBJECTS.items()}
+_huge = st.floats(min_value=1e200, max_value=1e308)
+FIELD_VALUES = st.one_of(
+    st.integers(min_value=2**64, max_value=2**200),
+    _huge, _huge.map(operator.neg), st.floats(min_value=-1e-200, max_value=1e-200),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.none(),
+    st.just(REMOVED),
+)
+
+
+def _nested(a, b):
+    """Whether one field path lies inside the other."""
+    return a[: len(b)] == b[: len(a)]
+
+
+@st.composite
+def field_mutations(draw):
+    """An artifact name and one or two edits of its valid object, each a
+    field path and the value that replaces the field (or REMOVED); no path
+    lies inside another, and entries of a list are edited from the back."""
+    artifact = draw(st.sampled_from(sorted(VALID_OBJECTS)))
+    paths = draw(st.lists(st.sampled_from(FIELD_PATHS[artifact]), min_size=1, max_size=2,
+                          unique=True).filter(lambda ps: len(ps) == 1 or not _nested(*ps)))
+    return artifact, [(path, draw(FIELD_VALUES)) for path in sorted(paths, reverse=True)]
+
+
 class TestMutatedArtifacts:
     @pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
     @settings(max_examples=60)
@@ -357,4 +439,26 @@ class TestMutatedArtifacts:
         try:
             load(path)
         except ConfigError:
+            pass  # any other exception fails the test
+
+    @settings(max_examples=150)
+    @given(mutation=field_mutations())
+    @example(mutation=("config", [(("itlinq", "m_margin_db"), 2**64)]))
+    @example(mutation=("config", [(("itlinq", "m_margin_db"), 1e300)]))
+    def test_field_mutations_load_and_run_or_raise_package_error(self, tmp_path_factory,
+                                                                 mutation):
+        artifact, edits = mutation
+        obj = copy.deepcopy(VALID_OBJECTS[artifact])
+        for field, value in edits:
+            *parents, last = field
+            node = reduce(operator.getitem, parents, obj)
+            if value is REMOVED:
+                del node[last]
+            else:
+                node[last] = value
+        path = tmp_path_factory.getbasetemp() / f"fuzzed_{artifact}.json"
+        path.write_text(json.dumps(obj))
+        try:
+            FIRST_USE[artifact](path)
+        except RrmError:
             pass  # any other exception fails the test

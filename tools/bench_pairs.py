@@ -14,7 +14,9 @@ after the other: near 2 when a second core was free for the run, near 1
 when not, so a claim that rests on ``dualrrm.parallel_slots()`` can be read.
 
 It writes ``BENCH_<date>_<sha>.json`` at the root of this checkout (or in
-``--out``), ``sha`` being this checkout's HEAD: every run, and per workload
+``--out``), ``sha`` being this checkout's HEAD.  The record labels each side
+by the digest of its sources alone, since a parent copied at the change's
+commit shares its HEAD.  It holds every run, and per workload
 and end-to-end metric each side's median and quartiles, the pairs the
 change won (ties count for neither side) and whether the change's median
 is worse than the parent's by more than the metric's bound in
@@ -171,8 +173,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     now = datetime.now(timezone.utc)
     path = args.out / f"BENCH_{now:%Y%m%d}_{git_head(ROOT)}.json"
-    sources = {side: {"head": git_head(tree), "src_sha256": src_digest(tree)}
-               for side, tree in trees.items()}
+    sources = {side: {"src_sha256": src_digest(tree)} for side, tree in trees.items()}
     runs = []
     if path.exists():  # a second invocation adds its runs to the day's record
         earlier = json.loads(path.read_text())
