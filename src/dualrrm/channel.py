@@ -47,6 +47,10 @@ _MAX_PLACEMENT_ROUNDS = 10_000
 # of about 6.67 Hz (1 m/s pedestrian at 2 GHz) sampled every 10 ms.
 DEFAULT_FADING_RHO = 0.956
 
+# Largest large-scale gain a realization file may hold: |h|^2 = G |c|^2 stays
+# finite unless the fading power |c|^2 exceeds about 1e8, which it never does.
+MAX_GAIN = 1e300
+
 
 @dataclass(frozen=True)
 class PathlossConfig:
@@ -290,9 +294,9 @@ def realization_to_dict(r: Realization, config_echo: dict | None = None) -> dict
 def realization_from_dict(d: dict) -> Realization:
     """A realization from its JSON object.  A missing or mistyped key, a seed
     outside Philox's key range [0, 2**128), a rho outside [0, 1], a
-    non-finite array entry or a gain that is not positive raises
-    ConfigError; gains or positions that disagree with m raise
-    DimensionMismatch."""
+    non-finite array entry or a gain that is not positive or above
+    ``MAX_GAIN`` raises ConfigError; gains or positions that disagree with m
+    raise DimensionMismatch."""
     if not is_int(d.get("m")):
         raise ConfigError(f"m is missing or mistyped: {d.get('m')!r}")
     for key in ("topology_seed", "fading_seed"):
@@ -306,8 +310,8 @@ def realization_from_dict(d: dict) -> Realization:
         tx_positions=number_array("tx_positions", d.get("tx_positions"), (m, 2)),
         rx_positions=number_array("rx_positions", d.get("rx_positions"), (m, 2)),
     )
-    if not np.all(large.gains_linear > 0):
-        raise ConfigError("gains_linear must be positive")
+    if not np.all((large.gains_linear > 0) & (large.gains_linear <= MAX_GAIN)):
+        raise ConfigError(f"gains_linear must be positive and at most {MAX_GAIN:g}")
     return Realization(large, d["fading_seed"], float(rho), d["topology_seed"])
 
 

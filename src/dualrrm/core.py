@@ -2,7 +2,9 @@
 constraints, Lagrangian, metrics.
 
 Everything works in linear power units (milliwatts, matching the dBm config
-boundary) and double precision, over any leading (batch, time) axes.
+boundary), over any leading (batch, time) axes.  Powers, rates, gradients
+and every sum are double precision; the gains may be float32, as training
+caches them, and are widened exactly where they meet the powers.
 Interference denominators are reduced by ``sorted_sum``: each receiver's
 terms are sorted ascending and then summed in one fixed pairwise order.  The
 sorted sequence depends only on the set of terms, not on how the users are

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RrmProblemConfig, full_power_inr, sorted_sum
-from .errors import DegenerateNorm, DimensionMismatch, ZeroChannel
+from .errors import DegenerateNorm, DimensionMismatch, NumericalError, ZeroChannel
 
 
 @dataclass
@@ -63,13 +63,20 @@ def _log_strengths(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> np.ndarray:
     return np.log(logs, out=logs)
 
 
+def _range_note(abs_h2: np.ndarray) -> str:
+    if abs_h2.dtype != np.float32:
+        return ""
+    low, high = np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max
+    return f" (float32 holds only gains and INRs in [{low:.1e}, {high:.1e}])"
+
+
 def _normalized_logs(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> tuple[np.ndarray, np.ndarray]:
     """The log strengths of ``abs_h2`` (..., m, m) and their norm Z per step;
     ZeroChannel or DegenerateNorm where no edge can be built."""
     if abs_h2.shape[-2:] != (cfg.m, cfg.m):
         raise DimensionMismatch(f"channel {abs_h2.shape} inconsistent with m={cfg.m}")
     if not abs_h2.all():
-        raise ZeroChannel("channel magnitude is zero on at least one link")
+        raise ZeroChannel("channel magnitude is zero on at least one link" + _range_note(abs_h2))
     logs = _log_strengths(abs_h2, cfg)
     z = np.sqrt(sorted_sum(np.square(logs, order="C").reshape(logs.shape[:-2] + (-1,))))
     if not z.all():
@@ -94,8 +101,9 @@ def build_graph(abs_h2: np.ndarray, cfg: RrmProblemConfig) -> RrmGraph:
 @dataclass
 class GainEpisode:
     """The gains of an episode with the edge norm Z of every step, computed
-    and checked as ``build_graph`` does; ``block_graph`` builds the graph of
-    any window of its steps."""
+    and checked as ``build_graph`` does, and refused with NumericalError
+    where a gain or its full-power INR is not finite, as float32 gains can
+    be; ``block_graph`` builds the graph of any window of its steps."""
 
     gain: np.ndarray  # (T, m, m) |h|^2
     cfg: RrmProblemConfig
@@ -105,6 +113,9 @@ class GainEpisode:
         if self.gain.ndim != 3:  # execution's stacked (T, R, m, m) episodes are not one
             raise DimensionMismatch(f"episode shape {self.gain.shape} is not (T, m, m)")
         self.norm = _normalized_logs(self.gain, self.cfg)[1]
+        if not np.isfinite(self.norm).all():  # an infinite or NaN log strength
+            raise NumericalError("a channel gain or its full-power INR is not finite"
+                                 + _range_note(self.gain))
 
 
 def block_graph(episodes: list[GainEpisode], steps: slice, cfg: RrmProblemConfig,

@@ -79,7 +79,8 @@ def _array_shapes(dims: GnnConfig) -> list[tuple[str, tuple[int, ...]]]:
 class GnnParams:
     """All trainable weights as one float64 vector ``flat``, read and written
     through named views into it; also the container for gradients, where
-    ``flat`` may stack one vector per episode along leading axes.
+    ``flat`` may stack one vector per episode along leading axes, and for
+    the float32 copy that ``episode_eval`` runs float32 episodes with.
 
     ``w1``, ``w2``, ``w3`` and ``b`` hold one view per layer, with weights of
     shape (..., f_in, f_out) and biases of shape (..., f_out); ``w_out`` is
@@ -145,33 +146,39 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _relu_select(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.where(mask, x, 0.0)`` for float64 ``x`` of the shape of ``mask``,
+    """``np.where(mask, x, 0.0)`` for float ``x`` of the shape of ``mask``,
     bit for bit (NaN, infinities and -0.0 included), written into ``x``,
-    which is returned: the bits of x times 1 where the mask holds and times 0
-    elsewhere.  This is several times faster than ``np.where`` or a masked
-    ``np.copyto``, which branch on every entry."""
-    bits = x.view(np.uint64)
+    which is returned: the bits of x, read as the unsigned int of its
+    itemsize, times 1 where the mask holds and times 0 elsewhere.  This is
+    several times faster than ``np.where`` or a masked ``np.copyto``, which
+    branch on every entry."""
+    bits = x.view(np.uint64 if x.itemsize == 8 else np.uint32)
     np.multiply(bits, mask, out=bits)
     return x
 
 
 class _Workspace(threading.local):
-    """Grow-only float64 storage, one flat array per role and thread, for the
+    """Grow-only storage, one flat array per role, dtype and thread, for the
     per-block scratch listed below; no result is a view into it.  A warm pass
     allocates none of them: ``take`` hands out a C-contiguous view of the
-    role's array, which is replaced only by a larger one.  At m=6, T=50,
-    f=64 each activation is 150 KiB, just above glibc's mmap threshold, so a
-    fresh array per temporary cost page faults on every call.
+    role's array in the dtype asked for, a ``np.dtype``, and an array is
+    replaced only by a larger one.  At m=6, T=50, f=64 each float64
+    activation is 150 KiB, just above glibc's mmap threshold, so a fresh
+    array per temporary cost page faults on every call.
     """
 
     def __init__(self, n_roles: int):
-        self._flat = [np.empty(0) for _ in range(n_roles)]
+        self._n_roles = n_roles
+        self._flat: dict[np.dtype, list[np.ndarray]] = {}
 
-    def take(self, role: int, shape: tuple[int, ...]) -> np.ndarray:
+    def take(self, role: int, shape: tuple[int, ...], dtype=np.dtype(np.float64)) -> np.ndarray:
+        flat = self._flat.get(dtype)
+        if flat is None:
+            flat = self._flat[dtype] = [np.empty(0, dtype)] * self._n_roles
         size = math.prod(shape)
-        if self._flat[role].size < size:
-            self._flat[role] = np.empty(size)
-        return self._flat[role][:size].reshape(shape)
+        if flat[role].size < size:
+            flat[role] = np.empty(size, dtype)
+        return flat[role][:size].reshape(shape)
 
 
 # Roles: activations (reused by the backward pass once dead), stacked gains, time-block rows
@@ -197,11 +204,12 @@ def _forward_tensors(
     y0: (..., m, 1), edges: (..., m, m), in_sums: (..., m), the in-sums of
     edges.  A y0 of shape (m, 1), (R, m, 1) for R realizations, or
     (k, 1, m, 1) for k episodes, computes the layer-1 products y0 * W once
-    for every step.  Returns the pre-sigmoid node scalars with shape
-    (..., m), and the activations the backward pass reads, which live in
-    ``_WORK``.
+    for every step.  Every input is of the edges' dtype, in which the layers
+    run.  Returns the pre-sigmoid node scalars with shape (..., m), and the
+    activations the backward pass reads, which live in ``_WORK``.
     """
     w1, w2, w3, b = params.w1, params.w2, params.w3, params.b
+    dtype = edges.dtype
     s = in_sums[..., None]
     edges_t = np.swapaxes(edges, -1, -2)
     # Each layer is y@W1 + s*(y@W2) - agg@W3 + b, summed in place term by
@@ -210,9 +218,9 @@ def _forward_tensors(
     # Layer 1: f0 = 1, so each product is an outer product, exactly y0 * W[0].
     agg0 = edges_t @ y0
     shape = agg0.shape[:-1]
-    h1 = np.multiply(s, y0 * w2[0][0], out=_WORK.take(_H1, shape + (params.dims.f1,)))
+    h1 = np.multiply(s, y0 * w2[0][0], out=_WORK.take(_H1, shape + (params.dims.f1,), dtype))
     h1 += y0 * w1[0][0]
-    tmp = _WORK.take(_AGG1, h1.shape)
+    tmp = _WORK.take(_AGG1, h1.shape, dtype)
     h1 -= np.multiply(agg0, w3[0][0], out=tmp)
     if params.dims.use_bias:
         h1 += b[0]
@@ -220,8 +228,8 @@ def _forward_tensors(
     _relu_select(mask1, h1)
     # Layer 2.
     agg1 = np.matmul(edges_t, h1, out=tmp)
-    h2 = np.matmul(h1, w1[1], out=_WORK.take(_H2, shape + (params.dims.f2,)))
-    tmp = np.matmul(h1, w2[1], out=_WORK.take(_SCRATCH, h2.shape))
+    h2 = np.matmul(h1, w1[1], out=_WORK.take(_H2, shape + (params.dims.f2,), dtype))
+    tmp = np.matmul(h1, w2[1], out=_WORK.take(_SCRATCH, h2.shape, dtype))
     tmp *= s
     h2 += tmp
     h2 -= np.matmul(agg1, w3[1], out=tmp)
@@ -245,7 +253,8 @@ def _backward_tensors(
 ) -> None:
     """Gradients of sum(d_pre * pre_activation) in all parameters, one row
     of ``out`` (k, P) per episode, for inputs with leading (k, n) axes: k
-    episodes of n steps.  The activations in ``cache`` are overwritten."""
+    episodes of n steps, all of one dtype, that of ``out`` included.  The
+    activations in ``cache`` are overwritten."""
     grads = GnnParams(out, params.dims)
 
     def _contract(out: np.ndarray, a: np.ndarray, g: np.ndarray, sign: float = 1.0) -> None:
@@ -261,7 +270,7 @@ def _backward_tensors(
     _contract(grads.w_out, cache.h2, g3)
     grads.b_out[...] = g3.sum(axis=(1, 2))
     # Layer 2.  g3 @ w_out.T has one term per entry: it is g3 * w_out[:, 0].
-    gz = np.multiply(g3, params.w_out[:, 0], out=_WORK.take(_SCRATCH, cache.h2.shape))
+    gz = np.multiply(g3, params.w_out[:, 0], out=_WORK.take(_SCRATCH, cache.h2.shape, g3.dtype))
     _relu_select(cache.masks[1], gz)
     h1, tmp = cache.h1, cache.agg1
     _contract(grads.w1[1], h1, gz)
@@ -276,7 +285,7 @@ def _backward_tensors(
     tmp *= s
     gy += tmp
     np.matmul(gz, params.w3[1].T, out=tmp)
-    gy -= np.matmul(edges, tmp, out=_WORK.take(_H2, gy.shape))
+    gy -= np.matmul(edges, tmp, out=_WORK.take(_H2, gy.shape, gy.dtype))
     # Layer 1; nothing reads the gradient in the network input.
     gz = _relu_select(cache.masks[0], gy)
     y_in = np.broadcast_to(cache.y0, gz.shape[:-1] + (1,))
@@ -334,16 +343,28 @@ def episode_eval(
     add in block order.  Every episode's rates fill its own (T, m) array and
     its gradient is contracted on its own, so a batch equals its episodes
     one by one, bit for bit, and no value or average rate depends on blocks.
+
+    The message passing runs in the episodes' dtype.  Float32 episodes, as
+    training caches them, take float32 copies of the parameters and node
+    features once per call, and their gradient blocks are staged in float32;
+    the pre-activations return to float64, so the powers, rates, dL/dp,
+    values, average rates and gradient rows are float64 whatever the
+    episodes hold.  Float64 episodes run in float64 throughout.
     """
     single = isinstance(episode, GainEpisode)
     episodes, mu = ([episode], [mu]) if single else (episode, mu)
     mu = np.asarray(mu, dtype=float)
-    shapes = {e.gain.shape for e in episodes}
-    if len(shapes) != 1 or mu.shape != (len(episodes), cfg.m):
-        raise DimensionMismatch(f"duals {mu.shape} at m={cfg.m} and episodes {shapes} are no batch")
-    n_steps = episodes[0].gain.shape[0]
+    kinds = {(e.gain.shape, e.gain.dtype) for e in episodes}
+    if len(kinds) != 1 or mu.shape != (len(episodes), cfg.m):
+        raise DimensionMismatch(f"duals {mu.shape} at m={cfg.m} and episodes {kinds} are no batch")
+    n_steps, dtype = episodes[0].gain.shape[0], episodes[0].gain.dtype
     weights = (lagrangian_rate_weights(mu, cfg) / n_steps)[:, None]
     feats = mu if node_features is None else np.asarray(node_features, dtype=float)
+    net = params  # the features and parameters in the episodes' dtype, cast once per call
+    if dtype != params.flat.dtype:
+        feats, net = feats.astype(dtype), GnnParams(params.flat.astype(dtype), params.dims)
+        if not net.is_finite():
+            raise NonFiniteActivation(f"parameters lie beyond {dtype}'s range")
     y0 = np.broadcast_to(feats, mu.shape)[:, None, :, None]
     f = np.empty((len(episodes), n_steps, cfg.m))
     shape = (len(episodes), params.flat.size)
@@ -355,16 +376,19 @@ def episode_eval(
         eps = slice(b0, b0 + per_block)
         for t0 in range(0, n_steps, n_block):
             win = slice(t0, t0 + n_block)
-            gains = _WORK.take(_GAINS, f[eps, win].shape + (cfg.m,))
+            gains = _WORK.take(_GAINS, f[eps, win].shape + (cfg.m,), dtype)
             block = block_graph(episodes[eps], win, cfg, gains)
-            pre, cache = _forward_tensors(y0[eps], block.edges, block.in_sums, params)
-            sig = _sigmoid(pre)
+            pre, cache = _forward_tensors(y0[eps], block.edges, block.in_sums, net)
+            sig = _sigmoid(pre.astype(np.float64, copy=False))
             f[eps, win], dldp = rates_and_gradient(block.gain, cfg.p_max * sig, weights[eps], cfg)
-            d_pre = dldp * cfg.p_max * sig * (1.0 - sig)
-            grads = _WORK.take(_ROW, rows[eps].shape) if t0 else rows[eps]
-            _backward_tensors(d_pre, cache, block.edges, block.in_sums, params, grads)
+            d_pre = (dldp * cfg.p_max * sig * (1.0 - sig)).astype(dtype, copy=False)
+            staged = t0 or dtype != rows.dtype  # else the block writes its rows itself
+            grads = _WORK.take(_ROW, rows[eps].shape, dtype) if staged else rows[eps]
+            _backward_tensors(d_pre, cache, block.edges, block.in_sums, net, grads)
             if t0:
                 rows[eps] += grads
+            elif staged:
+                rows[eps] = grads
     avg_f = f.mean(axis=1)
     values = np.array([lagrangian(a, u, cfg) for a, u in zip(avg_f, mu)])
     if single:

@@ -14,6 +14,13 @@ process.  A batch splits into chunks of whole episodes, one per
 most one per gradient block (``policy.gradient_blocks``); the caller runs
 the first, a thread pool the rest, and each writes its rows of one (B, P)
 gradient array, summed in batch order, so no bit depends on the split.
+
+Training caches each episode's gains in float32, so the message passing,
+forward and backward, runs in float32, as in mixed-precision training; the
+parameters, their update, the rates, dL/dp, the Lagrangian and the gradient
+rows stay float64 (``policy.episode_eval``).  Gains that float32 cannot hold
+are refused when the cache is filled.  Execution and the finite-difference
+check run in float64 throughout.
 """
 
 from __future__ import annotations
@@ -170,11 +177,14 @@ def _run_ascent(
     def epoch_order(epoch: int) -> np.ndarray:
         return generator(derive_seed(seed, DATA_ORDER, epoch)).permutation(len(dataset))
 
-    # the gains and the edge norm of every step, T (m^2 + 1) floats per
-    # realization; ``episode_eval`` builds the edges block by block
+    # the float32 gains and the edge norm of every step, T (m^2 + 1) floats
+    # per realization; ``episode_eval`` builds the edges block by block and
+    # runs the message passing in float32
     @functools.cache
     def episode(idx: int) -> GainEpisode:
-        return episode_tensors(dataset[idx].episode(cfg.episode_len), problem)
+        with np.errstate(over="ignore"):  # gains or INRs beyond float32's range: refused as inf
+            gain = dataset[idx].episode(cfg.episode_len).astype(np.float32)
+            return episode_tensors(gain, problem)
 
     n_chunks = _n_chunks(cfg, problem.m, dims)
     bounds = [cfg.batch_size * i // n_chunks for i in range(n_chunks + 1)]

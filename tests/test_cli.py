@@ -695,6 +695,7 @@ DATASET_MUTATIONS = {
     "gains_disagree_with_m": _realization(lambda d: d["gains_linear"].pop()),
     "gain_negative": _first_entry("gains_linear", -1.0),
     "gain_nan": _first_entry("gains_linear", float("nan")),
+    "gain_overflows_squared": _first_entry("gains_linear", 1e301),  # G |c|^2 would be inf
     "tx_position_nan": _first_entry("tx_positions", float("nan")),
     # seeds: files, manifest and master seed must agree
     "realizations_swapped": _swap_realizations,
@@ -718,6 +719,26 @@ class TestMalformedDataset:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.startswith("config error") and "Traceback" not in err
+
+
+class TestGainsBeyondFloat32:
+    """Training caches its gains in float32: a train split whose gains that
+    range cannot hold is refused with a numerical error naming it."""
+
+    @pytest.mark.parametrize("scale,reason", [(1e60, "not finite"), (1e-40, "zero")])
+    def test_training_exits_numeric(self, workspace, tmp_path, capsys, scale, reason):
+        _, cfg_path, run, _ = workspace
+        out = tmp_path / "out"
+        shutil.copytree(run / "datasets" / "train", out / "datasets" / "train")
+        scaled = _realization(lambda d: d.update(
+            gains_linear=(scale * np.array(d["gains_linear"])).tolist()))
+        scaled(out / "datasets" / "train")
+        capsys.readouterr()
+        code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numerical failure") and reason in err and "float32" in err
+        assert "Traceback" not in err
 
 
 class TestReproducibility:

@@ -376,15 +376,16 @@ class TestBatchAxis:
         per_block=st.integers(0, 7),
         extra=st.integers(0, 11),
         with_out=st.booleans(),
+        dtype=st.sampled_from([np.float64, np.float32]),  # float32 as training caches them
         seed=st.integers(0, 2**16),
     )
     def test_batch_equals_single_episodes(
         self, m, n_steps, batch, widths, use_bias, constant_features, per_block, extra, with_out,
-        seed
+        dtype, seed
     ):
         cfg, dims = small_problem(m), GnnConfig(*widths, use_bias=use_bias)
         episodes = [
-            episode_tensors(real.episode(n_steps), cfg)
+            episode_tensors(real.episode(n_steps).astype(dtype), cfg)
             for real in make_realizations(m=m, count=batch, seed=seed, area=1000.0)
         ]
         rng = np.random.default_rng(seed)
@@ -457,23 +458,46 @@ class TestBatchAxis:
             episode_eval(episodes, np.zeros((2, 3)), params, cfg, out=out)
 
 
+class TestFloat32Episodes:
+    """Training caches its episodes in float32: the message passing runs in
+    float32, the powers, rates, values and gradient rows in float64."""
+
+    def test_desk_batch_gradient_is_near_the_float64_one(self):
+        m, n_steps, batch = 6, 50, 3
+        cfg = small_problem(m)
+        params = init_params(GnnConfig(), 0)
+        gains = [real.episode(n_steps) for real in make_realizations(m=m, count=batch, seed=1)]
+        mu = np.random.default_rng(0).uniform(0, 1, (batch, m))
+        (v64, g64, f64), (v32, g32, f32) = (
+            episode_eval([episode_tensors(g.astype(dtype), cfg) for g in gains], mu, params, cfg)
+            for dtype in (np.float64, np.float32)
+        )
+        assert v32.dtype == g32.flat.dtype == f32.dtype == np.float64
+        assert np.max(np.abs(g32.flat - g64.flat)) <= 1e-5 * np.max(np.abs(g64.flat))
+        assert np.max(np.abs(v32 - v64)) <= 1e-5 * np.max(np.abs(v64))
+
+
 class TestActivationBuffers:
     """The forward and backward passes keep their (..., m, f) activations in
     buffers reused across blocks and calls."""
 
-    # (m, T, f1, f2, steps per gradient block): the desk shape, unequal
-    # widths either way round, and partial last blocks
-    CASES = [(6, 50, 64, 64, 50), (5, 13, 16, 24, 4), (7, 9, 24, 16, 6), (3, 20, 8, 8, 7)]
+    # (m, T, f1, f2, steps per gradient block, gain dtype): the desk shape,
+    # unequal widths either way round, and partial last blocks; float32
+    # training blocks share the buffers with float64 executions
+    CASES = [(6, 50, 64, 64, 50, np.float64), (5, 13, 16, 24, 4, np.float64),
+             (7, 9, 24, 16, 6, np.float64), (3, 20, 8, 8, 7, np.float64),
+             (6, 50, 64, 64, 50, np.float32), (4, 11, 24, 16, 3, np.float32)]
 
     @staticmethod
-    def results(mp, m, n_steps, f1, f2, n):
+    def results(mp, m, n_steps, f1, f2, n, dtype):
         cfg, dims = small_problem(m), GnnConfig(f1=f1, f2=f2)
         (real,) = make_realizations(m=m, count=1, seed=m)
         gain = real.episode(n_steps)
         params = init_params(dims, m)
         mu = np.random.default_rng(m).uniform(0, 2, m)
         force_block_steps(mp, n, m, dims)
-        value, grads, avg = episode_eval(episode_tensors(gain, cfg), mu, params, cfg)
+        episode = episode_tensors(gain.astype(dtype), cfg)
+        value, grads, avg = episode_eval(episode, mu, params, cfg)
         # an execution window of five steps right after the training blocks
         powers = forward(build_graph(gain[:5], cfg), mu, params, cfg.p_max)
         return [np.array(value), grads.flat, avg, powers]
@@ -511,23 +535,24 @@ class TestActivationBuffers:
         # a warm 16-episode gradient batch at the desk shape, three episodes
         # per block, reuses its stacked gains and writes its gradient rows
         # into the caller's ``out``: it too allocates less than three
-        # (T, m, f) float64 activations in all
+        # (T, m, f) float64 activations in all, with float32 episodes too
         m, n_steps, f, batch = 6, 50, 64, 16
         cfg = small_problem(m)
         params = init_params(GnnConfig(f1=f, f2=f), 0)
-        episodes = [episode_tensors(real.episode(n_steps), cfg)
-                    for real in make_realizations(m=m, count=batch, seed=1)]
+        gains = [real.episode(n_steps) for real in make_realizations(m=m, count=batch, seed=1)]
         mu = np.random.default_rng(0).uniform(0, 1, (batch, m))
         assert gradient_blocks(m, n_steps, params.dims) == (3, n_steps)
         out = np.empty((batch, params.flat.size))
-        episode_eval(episodes, mu, params, cfg, out=out)
-        tracemalloc.start()
-        try:
+        for dtype in (np.float64, np.float32):
+            episodes = [episode_tensors(gain.astype(dtype), cfg) for gain in gains]
             episode_eval(episodes, mu, params, cfg, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * n_steps * m * f * 8
+            tracemalloc.start()
+            try:
+                episode_eval(episodes, mu, params, cfg, out=out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * n_steps * m * f * 8, dtype
 
 
 class TestGradCheckReport:
